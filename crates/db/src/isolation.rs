@@ -57,6 +57,30 @@ impl IsolationLevel {
         IsolationLevel::ALL[code as usize]
     }
 
+    /// Parse a level from any spelling the tools and the wire accept,
+    /// case-insensitively: the short codes (`RU`, `RC`, `MRR` /
+    /// `MYSQL-RR` / `default`, `RR`, `SI` / `snapshot`, `S` / `SER`), the
+    /// hyphenated long forms (`read-committed`, ...), and every
+    /// [`IsolationLevel::name`].
+    pub fn parse(text: &str) -> Option<IsolationLevel> {
+        const SPELLINGS: [&[&str]; 6] = [
+            &["ru", "read-uncommitted"],
+            &["rc", "read-committed"],
+            &["mrr", "mysql-rr", "default"],
+            &["rr", "repeatable-read"],
+            &["si", "snapshot"],
+            &["s", "ser"],
+        ];
+        IsolationLevel::ALL
+            .into_iter()
+            .zip(SPELLINGS)
+            .find(|(level, spellings)| {
+                level.name().eq_ignore_ascii_case(text)
+                    || spellings.iter().any(|s| s.eq_ignore_ascii_case(text))
+            })
+            .map(|(level, _)| level)
+    }
+
     /// Whether plain reads use a transaction-long snapshot (vs a
     /// per-statement one).
     pub fn uses_txn_snapshot(self) -> bool {
@@ -187,6 +211,28 @@ mod tests {
                 level != IsolationLevel::Serializable
             );
         }
+    }
+
+    #[test]
+    fn parse_round_trips_names_and_wire_codes() {
+        // The wire codes are `net::protocol::isolation_code`'s, in ALL order.
+        let codes = ["RU", "RC", "MRR", "RR", "SI", "SER"];
+        for (level, code) in IsolationLevel::ALL.into_iter().zip(codes) {
+            assert_eq!(IsolationLevel::parse(level.name()), Some(level));
+            assert_eq!(IsolationLevel::parse(code), Some(level));
+            assert_eq!(IsolationLevel::parse(&code.to_lowercase()), Some(level));
+        }
+        for (alias, level) in [
+            ("mysql-rr", IsolationLevel::MySqlRepeatableRead),
+            ("default", IsolationLevel::MySqlRepeatableRead),
+            ("read-committed", IsolationLevel::ReadCommitted),
+            ("snapshot", IsolationLevel::SnapshotIsolation),
+            ("s", IsolationLevel::Serializable),
+        ] {
+            assert_eq!(IsolationLevel::parse(alias), Some(level), "{alias}");
+        }
+        assert_eq!(IsolationLevel::parse(""), None);
+        assert_eq!(IsolationLevel::parse("bogus"), None);
     }
 
     #[test]

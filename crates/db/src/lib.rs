@@ -54,7 +54,7 @@ pub mod txn;
 pub mod value;
 pub mod wal;
 
-pub use acidrain_obs::{MetricsReport, Obs, Stopwatch, TraceEvent};
+pub use acidrain_obs::{field, json_escape, Json, MetricsReport, Obs, Stopwatch, TraceEvent};
 pub use db::{Connection, Database};
 pub use error::DbError;
 pub use fault::{CrashPoint, CrashSpec, FaultConfig, FaultInjector, FaultStats, InjectedFault};

@@ -8,8 +8,8 @@
 //! replayer. Candidates are tried in cost order and the first whose
 //! replay does **not** confirm the anomaly is recommended
 //! ([`acidrain_static::RemedyOutcome::chosen`]); a fix that still confirms is a
-//! static/dynamic disagreement the report surfaces (and the
-//! `repair_adviser` binary turns into a failing exit code).
+//! static/dynamic disagreement the report surfaces (and
+//! `acidrain advise` turns into a failing exit code).
 //!
 //! The fall-through matters: the static model is deliberately more
 //! conservative than the engine in places (e.g. lock scopes it cannot

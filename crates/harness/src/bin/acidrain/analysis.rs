@@ -1,0 +1,139 @@
+//! The three analysis sweeps over the application registry: `audit`
+//! (static 2AD, nothing executed), `replay` (every finding run against
+//! the live engine) and `advise` (a minimal fix per finding, proven closed
+//! on re-audit and on replay). They share the `--app` filter, the
+//! `--json` writer and one schema-versioned report layout.
+
+use std::fmt::Display;
+use std::process::exit;
+use std::time::{Duration, Instant};
+
+use acidrain_apps::endpoints::AppSurface;
+use acidrain_db::Obs;
+use acidrain_harness::{advise_surface, replay_surface};
+use acidrain_static::{
+    audit_surface, render_json, render_remedy_json, render_remedy_text, render_replay_json,
+    render_replay_text, render_text, RemedyReport, ReplayReport, StaticAuditReport,
+};
+
+use crate::Args;
+
+/// Run `each` over the selected surfaces; the first error ends the run.
+fn sweep<T, E: Display>(
+    args: &Args,
+    mut each: impl FnMut(&AppSurface) -> Result<T, E>,
+) -> (Vec<T>, Duration) {
+    let start = Instant::now();
+    let surfaces = args.surfaces();
+    let results = surfaces
+        .iter()
+        .map(|surface| each(surface).unwrap_or_else(|e| args.fail(e)))
+        .collect();
+    (results, start.elapsed())
+}
+
+pub fn audit(args: &Args) {
+    let (apps, elapsed) = sweep(args, audit_surface);
+    let report = StaticAuditReport { apps };
+
+    args.write_json(|| render_json(&report));
+    if !args.has("--quiet") {
+        print!("{}", render_text(&report));
+        println!(
+            "\n{} surfaces, {} findings, audited in {:.2?} (no concurrent execution)",
+            report.apps.len(),
+            report.finding_count(),
+            elapsed
+        );
+    }
+}
+
+pub fn replay(args: &Args) {
+    let levels = args.levels();
+    let (apps, elapsed) = sweep(args, |surface| replay_surface(surface, &levels));
+    let report = ReplayReport { apps };
+
+    args.write_json(|| render_replay_json(&report));
+    if !args.has("--quiet") {
+        print!("{}", render_replay_text(&report));
+        println!(
+            "\n{} surfaces, {} confirmed / {} blocked / {} inconclusive, replayed in {:.2?}",
+            report.apps.len(),
+            report.count("confirmed"),
+            report.count("blocked"),
+            report.count("inconclusive"),
+            elapsed
+        );
+    }
+
+    // A level-based anomaly confirmed at Serializable means the engine
+    // failed to serialize: an engine bug, not an application one.
+    let ser_failures = report.serializable_level_based_confirmed();
+    if !ser_failures.is_empty() {
+        eprintln!(
+            "acidrain replay: {} level-based anomalies CONFIRMED at Serializable:",
+            ser_failures.len()
+        );
+        for o in ser_failures {
+            eprintln!(
+                "  {} on {} (API {})",
+                o.finding.pattern, o.finding.table, o.finding.api
+            );
+        }
+        exit(3);
+    }
+}
+
+pub fn advise(args: &Args) {
+    let levels = args.levels();
+    let obs = Obs::new();
+    obs.enable();
+    let (apps, elapsed) = sweep(args, |surface| advise_surface(surface, &levels, &obs));
+    let report = RemedyReport { apps };
+
+    args.write_json(|| render_remedy_json(&report));
+    if !args.has("--quiet") {
+        print!("{}", render_remedy_text(&report));
+        let counters = obs.counters();
+        println!(
+            "\n{} surfaces, {} candidates tried, {} closures, {} post-fix replays, advised in {:.2?}",
+            report.apps.len(),
+            counters.repair_candidates,
+            counters.repair_closures,
+            counters.repair_replays,
+            elapsed
+        );
+    }
+
+    // The closure gate: every level-based finding has a closing fix set,
+    // and no recommended fix still confirms on post-repair replay.
+    let mut tripped = false;
+    for (what, outcomes) in [
+        (
+            "level-based findings have NO closing fix",
+            report.unclosed_level_based(),
+        ),
+        (
+            "recommended fixes still CONFIRMED on replay",
+            report.confirmed_after_fix(),
+        ),
+    ] {
+        if outcomes.is_empty() {
+            continue;
+        }
+        tripped = true;
+        eprintln!("acidrain advise: {} {what}:", outcomes.len());
+        for (app, level, o) in outcomes {
+            eprintln!(
+                "  {app} @ {}: {} on {} (API {})",
+                level.name(),
+                o.finding.pattern,
+                o.finding.table,
+                o.finding.api
+            );
+        }
+    }
+    if tripped {
+        exit(3);
+    }
+}

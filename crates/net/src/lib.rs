@@ -19,8 +19,7 @@
 //!   [`acidrain_apps::SqlConn`], so the entire application corpus and
 //!   its retry wrappers run unmodified across the wire.
 //! * [`loadgen`] — open-loop, zipfian-skewed load generation over
-//!   thousands of persistent sockets, plus the over-socket flexcoin
-//!   attack; emits `BENCH_network.json`.
+//!   persistent sockets, plus the over-socket flexcoin attack.
 //!
 //! The wire protocol itself (framing, commands, error-code mapping,
 //! session lifecycle) is specified in DESIGN.md §14 and implemented in

@@ -22,10 +22,9 @@ use std::time::{Duration, Instant};
 use acidrain_apps::flexcoin::{check_solvency, Flexcoin};
 use acidrain_apps::prelude::*;
 use acidrain_db::{Database, DbError, IsolationLevel};
-use acidrain_obs::{Histogram, HistogramSnapshot, MetricsReport};
+use acidrain_obs::{Histogram, HistogramSnapshot};
 
 use crate::client::RemoteConn;
-use crate::protocol::isolation_code;
 
 /// Knobs for one load-generation run.
 #[derive(Debug, Clone)]
@@ -230,59 +229,6 @@ pub fn run_level(
     })
 }
 
-/// Render the full network benchmark artifact (`BENCH_network.json`):
-/// run configuration, per-level client-observed latency/outcomes, and
-/// the server's own metrics report.
-pub fn render_report(
-    config: &LoadgenConfig,
-    levels: &[LevelResult],
-    server: &MetricsReport,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"arrival\": \"open-loop\", \"sockets\": {}, \"threads\": {}, \
-         \"rate_per_sec\": {}, \"duration_s_per_level\": {:.3}, \"users\": {}, \
-         \"zipf_theta\": {}, \"seed\": {}}},\n",
-        config.sockets,
-        config.threads,
-        config.rate,
-        config.duration.as_secs_f64(),
-        config.users,
-        config.zipf_theta,
-        config.seed,
-    ));
-    out.push_str("  \"levels\": [\n");
-    for (i, l) in levels.iter().enumerate() {
-        let h = &l.latency;
-        out.push_str(&format!(
-            "    {{\"level\": \"{}\", \"code\": \"{}\", \"requests\": {}, \"ok\": {}, \
-             \"rejected\": {}, \"db_errors\": {}, \"protocol_errors\": {}, \
-             \"latency\": {{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
-             \"p99_ns\": {}, \"max_ns\": {}}}}}{}\n",
-            l.level.name(),
-            isolation_code(l.level),
-            l.requests,
-            l.ok,
-            l.rejected,
-            l.db_errors,
-            l.protocol_errors,
-            h.count(),
-            h.mean_nanos(),
-            h.percentile_nanos(0.50),
-            h.percentile_nanos(0.90),
-            h.percentile_nanos(0.99),
-            h.max_nanos,
-            if i + 1 == levels.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"server\": ");
-    let server_json = server.to_json().replace('\n', "\n  ");
-    out.push_str(&server_json);
-    out.push_str("\n}\n");
-    out
-}
-
 /// Outcome of one over-socket flexcoin attack run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackOutcome {
@@ -391,23 +337,5 @@ mod tests {
             let share = count as f64 / 40_000.0;
             assert!((share - 0.25).abs() < 0.03, "id {id}: share {share}");
         }
-    }
-
-    #[test]
-    fn report_json_is_balanced() {
-        let config = LoadgenConfig::default();
-        let levels = vec![LevelResult {
-            level: IsolationLevel::ReadCommitted,
-            requests: 10,
-            ok: 8,
-            rejected: 1,
-            db_errors: 1,
-            protocol_errors: 0,
-            latency: HistogramSnapshot::default(),
-        }];
-        let json = render_report(&config, &levels, &MetricsReport::default());
-        assert!(json.contains("\"arrival\": \"open-loop\""));
-        assert!(json.contains("\"code\": \"RC\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -115,12 +115,10 @@ pub fn isolation_code(level: IsolationLevel) -> &'static str {
     }
 }
 
-/// Parse an isolation level from its wire code (or its full display
-/// name, case-insensitively).
+/// Parse the level argument of `HELLO`: any spelling
+/// [`IsolationLevel::parse`] accepts, the wire codes included.
 pub fn parse_isolation(text: &str) -> Option<IsolationLevel> {
-    IsolationLevel::ALL
-        .into_iter()
-        .find(|&level| isolation_code(level) == text || level.name().eq_ignore_ascii_case(text))
+    IsolationLevel::parse(text)
 }
 
 /// Escape a string for single-line transport: backslash, tab, newline,

@@ -73,26 +73,12 @@ fn flexcoin_attack_defeats_serializable_via_scoping() {
     assert!(check_solvency(&db, RESERVE + ATTACKER_FUNDS).is_err());
 }
 
-/// A miniature bench run: the full 12-app corpus over sockets at one
-/// level, with zero wire-protocol violations on either side and real
-/// commits on the server.
+/// The full 12-app corpus over sockets at every isolation level, open
+/// loop: zero wire-protocol violations on either side and real commits
+/// on the server, on a fresh store and server per level so no level
+/// inherits another's stock depletion.
 #[test]
-fn loadgen_drives_the_corpus_cleanly() {
-    let db: Arc<Database> = Database::new(shop_schema(), IsolationLevel::ReadCommitted);
-    seed_store(&db);
-    db.enable_metrics();
-    let handle = Server::start(
-        Arc::clone(&db),
-        ServerConfig {
-            max_sessions: 64,
-            queue_capacity: 64,
-            idle_timeout: Some(Duration::from_secs(30)),
-            txn_timeout: Some(Duration::from_secs(10)),
-            workers: 4,
-        },
-    )
-    .expect("start server");
-
+fn loadgen_drives_the_corpus_cleanly_at_every_level() {
     let config = LoadgenConfig {
         sockets: 32,
         threads: 4,
@@ -101,21 +87,37 @@ fn loadgen_drives_the_corpus_cleanly() {
         users: 100,
         ..LoadgenConfig::default()
     };
-    let result =
-        run_level(handle.addr(), IsolationLevel::ReadCommitted, &config).expect("drive level");
-    let report = db.metrics_report();
-    handle.shutdown();
+    for level in IsolationLevel::ALL {
+        let db: Arc<Database> = Database::new(shop_schema(), level);
+        seed_store(&db);
+        db.enable_metrics();
+        let handle = Server::start(
+            Arc::clone(&db),
+            ServerConfig {
+                max_sessions: 64,
+                queue_capacity: 64,
+                idle_timeout: Some(Duration::from_secs(30)),
+                txn_timeout: Some(Duration::from_secs(10)),
+                workers: 4,
+            },
+        )
+        .expect("start server");
 
-    assert!(result.requests > 0);
-    assert_eq!(
-        result.protocol_errors, 0,
-        "client saw wire-protocol violations"
-    );
-    assert_eq!(
-        report.counters.net_protocol_errors, 0,
-        "server counted protocol errors"
-    );
-    let commits: u64 = report.by_level.iter().map(|l| l.commits).sum();
-    assert!(commits > 0, "no server-side commits: {report:?}");
-    assert_eq!(result.latency.count(), result.requests);
+        let result = run_level(handle.addr(), level, &config).expect("drive level");
+        let report = db.metrics_report();
+        handle.shutdown();
+
+        assert!(result.requests > 0, "{level}");
+        assert_eq!(
+            result.protocol_errors, 0,
+            "{level}: client saw wire-protocol violations"
+        );
+        assert_eq!(
+            report.counters.net_protocol_errors, 0,
+            "{level}: server counted protocol errors"
+        );
+        let commits: u64 = report.by_level.iter().map(|l| l.commits).sum();
+        assert!(commits > 0, "{level}: no server-side commits: {report:?}");
+        assert_eq!(result.latency.count(), result.requests, "{level}");
+    }
 }

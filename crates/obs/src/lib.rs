@@ -33,6 +33,9 @@
 //! * **Traces**: per-transaction spans (begin → statements → lock waits →
 //!   commit/abort), exportable as plain JSON ([`trace_json`]) or the
 //!   `chrome://tracing` / Perfetto format ([`trace_chrome_json`]).
+//! * **JSON**: [`json`] is the workspace's only JSON writer; the report,
+//!   both trace exports, and the analysis reports above this crate all
+//!   render through its [`Json`] tree.
 //!
 //! ```
 //! use acidrain_obs::{Obs, ProbeOutcome};
@@ -52,11 +55,13 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod json;
 pub mod registry;
 pub mod report;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
+pub use json::{field, json_escape, Json};
 pub use registry::{
     Obs, ProbeOutcome, RetryEvent, Stopwatch, Timer, WaitToken, MAX_LEVELS, SHARDS,
 };

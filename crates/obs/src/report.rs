@@ -1,13 +1,11 @@
 //! Aggregated metric read-out: [`MetricsReport`] and its JSON export.
 //!
 //! A report is a point-in-time merge of every registry shard — the
-//! structure the harness prints alongside chaos/attack results and the
-//! throughput bench embeds as the `contention` section of
-//! `BENCH_throughput.json`. It is plain owned data; producing one never
-//! perturbs the engine.
+//! structure the harness prints alongside chaos/attack results. It is
+//! plain owned data; producing one never perturbs the engine.
 
 use crate::hist::HistogramSnapshot;
-use crate::trace::json_escape;
+use crate::json::{field, Json};
 
 /// Monotonic event counters, aggregated across shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -181,104 +179,92 @@ impl MetricsReport {
 
     /// Serialize the whole report as a self-contained JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"enabled\": {},\n", self.enabled));
-        out.push_str(&format!(
-            "  \"commit_clock\": {},\n  \"lock_waiters\": {},\n  \"lock_waiters_peak\": {},\n  \
-             \"latch_waiters\": {},\n  \"latch_waiters_peak\": {},\n  \
-             \"gc_oldest_snapshot\": {},\n  \"gc_chain_peak\": {},\n",
-            self.commit_clock,
-            self.lock_waiters,
-            self.lock_waiters_peak,
-            self.latch_waiters,
-            self.latch_waiters_peak,
-            self.gc_oldest_snapshot,
-            self.gc_chain_peak,
-        ));
-        out.push_str(&format!(
-            "  \"net_sessions\": {},\n  \"net_sessions_peak\": {},\n",
-            self.net_sessions, self.net_sessions_peak,
-        ));
         let c = &self.counters;
-        out.push_str(&format!(
-            "  \"counters\": {{\"lock_waits\": {}, \"lock_timeouts\": {}, \"deadlocks\": {}, \
-             \"injected_faults\": {}, \"statement_retries\": {}, \"txn_replays\": {}, \
-             \"retries_gave_up\": {}, \"statements_ok\": {}, \"statements_failed\": {}, \
-             \"statements_aborted\": {}, \"blocked_attempts\": {}, \"log_appends\": {}, \
-             \"index_hits\": {}, \"index_fallbacks\": {}, \"wal_appends\": {}, \
-             \"wal_fsyncs\": {}, \"wal_bytes\": {}, \"gc_runs\": {}, \
-             \"gc_reclaimed\": {}, \"net_accepted\": {}, \"net_rejected\": {}, \
-             \"net_queued\": {}, \"net_disconnect_aborts\": {}, \"net_frames\": {}, \
-             \"net_protocol_errors\": {}, \"net_reactor_parks\": {}, \
-             \"repair_candidates\": {}, \"repair_closures\": {}, \
-             \"repair_replays\": {}}},\n",
-            c.lock_waits,
-            c.lock_timeouts,
-            c.deadlocks,
-            c.injected_faults,
-            c.statement_retries,
-            c.txn_replays,
-            c.retries_gave_up,
-            c.statements_ok,
-            c.statements_failed,
-            c.statements_aborted,
-            c.blocked_attempts,
-            c.log_appends,
-            c.index_hits,
-            c.index_fallbacks,
-            c.wal_appends,
-            c.wal_fsyncs,
-            c.wal_bytes,
-            c.gc_runs,
-            c.gc_reclaimed,
-            c.net_accepted,
-            c.net_rejected,
-            c.net_queued,
-            c.net_disconnect_aborts,
-            c.net_frames,
-            c.net_protocol_errors,
-            c.net_reactor_parks,
-            c.repair_candidates,
-            c.repair_closures,
-            c.repair_replays,
-        ));
-        out.push_str("  \"by_level\": [");
-        for (i, l) in self.by_level.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"level\": \"{}\", \"commits\": {}, \"aborts\": {}, \"abort_rate\": {:.4}}}",
-                json_escape(&l.level),
-                l.commits,
-                l.aborts,
-                l.abort_rate(),
-            ));
-        }
-        out.push_str("],\n");
-        let hist = |name: &str, h: &HistogramSnapshot, last: bool| {
-            format!(
-                "  \"{name}\": {{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
-                 \"p99_ns\": {}, \"max_ns\": {}}}{}\n",
-                h.count(),
-                h.mean_nanos(),
-                h.percentile_nanos(0.50),
-                h.percentile_nanos(0.90),
-                h.percentile_nanos(0.99),
-                h.max_nanos,
-                if last { "" } else { "," },
+        let counters = [
+            ("lock_waits", c.lock_waits),
+            ("lock_timeouts", c.lock_timeouts),
+            ("deadlocks", c.deadlocks),
+            ("injected_faults", c.injected_faults),
+            ("statement_retries", c.statement_retries),
+            ("txn_replays", c.txn_replays),
+            ("retries_gave_up", c.retries_gave_up),
+            ("statements_ok", c.statements_ok),
+            ("statements_failed", c.statements_failed),
+            ("statements_aborted", c.statements_aborted),
+            ("blocked_attempts", c.blocked_attempts),
+            ("log_appends", c.log_appends),
+            ("index_hits", c.index_hits),
+            ("index_fallbacks", c.index_fallbacks),
+            ("wal_appends", c.wal_appends),
+            ("wal_fsyncs", c.wal_fsyncs),
+            ("wal_bytes", c.wal_bytes),
+            ("gc_runs", c.gc_runs),
+            ("gc_reclaimed", c.gc_reclaimed),
+            ("net_accepted", c.net_accepted),
+            ("net_rejected", c.net_rejected),
+            ("net_queued", c.net_queued),
+            ("net_disconnect_aborts", c.net_disconnect_aborts),
+            ("net_frames", c.net_frames),
+            ("net_protocol_errors", c.net_protocol_errors),
+            ("net_reactor_parks", c.net_reactor_parks),
+            ("repair_candidates", c.repair_candidates),
+            ("repair_closures", c.repair_closures),
+            ("repair_replays", c.repair_replays),
+        ];
+        let by_level = self.by_level.iter().map(|l| {
+            Json::Obj(vec![
+                field("level", Json::str(&l.level)),
+                field("commits", Json::Num(l.commits)),
+                field("aborts", Json::Num(l.aborts)),
+                field("abort_rate", Json::Fixed(l.abort_rate())),
+            ])
+        });
+        let histograms = [
+            ("statements", &self.statements),
+            ("transactions", &self.transactions),
+            ("lock_waits", &self.lock_waits),
+            ("latches", &self.latches),
+            ("tasks", &self.tasks),
+            ("backoff", &self.backoff),
+            ("group_commit", &self.group_commit),
+            ("net_queue_depth", &self.net_queue_depth),
+        ];
+        let mut fields = vec![
+            field("enabled", Json::Bool(self.enabled)),
+            field("commit_clock", Json::Num(self.commit_clock)),
+            field("lock_waiters", Json::Int(self.lock_waiters)),
+            field("lock_waiters_peak", Json::Num(self.lock_waiters_peak)),
+            field("latch_waiters", Json::Int(self.latch_waiters)),
+            field("latch_waiters_peak", Json::Num(self.latch_waiters_peak)),
+            field("gc_oldest_snapshot", Json::Num(self.gc_oldest_snapshot)),
+            field("gc_chain_peak", Json::Num(self.gc_chain_peak)),
+            field("net_sessions", Json::Int(self.net_sessions)),
+            field("net_sessions_peak", Json::Num(self.net_sessions_peak)),
+            field(
+                "counters",
+                Json::Obj(
+                    counters
+                        .iter()
+                        .map(|(name, n)| field(name, Json::Num(*n)))
+                        .collect(),
+                ),
+            ),
+            field("by_level", Json::Arr(by_level.collect())),
+        ];
+        fields.extend(histograms.iter().map(|(name, h)| {
+            field(
+                name,
+                Json::Obj(vec![
+                    field("count", Json::Num(h.count())),
+                    field("mean_ns", Json::Num(h.mean_nanos())),
+                    field("p50_ns", Json::Num(h.percentile_nanos(0.50))),
+                    field("p90_ns", Json::Num(h.percentile_nanos(0.90))),
+                    field("p99_ns", Json::Num(h.percentile_nanos(0.99))),
+                    field("max_ns", Json::Num(h.max_nanos)),
+                ]),
             )
-        };
-        out.push_str(&hist("statements", &self.statements, false));
-        out.push_str(&hist("transactions", &self.transactions, false));
-        out.push_str(&hist("lock_waits", &self.lock_waits, false));
-        out.push_str(&hist("latches", &self.latches, false));
-        out.push_str(&hist("tasks", &self.tasks, false));
-        out.push_str(&hist("backoff", &self.backoff, false));
-        out.push_str(&hist("group_commit", &self.group_commit, false));
-        out.push_str(&hist("net_queue_depth", &self.net_queue_depth, true));
-        out.push('}');
-        out
+        }));
+        Json::Obj(fields).to_string()
     }
 }
 

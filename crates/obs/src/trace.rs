@@ -21,6 +21,8 @@
 
 use std::sync::Mutex;
 
+use crate::json::{field, Json};
+
 /// What a [`TraceEvent`] describes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpanKind {
@@ -122,55 +124,33 @@ impl TraceBuffer {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Export events as a plain JSON array of span objects.
 pub fn trace_json(events: &[TraceEvent]) -> String {
-    let mut out = String::from("[\n");
-    for (i, e) in events.iter().enumerate() {
+    let spans = events.iter().map(|e| {
         let (kind, flag) = match &e.kind {
-            SpanKind::Txn { committed } => ("txn", format!(", \"committed\": {committed}")),
-            SpanKind::Statement => ("statement", String::new()),
-            SpanKind::LockWait { timed_out } => {
-                ("lock_wait", format!(", \"timed_out\": {timed_out}"))
-            }
+            SpanKind::Txn { committed } => ("txn", Some(("committed", *committed))),
+            SpanKind::Statement => ("statement", None),
+            SpanKind::LockWait { timed_out } => ("lock_wait", Some(("timed_out", *timed_out))),
         };
-        out.push_str(&format!(
-            "  {{\"kind\": \"{kind}\", \"session\": {}, \"txn\": {}, \"name\": \"{}\", \
-             \"start_ns\": {}, \"duration_ns\": {}{flag}}}{}\n",
-            e.session,
-            e.txn,
-            json_escape(&e.name),
-            e.start_nanos,
-            e.duration_nanos,
-            if i + 1 == events.len() { "" } else { "," },
-        ));
-    }
-    out.push(']');
-    out
+        let mut fields = vec![
+            field("kind", Json::str(kind)),
+            field("session", Json::Num(e.session)),
+            field("txn", Json::Num(e.txn)),
+            field("name", Json::str(&e.name)),
+            field("start_ns", Json::Num(e.start_nanos)),
+            field("duration_ns", Json::Num(e.duration_nanos)),
+        ];
+        fields.extend(flag.map(|(key, value)| field(key, Json::Bool(value))));
+        Json::Obj(fields)
+    });
+    Json::Arr(spans.collect()).to_string()
 }
 
 /// Export events in the Chrome Trace Event format (a JSON array of
 /// complete `"ph": "X"` events). Load the output in `chrome://tracing` or
 /// Perfetto; each database session renders as its own track.
 pub fn trace_chrome_json(events: &[TraceEvent]) -> String {
-    let mut out = String::from("[\n");
-    for (i, e) in events.iter().enumerate() {
+    let spans = events.iter().map(|e| {
         let name = match &e.kind {
             SpanKind::Txn { committed: true } => format!("txn#{} commit ({})", e.txn, e.name),
             SpanKind::Txn { committed: false } => format!("txn#{} abort ({})", e.txn, e.name),
@@ -180,19 +160,17 @@ pub fn trace_chrome_json(events: &[TraceEvent]) -> String {
         };
         // Chrome expects microsecond timestamps; fractional values keep
         // sub-microsecond spans visible.
-        out.push_str(&format!(
-            "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {:.3}, \
-             \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}{}\n",
-            json_escape(&name),
-            e.kind.category(),
-            e.start_nanos as f64 / 1000.0,
-            e.duration_nanos as f64 / 1000.0,
-            e.session,
-            if i + 1 == events.len() { "" } else { "," },
-        ));
-    }
-    out.push(']');
-    out
+        Json::Obj(vec![
+            field("name", Json::Str(name)),
+            field("cat", Json::str(e.kind.category())),
+            field("ph", Json::str("X")),
+            field("ts", Json::Fixed(e.start_nanos as f64 / 1000.0)),
+            field("dur", Json::Fixed(e.duration_nanos as f64 / 1000.0)),
+            field("pid", Json::Num(1)),
+            field("tid", Json::Num(e.session)),
+        ])
+    });
+    Json::Arr(spans.collect()).to_string()
 }
 
 #[cfg(test)]
@@ -260,11 +238,5 @@ mod tests {
         assert!(out.contains("\"committed\": true"));
         assert!(out.contains("\"timed_out\": true"));
         assert!(out.contains("\"kind\": \"statement\""));
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -50,6 +50,7 @@ pub mod report;
 pub mod serialize;
 pub mod template;
 
+pub use acidrain_db::{json_escape, Json};
 pub use audit::{
     audit_all, audit_surface, refinement_for, AppAudit, AuditError, LevelAudit, ScenarioAudit,
     SeedRef, StaticAuditReport, StaticFinding,
@@ -64,5 +65,5 @@ pub use replay::{
     ReplayOutcome, ReplayPlan, ReplayReport, ScenarioPlans, ScenarioReplay, SessionScript, Verdict,
 };
 pub use report::{render_json, render_text};
-pub use serialize::{document, json_escape, Json, SCHEMA_VERSION};
+pub use serialize::{document, SCHEMA_VERSION};
 pub use template::{endpoint_templates, symbolize_trace, EndpointTemplates};

@@ -30,7 +30,7 @@
 //! phantoms take the isolation ladder (predicate-locking levels).
 //!
 //! The static proof is necessary but not sufficient: the harness's
-//! `repair_adviser` driver additionally lowers the original Lemma-4
+//! adviser (`acidrain advise`) additionally lowers the original Lemma-4
 //! witness against the repaired scenario ([`rewrite_plan`]) and replays
 //! it through the PR-9 engine replayer, requiring a never-`Confirmed`
 //! verdict before a fix is recommended.
@@ -42,7 +42,7 @@ use acidrain_apps::{is_transaction_control_sql, uses_transaction_control};
 use acidrain_core::{
     lift_trace, statement_fingerprint, Analyzer, AnomalyPattern, AnomalyScope, RefinementConfig,
 };
-use acidrain_db::{IsolationLevel, LogEntry, StmtOutcome};
+use acidrain_db::{field, IsolationLevel, Json, LogEntry, StmtOutcome};
 use acidrain_sql::{
     parse_statement, promote_for_update, rwset::statement_accesses, schema::Schema,
     statement_template,
@@ -51,7 +51,7 @@ use acidrain_sql::{
 use crate::audit::{refinement_for, static_finding, AuditError, SeedRef, StaticFinding};
 use crate::replay::{ReplayPlan, Verdict};
 use crate::report::level_abbrev;
-use crate::serialize::{document, field, Json};
+use crate::serialize::document;
 use crate::template::symbolize_trace;
 
 // ---------------------------------------------------------------------------

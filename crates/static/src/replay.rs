@@ -25,11 +25,11 @@ use acidrain_apps::endpoints::{AppSurface, Scenario};
 use acidrain_core::{
     find_by_seed, lift_trace, AbstractHistory, Analyzer, AnomalyScope, Finding, SeedKey,
 };
-use acidrain_db::{IsolationLevel, LogEntry};
+use acidrain_db::{field, IsolationLevel, Json, LogEntry};
 
 use crate::audit::{refinement_for, static_finding, AuditError, StaticFinding};
 use crate::report::level_abbrev;
-use crate::serialize::{document, field, Json};
+use crate::serialize::document;
 use crate::template::symbolize_trace;
 
 /// One session of a replay plan: an API instance's canned statements.

@@ -4,10 +4,10 @@
 //! stable ordering), so they double as golden-file material: any drift in
 //! templates, refinement behaviour, or the detector shows up as a diff.
 
-use acidrain_db::IsolationLevel;
+use acidrain_db::{field, IsolationLevel, Json};
 
 use crate::audit::{LevelAudit, SeedRef, StaticAuditReport, StaticFinding};
-use crate::serialize::{document, field, Json};
+use crate::serialize::document;
 
 /// Short column header per level, in [`IsolationLevel::ALL`] order.
 pub(crate) fn level_abbrev(level: IsolationLevel) -> &'static str {

@@ -1,108 +1,15 @@
-//! Shared JSON serializer for every machine-readable report this crate
-//! emits (`static_audit`, `witness_replay`, `repair_adviser`).
-//!
-//! All three harness binaries used to hand-roll their JSON with ad-hoc
-//! `format!` calls; keeping them framing-correct under escaping changes
-//! meant auditing three copies. This module is the single copy: a tiny
-//! deterministic value tree ([`Json`]) plus [`document`], which stamps
-//! the shared [`SCHEMA_VERSION`] and report kind on the top-level object
-//! so consumers can dispatch without sniffing the shape.
-//!
-//! Rendering rules (stable — golden/CI material):
-//! * objects keep insertion order; keys render as `"key": value` (one
-//!   space after the colon);
-//! * non-empty containers are one-entry-per-line with two-space indent,
-//!   empty ones render `{}` / `[]`;
-//! * strings are escaped per JSON (`"` `\` control chars).
+//! The document envelope shared by every machine-readable report this
+//! crate emits (`acidrain audit | replay | advise --json`): [`document`]
+//! stamps [`SCHEMA_VERSION`] and the report kind on the top-level object
+//! so consumers can dispatch without sniffing the shape. The value tree
+//! and its rendering rules are `acidrain_obs::json`, reached through
+//! `acidrain_db`'s re-export.
+
+use acidrain_db::{field, Json};
 
 /// Version stamp shared by every JSON report (`"schema_version"` key on
 /// the top-level object). Bump when any report's shape changes.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// A deterministic JSON value: no floats, no nulls, objects preserve
-/// insertion order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Json {
-    /// `true` / `false`.
-    Bool(bool),
-    /// A non-negative integer (all report numbers are counts, positions,
-    /// or fingerprints).
-    Num(u64),
-    /// A string, escaped at render time.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; keys render in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Shorthand string constructor.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Shorthand number constructor (usize-friendly).
-    pub fn num(n: impl Into<u64>) -> Json {
-        Json::Num(n.into())
-    }
-
-    /// Render the value as pretty-printed JSON with a trailing newline.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&n.to_string()),
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-            Json::Obj(fields) => {
-                out.push_str("{\n");
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    out.push('"');
-                    out.push_str(&json_escape(key));
-                    out.push_str("\": ");
-                    value.write(out, indent + 1);
-                    out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                }
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn push_indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-/// Build an object field (keeps call sites terse).
-pub fn field(key: &str, value: Json) -> (String, Json) {
-    (key.to_string(), value)
-}
 
 /// Render a top-level report document: an object led by
 /// `"schema_version"` and `"kind"`, followed by `fields`.
@@ -113,54 +20,4 @@ pub fn document(kind: &str, fields: Vec<(String, Json)>) -> String {
     ];
     obj.extend(fields);
     Json::Obj(obj).render()
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn documents_carry_the_schema_stamp() {
-        let doc = document("static_audit", vec![field("apps", Json::Arr(Vec::new()))]);
-        assert!(doc.starts_with("{\n  \"schema_version\": 1,\n  \"kind\": \"static_audit\""));
-        assert!(doc.contains("\"apps\": []"));
-        assert!(doc.ends_with("}\n"));
-    }
-
-    #[test]
-    fn rendering_is_deterministic_and_balanced() {
-        let value = Json::Obj(vec![
-            field("a", Json::num(3u64)),
-            field("b", Json::Arr(vec![Json::str("x\\y\n"), Json::Bool(true)])),
-            field("c", Json::Obj(Vec::new())),
-        ]);
-        let a = value.render();
-        assert_eq!(a, value.render());
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
-        assert_eq!(a.matches('[').count(), a.matches(']').count());
-        assert_eq!(a.matches('"').count() % 2, 0);
-        assert!(a.contains("\"a\": 3"));
-    }
-
-    #[test]
-    fn escaping_covers_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
-    }
 }

@@ -17,10 +17,14 @@ use acidrain_db::{FaultConfig, IsolationLevel};
 use acidrain_harness::chaos::{run_chaos, ChaosConfig};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xAC1D);
+    let seed: u64 = match std::env::args().nth(1) {
+        None => 0xAC1D,
+        Some(text) => text.parse().unwrap_or_else(|_| {
+            eprintln!("chaos_storefront: seed {text:?} is not a number");
+            eprintln!("usage: chaos_storefront [seed]");
+            std::process::exit(2);
+        }),
+    };
     let app = PrestaShop;
     let config = ChaosConfig {
         seed,

@@ -1,5 +1,6 @@
-//! End-to-end test of the standalone `twoad` tool: schema file + log file
-//! in, findings and witness schedules out.
+//! End-to-end tests of the `acidrain` command-line tool: the standalone
+//! `twoad` analysis (schema file + log file in, findings and witness
+//! schedules out), and the argument handling every subcommand shares.
 
 use std::io::Write;
 use std::process::Command;
@@ -34,16 +35,20 @@ const LOG: &str = "
 [s1 checkout#0] COMMIT
 ";
 
-fn run_twoad(args: &[&str]) -> (String, String, i32) {
-    let output = Command::new(env!("CARGO_BIN_EXE_twoad"))
+fn run_acidrain(args: &[&str]) -> (String, String, i32) {
+    let output = Command::new(env!("CARGO_BIN_EXE_acidrain"))
         .args(args)
         .output()
-        .expect("twoad runs");
+        .expect("acidrain runs");
     (
         String::from_utf8_lossy(&output.stdout).into_owned(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
         output.status.code().unwrap_or(-1),
     )
+}
+
+fn run_twoad(args: &[&str]) -> (String, String, i32) {
+    run_acidrain(&[&["twoad"], args].concat())
 }
 
 #[test]
@@ -111,4 +116,60 @@ fn bad_input_errors_cleanly() {
     ]);
     assert_eq!(code, 1);
     assert!(stderr.contains("schema error"), "{stderr}");
+}
+
+#[test]
+fn usage_errors_exit_2_with_a_usage_line() {
+    for args in [
+        &["nonesuch"][..],
+        &["audit", "--app", "nonesuch"],
+        // `audit` always covers all six levels; it has no --level.
+        &["audit", "--level", "RC"],
+        &["replay", "--level", "bogus"],
+        &["twoad", "--schema", "only.sql"],
+        &["serve", "127.0.0.1:0", "NOPE"],
+        &["serve", "--max-sessions", "many"],
+        &["attack"],
+    ] {
+        let (stdout, stderr, code) = run_acidrain(args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains("acidrain"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn help_lists_every_subcommand() {
+    let (stdout, _, code) = run_acidrain(&["--help"]);
+    assert_eq!(code, 0);
+    for name in [
+        "table1", "table2", "table4", "table5", "figures", "repairs", "twoad", "audit", "replay",
+        "advise", "serve", "attack",
+    ] {
+        assert!(stdout.contains(&format!("\nacidrain {name}")), "{name}");
+    }
+}
+
+#[test]
+fn every_spelling_of_a_level_gives_the_same_bytes() {
+    let replay = |level: &str| {
+        let (stdout, stderr, code) = run_acidrain(&[
+            "replay",
+            "--app",
+            "bank-figure1a",
+            "--level",
+            level,
+            "--json",
+            "-",
+            "--quiet",
+        ]);
+        assert_eq!(code, 0, "{level}: {stderr}");
+        stdout
+    };
+    let reference = replay("SER");
+    assert!(reference.contains("\"kind\": \"witness_replay\""));
+    assert!(reference.contains("\"level\": \"SERIALIZABLE\""));
+    for level in ["s", "serializable"] {
+        assert_eq!(replay(level), reference, "{level}");
+    }
 }

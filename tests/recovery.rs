@@ -21,6 +21,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use acidrain_apps::prelude::*;
 use acidrain_db::wal::{scan_wal, WAL_HEADER_LEN};
@@ -569,16 +570,18 @@ fn savepoint_partial_rollback_replays_committed_effects_only() {
 }
 
 /// Group commit under real concurrency: many threads' autocommit writes
-/// race through the flush-leader protocol, and the recovered store holds
-/// every acknowledged write.
+/// race through the flush-leader protocol, the leader batches (with a
+/// 1 ms device latency, commits pile up behind each fsync), and the
+/// recovered store holds every acknowledged write.
 #[test]
 fn group_commit_under_threads_recovers_every_acknowledged_write() {
     const THREADS: usize = 4;
     const ITERS: usize = 25;
     let dir = scratch_dir("group-threads");
-    let wal = WalConfig::new(&dir);
+    let wal = WalConfig::new(&dir).with_fsync_delay(Duration::from_millis(1));
     let db = accounts_db(IsolationLevel::ReadCommitted);
     db.attach_wal(wal.clone()).unwrap();
+    db.enable_metrics();
 
     thread::scope(|s| {
         for t in 0..THREADS {
@@ -595,6 +598,18 @@ fn group_commit_under_threads_recovers_every_acknowledged_write() {
         }
     });
     let live_rows = db.table_rows("accounts").unwrap();
+    let report = db.metrics_report();
+    assert_eq!(report.counters.wal_appends, (THREADS * ITERS) as u64);
+    assert!(
+        report.counters.wal_fsyncs < report.counters.wal_appends,
+        "the flush leader never batched: {} fsyncs for {} commits",
+        report.counters.wal_fsyncs,
+        report.counters.wal_appends
+    );
+    assert!(
+        report.group_commit.max_nanos > 1,
+        "no fsync covered more than one commit"
+    );
     drop(db);
 
     let recovered = accounts_db(IsolationLevel::ReadCommitted);

@@ -29,7 +29,7 @@ use acidrain_static::{Fix, RemedyReport, Verdict};
 /// The levels the closure sweep runs at: the weakest level (largest
 /// anomaly surface), the paper's weak default family representative, and
 /// the strongest level (where only scope-based anomalies survive). The
-/// `repair_adviser` CI job enforces the same gate over all six levels.
+/// `acidrain advise` CI step enforces the same gate over all six levels.
 const LEVELS: [IsolationLevel; 3] = [
     IsolationLevel::ReadUncommitted,
     IsolationLevel::ReadCommitted,
