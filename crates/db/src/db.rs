@@ -9,7 +9,8 @@
 //! every concurrency phenomenon in this substrate arises from the
 //! *interleaving of statements across transactions* — exactly the
 //! granularity at which the paper's anomalies live. See DESIGN.md §8 for
-//! the latch hierarchy and lock ordering rules.
+//! what each layer is for, the latch hierarchy, and the current-read
+//! protocol that orders a locking read against concurrent commits.
 //!
 //! Lock waits surface as [`DbError::WouldBlock`] from
 //! [`Connection::try_execute`], letting the deterministic scheduler in
@@ -36,7 +37,7 @@ use crate::result::ResultSet;
 use crate::storage::{GcStats, ReadView, RowVersion, Storage, TableData};
 use crate::txn::{TxnId, TxnState};
 use crate::value::Value;
-use crate::wal::{self, RecoveryInfo, Wal, WalConfig};
+use crate::wal::{self, RecoveryInfo, Wal, WalConfig, WalOp};
 
 /// Default for how long a blocking [`Connection::execute`] waits on a lock
 /// before giving up (InnoDB's `innodb_lock_wait_timeout` analogue).
@@ -82,15 +83,11 @@ pub struct Database {
     active_txns: AtomicUsize,
     /// Lock-wait timeout in nanoseconds.
     lock_wait_timeout_nanos: AtomicU64,
-    /// Whether statements may route point lookups through the equality
-    /// indexes (on by default). The indexes are always *maintained*; this
-    /// flag only gates the read path, so it can be toggled at any time —
-    /// results are identical either way.
+    /// Whether statements may route predicates through the hash and
+    /// ordered indexes (on by default). The indexes are always
+    /// *maintained*; this flag only gates the read path, so it can be
+    /// toggled at any time — results are identical either way.
     use_indexes: AtomicBool,
-    /// Whether statements may route range predicates through the ordered
-    /// indexes (on by default; same maintained-always, read-path-only
-    /// contract as `use_indexes`).
-    use_range_indexes: AtomicBool,
     /// GC pin registry: snapshot timestamp → number of active
     /// transaction-long snapshots (MySQL-RR, SI) pinned at it. The GC
     /// bound is computed under this mutex and pins are registered under
@@ -148,7 +145,6 @@ impl Database {
             active_txns: AtomicUsize::new(0),
             lock_wait_timeout_nanos: AtomicU64::new(DEFAULT_LOCK_WAIT_TIMEOUT.as_nanos() as u64),
             use_indexes: AtomicBool::new(true),
-            use_range_indexes: AtomicBool::new(true),
             pinned_snapshots: Mutex::new(BTreeMap::new()),
             gc_interval: AtomicU64::new(DEFAULT_GC_INTERVAL),
             commits_since_gc: AtomicU64::new(0),
@@ -250,38 +246,23 @@ impl Database {
         self.pinned_snapshots.lock().len()
     }
 
-    /// Enable or disable the equality-index read path. The per-table
-    /// indexes are always maintained; when off, every statement takes the
-    /// full-scan route. Because index candidates are iterated in the same
-    /// ascending slot order the full scan uses — and every candidate still
-    /// passes through normal visibility and predicate evaluation — results,
-    /// lock acquisition order, abstract histories, and seeded chaos digests
-    /// are identical in both modes. On by default; turned off by benchmarks
-    /// to measure the scan baseline and by CI to assert the invariance.
+    /// Enable or disable the index read path. The per-table indexes are
+    /// always maintained; when on (the default) a statement routes each
+    /// table through an equality probe, else an ordered range probe, else
+    /// the full scan; when off every predicate takes the full scan — the
+    /// reference the invariance tests compare against. Because index
+    /// candidates are iterated in the same ascending slot order the full
+    /// scan uses — and every candidate still passes through normal
+    /// visibility and predicate evaluation — results, lock acquisition
+    /// order, abstract histories, and seeded chaos digests are identical in
+    /// both modes.
     pub fn set_use_indexes(&self, on: bool) {
         self.use_indexes.store(on, Ordering::Relaxed);
     }
 
-    /// Whether the equality-index read path is enabled.
+    /// Whether the index read path is enabled.
     pub fn use_indexes(&self) -> bool {
         self.use_indexes.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable the ordered-index (range-predicate) read path.
-    /// The per-table ordered maps are always maintained; when off, range
-    /// predicates fall back to full scans. Candidates come back in the
-    /// same ascending slot order the full scan uses and are re-verified by
-    /// normal predicate evaluation, so results, lock acquisition order,
-    /// abstract histories, and seeded chaos digests are identical in both
-    /// modes. On by default; turned off by benchmarks to measure the scan
-    /// baseline and by CI to assert the invariance.
-    pub fn set_use_range_indexes(&self, on: bool) {
-        self.use_range_indexes.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the ordered-index (range-predicate) read path is enabled.
-    pub fn use_range_indexes(&self) -> bool {
-        self.use_range_indexes.load(Ordering::Relaxed)
     }
 
     /// Set how many writing commits elapse between automatic version-GC
@@ -374,12 +355,12 @@ impl Database {
 
     /// Attach a write-ahead log: every subsequent writing commit appends
     /// its redo record (inside the commit critical section, so WAL order
-    /// is commit order) and is acknowledged only once durable — via its
-    /// own fsync in per-commit mode, or a shared group-commit fsync by
-    /// default. Opening an existing log repairs any torn tail so appends
-    /// resume at a valid record boundary; it does **not** replay old
-    /// records into storage — use [`Database::recover`] on a fresh engine
-    /// for that. Errors if a WAL is already attached.
+    /// is commit order) and is acknowledged only once durable, by an fsync
+    /// it may share with concurrently committing sessions. Opening an
+    /// existing log repairs any torn tail so appends resume at a valid
+    /// record boundary; it does **not** replay old records into storage —
+    /// use [`Database::recover`] on a fresh engine for that. Errors if a
+    /// WAL is already attached.
     pub fn attach_wal(&self, config: WalConfig) -> Result<(), DbError> {
         let mut slot = self.wal.lock();
         if slot.is_some() {
@@ -608,7 +589,7 @@ impl Database {
     /// then release its locks and wake waiters. With a WAL attached, a
     /// writing commit appends its redo record inside the commit critical
     /// section and returns only once the record is durable (group-commit
-    /// fsync by default); read-only transactions skip the log entirely.
+    /// fsync); read-only transactions skip the log entirely.
     /// On a durability failure ([`DbError::Io`] — the log is dead) the
     /// commit is not acknowledged, but locks are still released and the
     /// transaction is closed so the session can observe the failure
@@ -618,18 +599,16 @@ impl Database {
         let result = if !wrote {
             Ok(())
         } else {
-            match self.wal() {
-                None => {
-                    self.storage.publish_commit(state.id, &state.undo);
-                    Ok(())
-                }
-                Some(wal) => self
-                    .storage
-                    .publish_commit_logged(state.id, &state.undo, |ts, ops| {
-                        wal.append(session, ts, state.id, ops, &self.faults)
-                    })
-                    .and_then(|lsn| wal.sync_to(lsn, session, &self.faults)),
-            }
+            let wal = self.wal();
+            let append = wal.as_deref().map(|wal| {
+                |ts, ops: &[WalOp]| wal.append(session, ts, state.id, ops, &self.faults)
+            });
+            self.storage
+                .publish_commit(state.id, &state.undo, append)
+                .and_then(|lsn| match &wal {
+                    Some(wal) => wal.sync_to(lsn, session, &self.faults),
+                    None => Ok(()),
+                })
         };
         self.unpin_snapshot(&state);
         // Read-only fast path: a transaction that never touched the lock
@@ -804,11 +783,7 @@ impl Connection {
                         .obs
                         .lock_wait_finished(token, self.session, txn_id.0, timed_out);
                     if timed_out {
-                        if let Some(state) = self.txn.take() {
-                            self.db.rollback_txn(self.session, state);
-                        }
-                        self.txn_implicit = false;
-                        self.log_with(sql, StmtOutcome::Aborted);
+                        self.abort_open(sql);
                         return Err(DbError::LockTimeout);
                     }
                 }
@@ -894,36 +869,19 @@ impl Connection {
         let is_data = !stmt.is_transaction_control();
         let injected = self.db.faults.next_fault(self.session, is_data);
         if injected == Some(InjectedFault::ConnectionDrop) {
-            if let Some(state) = self.txn.take() {
-                self.db.rollback_txn(self.session, state);
-            }
-            self.txn_implicit = false;
-            self.log_with(raw, StmtOutcome::Aborted);
+            self.abort_open(raw);
             return Err(DbError::ConnectionDropped);
         }
         match stmt {
             Statement::Begin => {
-                if let Some(state) = self.txn.take() {
-                    // MySQL implicitly commits an open transaction on BEGIN.
-                    self.txn_implicit = false;
-                    if let Err(e) = self.db.commit_txn(self.session, state) {
-                        self.log_with(raw, StmtOutcome::Failed);
-                        return Err(e);
-                    }
-                }
+                // MySQL implicitly commits an open transaction on BEGIN.
+                self.commit_open(raw)?;
                 self.txn = Some(self.db.begin_txn(self.isolation, false));
-                self.txn_implicit = false;
                 self.log(raw);
                 Ok(ResultSet::empty())
             }
             Statement::Commit => {
-                if let Some(state) = self.txn.take() {
-                    self.txn_implicit = false;
-                    if let Err(e) = self.db.commit_txn(self.session, state) {
-                        self.log_with(raw, StmtOutcome::Failed);
-                        return Err(e);
-                    }
-                }
+                self.commit_open(raw)?;
                 self.log(raw);
                 Ok(ResultSet::empty())
             }
@@ -935,17 +893,10 @@ impl Connection {
                 Ok(ResultSet::empty())
             }
             Statement::SetAutocommit(on) => {
-                if *on {
-                    if let Some(state) = self.txn.take() {
-                        self.txn_implicit = false;
-                        if let Err(e) = self.db.commit_txn(self.session, state) {
-                            self.log_with(raw, StmtOutcome::Failed);
-                            self.autocommit = true;
-                            return Err(e);
-                        }
-                    }
-                }
                 self.autocommit = *on;
+                if *on {
+                    self.commit_open(raw)?;
+                }
                 self.log(raw);
                 Ok(ResultSet::empty())
             }
@@ -1014,13 +965,7 @@ impl Connection {
                         Ok(rs)
                     }
                     Err(e) if e.aborts_transaction() => {
-                        // Roll the whole transaction back and log the
-                        // aborted attempt so 2AD lifting can discard the
-                        // transaction's prior statements.
-                        let state = self.txn.take().expect("aborting txn open");
-                        self.db.rollback_txn(self.session, state);
-                        self.txn_implicit = false;
-                        self.log_with(raw, StmtOutcome::Aborted);
+                        self.abort_open(raw);
                         Err(e)
                     }
                     Err(DbError::WouldBlock { holders }) => {
@@ -1046,6 +991,29 @@ impl Connection {
         }
     }
 
+    /// Roll back the open transaction, if any, and log `raw` as the aborted
+    /// attempt — the marker that lets 2AD lifting discard the
+    /// transaction's prior statements.
+    fn abort_open(&mut self, raw: &str) {
+        if let Some(state) = self.txn.take() {
+            self.db.rollback_txn(self.session, state);
+        }
+        self.txn_implicit = false;
+        self.log_with(raw, StmtOutcome::Aborted);
+    }
+
+    /// Commit the open transaction, if any. A durability failure closes it
+    /// all the same and logs `raw` as failed.
+    fn commit_open(&mut self, raw: &str) -> Result<(), DbError> {
+        self.txn_implicit = false;
+        let Some(state) = self.txn.take() else {
+            return Ok(());
+        };
+        self.db
+            .commit_txn(self.session, state)
+            .inspect_err(|_| self.log_with(raw, StmtOutcome::Failed))
+    }
+
     fn log(&self, sql: &str) {
         self.db.log.append(self.session, self.api.clone(), sql);
     }
@@ -1059,7 +1027,7 @@ impl Connection {
 
 impl Drop for Connection {
     fn drop(&mut self) {
-        if let Some(state) = self.txn.take() {
+        if self.txn.is_some() {
             // A session that vanishes mid-transaction — dropped in-process
             // handle or a client socket that went away — takes the same
             // path an explicit ROLLBACK would: undo versions, unpin the GC
@@ -1068,9 +1036,7 @@ impl Drop for Connection {
             // transaction's prior statements would read as still-open work
             // to 2AD lifting and observed-history analysis, even though
             // every one of their effects was undone.
-            self.db.rollback_txn(self.session, state);
-            self.txn_implicit = false;
-            self.log_with("ROLLBACK", StmtOutcome::Aborted);
+            self.abort_open("ROLLBACK");
         }
         self.db.open_sessions.fetch_sub(1, Ordering::AcqRel);
     }

@@ -1,19 +1,25 @@
 //! Statement execution against the multi-version storage.
 //!
-//! Execution is two-phase: identify target rows and acquire every needed
-//! lock first (retryable — a lock conflict returns
-//! [`DbError::WouldBlock`] with no data effects), then apply mutations
-//! atomically. Lock plans depend on the transaction's isolation level; see
-//! [`crate::isolation::IsolationLevel`].
+//! Execution is two-phase: identify the versions the statement reads or
+//! acts on and acquire every needed lock first (retryable — a lock
+//! conflict returns [`DbError::WouldBlock`] with no data effects), then
+//! apply mutations atomically. Lock plans depend on the transaction's
+//! isolation level; see [`crate::isolation::IsolationLevel`].
 //!
-//! Statement atomicity under the decomposed engine: each statement pins
-//! (read- or write-latches) the tables it touches for its whole duration,
-//! acquiring multiple latches in ascending table-index order. All
-//! `WouldBlock` exits happen before any mutation, and latch guards drop on
-//! every return path — a statement never parks on the lock table while
-//! holding a latch.
+//! Each statement pins (read- or write-latches) the tables it touches for
+//! its whole duration, acquiring multiple latches in ascending table-index
+//! order. All `WouldBlock` exits happen before any mutation, and latch
+//! guards drop on every return path — a statement never parks on the lock
+//! table while holding a latch.
+//!
+//! Every read of "the latest committed version, then lock it" — UPDATE and
+//! DELETE targets, INSERT's duplicate-key wait, `SELECT ... FOR UPDATE` and
+//! the S-locked reads of REPEATABLE READ / SERIALIZABLE — goes through one
+//! driver, `current_read`, whose doc comment states the protocol and why it
+//! is sound. Snapshot and READ UNCOMMITTED reads take no row locks and
+//! never enter it.
 
-use acidrain_sql::ast::{Delete, Expr, Insert, Select, SelectItem, Statement, Update};
+use acidrain_sql::ast::{Delete, Expr, Insert, Join, Select, SelectItem, Statement, Update};
 use acidrain_sql::rwset::{statement_accesses, AccessKind};
 
 use crate::db::Database;
@@ -21,10 +27,10 @@ use crate::error::DbError;
 use crate::expr::{eval, EvalScope, EvalTable};
 use crate::fault::InjectedFault;
 use crate::lock::{LockMode, LockOutcome, ResourceId};
-use crate::plan::{equality_constraints, range_constraints, PlanTable};
+use crate::plan::{index_routes, PlanTable};
 use crate::result::ResultSet;
-use crate::storage::{ReadView, RowVersion, TableData};
-use crate::txn::{TxnId, TxnState, UndoRecord};
+use crate::storage::{ReadView, RowVersion, TableData, TableWriteGuard};
+use crate::txn::{TxnState, UndoRecord};
 use crate::value::Value;
 
 /// Execute a data statement within `txn`. Transaction-control statements
@@ -90,21 +96,241 @@ fn table_index(db: &Database, name: &str) -> Result<usize, DbError> {
 }
 
 // ---------------------------------------------------------------------------
-// SELECT
+// Scans and the current-read protocol
 
-/// Per-table metadata resolved for a SELECT.
-struct ScopeTable {
-    effective: String,
+/// One table in a statement's scope.
+struct ScopeTable<'s> {
+    effective: &'s str,
     table_idx: usize,
     columns: Vec<String>,
-    access: AccessKind,
 }
 
-/// One joined match: per-table row slot indices and cloned values.
-struct Matched {
-    slots: Vec<usize>,
-    values: Vec<Vec<Value>>,
+fn scope_table<'s>(
+    db: &Database,
+    effective: &'s str,
+    real: &str,
+) -> Result<ScopeTable<'s>, DbError> {
+    Ok(ScopeTable {
+        effective,
+        table_idx: table_index(db, real)?,
+        columns: db
+            .schema
+            .table(real)
+            .map(|t| t.column_names().map(str::to_string).collect())
+            .unwrap_or_default(),
+    })
 }
+
+/// One row version a statement reads or acts on: its slot, its position
+/// in the slot's chain (stable while the table is latched) and its values.
+struct Hit {
+    slot: usize,
+    version: usize,
+    values: Vec<Value>,
+}
+
+/// One joined match: a [`Hit`] per scope table, in join order.
+type Matched = Vec<Hit>;
+
+/// The slots a walk visits, ascending: the index-supplied `candidates`, or
+/// every one of a table's `len` slots when there are none.
+fn walk(candidates: Option<&[usize]>, len: usize) -> impl Iterator<Item = usize> + '_ {
+    let full = if candidates.is_some() { 0 } else { len };
+    (0..full).chain(candidates.unwrap_or_default().iter().copied())
+}
+
+/// A (joined) scan with everything but the read view decided: the latched
+/// tables (`data` is aligned with `tables`; self-joins alias one latched
+/// table), the WHERE and ON clauses, and each depth's route.
+struct Scan<'a> {
+    data: &'a [&'a TableData],
+    tables: &'a [ScopeTable<'a>],
+    selection: Option<&'a Expr>,
+    joins: &'a [Join],
+    /// Per depth: `Some` holds ascending index-supplied candidate slots,
+    /// `None` demands a full slot walk.
+    candidates: Vec<Option<Vec<usize>>>,
+}
+
+impl<'a> Scan<'a> {
+    /// Route each depth through an index where the WHERE/ON conjuncts
+    /// allow. Must run after the latches are pinned: the probe has to see
+    /// the frozen index state the scan will, and one probe then serves
+    /// every pass of [`current_read`].
+    ///
+    /// Because index buckets are visibility-agnostic supersets and probe
+    /// results come back sorted in slot order, routing through an index
+    /// never changes which rows the scan yields or the order it yields them
+    /// in — only how many slots it inspects. The hit/fallback counters fire
+    /// here, after the route is fixed, so observability never perturbs the
+    /// decision; unpredicated scans are honest full walks and count as
+    /// neither.
+    fn plan(
+        db: &Database,
+        txn: &TxnState,
+        data: &'a [&'a TableData],
+        tables: &'a [ScopeTable<'a>],
+        selection: Option<&'a Expr>,
+        joins: &'a [Join],
+    ) -> Self {
+        let mut candidates = vec![None; tables.len()];
+        if selection.is_some() || !joins.is_empty() {
+            if db.use_indexes() {
+                let plan_tables: Vec<PlanTable<'_>> = tables
+                    .iter()
+                    .map(|t| PlanTable {
+                        effective_name: t.effective,
+                        columns: &t.columns,
+                    })
+                    .collect();
+                let clauses: Vec<&Expr> = selection
+                    .into_iter()
+                    .chain(joins.iter().map(|j| &j.on))
+                    .collect();
+                candidates = index_routes(&clauses, &plan_tables, data);
+            }
+            for cand in &candidates {
+                db.obs.index_probe(txn.id.0, cand.is_some());
+            }
+        }
+        Scan {
+            data,
+            tables,
+            selection,
+            joins,
+            candidates,
+        }
+    }
+
+    /// The row combinations matching the ON and WHERE clauses under `view`.
+    fn run(&self, view: ReadView) -> Result<Vec<Matched>, DbError> {
+        let mut matches = Vec::new();
+        let mut scope = EvalScope::default();
+        self.rec(view, &mut scope, &mut Vec::new(), &mut matches)?;
+        Ok(matches)
+    }
+
+    /// Extend the partial combination — `scope` binds the values and `at`
+    /// the (slot, version index) of each table bound so far — by the next
+    /// table. The two stacks are reused across rows, so a rejected row
+    /// costs no allocation.
+    fn rec(
+        &self,
+        view: ReadView,
+        scope: &mut EvalScope<'a>,
+        at: &mut Vec<(usize, usize)>,
+        matches: &mut Vec<Matched>,
+    ) -> Result<(), DbError> {
+        let depth = at.len();
+        if depth == self.tables.len() {
+            if let Some(sel) = self.selection {
+                if !eval(sel, scope)?.is_truthy() {
+                    return Ok(());
+                }
+            }
+            // Materialize values only now that the predicate has accepted
+            // the row combination; rejected rows are never cloned.
+            matches.push(
+                at.iter()
+                    .zip(&scope.tables)
+                    .map(|(&(slot, version), bound)| Hit {
+                        slot,
+                        version,
+                        values: bound.values.to_vec(),
+                    })
+                    .collect(),
+            );
+            return Ok(());
+        }
+        let (table, rows) = (&self.tables[depth], &self.data[depth].rows);
+        for slot in walk(self.candidates[depth].as_deref(), rows.len()) {
+            let Some(version) = view.visible_index(&rows[slot]) else {
+                continue;
+            };
+            at.push((slot, version));
+            scope.tables.push(EvalTable {
+                effective_name: table.effective,
+                columns: &table.columns,
+                values: &rows[slot].versions[version].values,
+            });
+            // Apply the join condition as soon as both sides are bound.
+            if depth == 0 || eval(&self.joins[depth - 1].on, scope)?.is_truthy() {
+                self.rec(view, scope, at, matches)?;
+            }
+            scope.tables.pop();
+            at.pop();
+        }
+        Ok(())
+    }
+}
+
+/// The one current read: identify the versions a statement acts on, lock
+/// them, and return them only once they are known to be the latest
+/// committed ones.
+///
+/// A latch freezes a table's slots, chains and indexes for the statement,
+/// but not the commit clock or the lock table: a commit stamps its versions
+/// (under *read* latches, so even mid-scan), then publishes its timestamp,
+/// then releases its row locks. A view drawn before that publication
+/// identifies the commit's already-ended version as current — and once the
+/// committer's locks are gone, nothing stops the statement from returning
+/// its stale values or clobbering its end stamp. So:
+///
+/// 1. `identify` the versions under a view of the current clock;
+/// 2. request `row_locks[depth]` on every identified row (`None` skips a
+///    table a coarser lock already covers) — a `WouldBlock` or `Deadlock`
+///    exits here, before any effect, and the caller's guards drop;
+/// 3. re-draw the clock after the last grant; if it has not moved, done;
+/// 4. otherwise re-`identify` under the fresh view, and finish when the
+///    named `(table, slot, version)` set is the one just locked; else go
+///    to 2.
+///
+/// Sound because locks are released only after the clock is published: a
+/// grant proves the refreshed clock covers every commit that touched the
+/// granted row, and the held lock keeps later ones out, so a set that
+/// survives step 4 is current and stays so until this transaction ends.
+/// With nothing to lock there is no grant to order against and the first
+/// view stands (any clock value is a consistent cut). Terminates because a
+/// row changes under this statement at most once before its lock is held.
+/// Under a scheduler that runs one statement at a time the clock cannot
+/// move mid-statement, so the driver is always a single pass.
+fn current_read(
+    db: &Database,
+    txn: &TxnState,
+    row_locks: &[(usize, Option<LockMode>)],
+    mut identify: impl FnMut(ReadView) -> Result<Vec<Matched>, DbError>,
+) -> Result<Vec<Matched>, DbError> {
+    fn names(found: &[Matched]) -> impl Iterator<Item = (usize, usize)> + '_ {
+        found.iter().flatten().map(|h| (h.slot, h.version))
+    }
+    let mut view = db.current_read(txn.id);
+    let mut found = identify(view)?;
+    loop {
+        let mut requested = false;
+        for m in &found {
+            for (hit, &(table_idx, mode)) in m.iter().zip(row_locks) {
+                if let Some(mode) = mode {
+                    acquire(db, txn, ResourceId::Row(table_idx, hit.slot), mode)?;
+                    requested = true;
+                }
+            }
+        }
+        let fresh = db.current_read(txn.id);
+        if !requested || fresh == view {
+            return Ok(found);
+        }
+        let refound = identify(fresh)?;
+        let stable = names(&refound).eq(names(&found));
+        view = fresh;
+        found = refound;
+        if stable {
+            return Ok(found);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// SELECT
 
 fn exec_select(db: &Database, txn: &mut TxnState, s: &Select) -> Result<ResultSet, DbError> {
     // Table-less SELECT: evaluate the projection over an empty scope.
@@ -125,53 +351,40 @@ fn exec_select(db: &Database, txn: &mut TxnState, s: &Select) -> Result<ResultSe
         });
     };
 
-    // Resolve tables and their access kinds.
+    // Resolve tables and the lock plan: per table, the table-level lock and
+    // the row-level lock on everything read. A SERIALIZABLE predicate read
+    // S-locks the whole table before its view is drawn, which already
+    // covers every row.
+    let isolation = txn.isolation;
     let accesses = statement_accesses(&Statement::Select(s.clone()), &db.schema);
     let mut tables = Vec::new();
-    let mut refs = vec![(from.effective_name().to_string(), from.name.clone())];
-    for j in &s.joins {
-        refs.push((j.table.effective_name().to_string(), j.table.name.clone()));
-    }
-    for (effective, real) in &refs {
-        let table_idx = table_index(db, real)?;
-        let columns: Vec<String> = db
-            .schema
-            .table(real)
-            .map(|t| t.column_names().map(str::to_string).collect())
-            .unwrap_or_default();
-        let access = accesses
+    let mut table_locks = Vec::new();
+    let mut row_locks = Vec::new();
+    for t in std::iter::once(from).chain(s.joins.iter().map(|j| &j.table)) {
+        let table = scope_table(db, t.effective_name(), &t.name)?;
+        let predicate = accesses
             .iter()
-            .find(|a| &a.table == real)
-            .map(|a| a.access)
-            .unwrap_or(AccessKind::Predicate);
-        tables.push(ScopeTable {
-            effective: effective.clone(),
-            table_idx,
-            columns,
-            access,
-        });
-    }
-
-    let isolation = txn.isolation;
-
-    // Table-level locks.
-    for t in &tables {
-        if s.for_update {
-            acquire(
-                db,
-                txn,
-                ResourceId::Table(t.table_idx),
-                LockMode::IntentionExclusive,
-            )?;
-        } else if isolation.read_locks_predicates() && t.access == AccessKind::Predicate {
-            acquire(db, txn, ResourceId::Table(t.table_idx), LockMode::Shared)?;
+            .find(|a| a.table == t.name)
+            .is_none_or(|a| a.access == AccessKind::Predicate);
+        let (table_lock, row_lock) = if s.for_update {
+            (
+                Some(LockMode::IntentionExclusive),
+                Some(LockMode::Exclusive),
+            )
+        } else if isolation.read_locks_predicates() && predicate {
+            (Some(LockMode::Shared), None)
         } else if isolation.read_locks_items() {
-            acquire(
-                db,
-                txn,
-                ResourceId::Table(t.table_idx),
-                LockMode::IntentionShared,
-            )?;
+            (Some(LockMode::IntentionShared), Some(LockMode::Shared))
+        } else {
+            (None, None)
+        };
+        table_locks.push(table_lock);
+        row_locks.push((table.table_idx, row_lock));
+        tables.push(table);
+    }
+    for (&(table_idx, _), mode) in row_locks.iter().zip(table_locks) {
+        if let Some(mode) = mode {
+            acquire(db, txn, ResourceId::Table(table_idx), mode)?;
         }
     }
 
@@ -196,211 +409,31 @@ fn exec_select(db: &Database, txn: &mut TxnState, s: &Select) -> Result<ResultSe
         })
         .collect();
 
-    // Read view: locking reads and lock-based levels use a current read;
-    // MVCC levels use their snapshot. Computed once per statement, after
-    // the latches are pinned.
-    let view = if s.for_update || isolation.read_locks_items() {
-        db.current_read(txn.id)
+    // Locking reads and lock-based levels use a current read; MVCC levels
+    // scan once under their snapshot.
+    let scan = Scan::plan(db, txn, &data, &tables, s.selection.as_ref(), &s.joins);
+    let matches = if s.for_update || isolation.read_locks_items() {
+        current_read(db, txn, &row_locks, |view| scan.run(view))?
     } else if isolation.reads_uncommitted() {
-        ReadView::Latest { txn: txn.id }
+        scan.run(ReadView::Latest)?
     } else {
         let as_of = db.read_snapshot_ts(txn);
-        ReadView::Snapshot { as_of, txn: txn.id }
+        scan.run(ReadView::Snapshot { as_of, txn: txn.id })?
     };
-
-    // Candidate slot lists, per scan depth: index-supplied where a WHERE/ON
-    // conjunct proves `col = literal` on an index-backed column, full walk
-    // otherwise. Decided after the latches are pinned (the probe must see
-    // the same frozen index state the scan will).
-    let candidates = scan_candidates(db, txn, &data, &tables, s);
-
-    let matches = scan(&data, &tables, s, view, &candidates)?;
-
-    // Row-level locks on everything read.
-    for m in &matches {
-        for (ti, slot) in m.slots.iter().enumerate() {
-            let row = ResourceId::Row(tables[ti].table_idx, *slot);
-            if s.for_update {
-                acquire(db, txn, row, LockMode::Exclusive)?;
-            } else if isolation.read_locks_items()
-                && !(isolation.read_locks_predicates()
-                    && tables[ti].access == AccessKind::Predicate)
-            {
-                acquire(db, txn, row, LockMode::Shared)?;
-            }
-        }
-    }
 
     project(&tables, s, matches)
 }
 
-/// Per-depth candidate slot lists for a (joined) SELECT scan: `Some` holds
-/// ascending index-supplied candidates, `None` demands a full slot walk.
-///
-/// Because index buckets are visibility-agnostic supersets and probe
-/// results come back sorted in slot order, routing through the index never
-/// changes which rows the scan yields or the order it yields them in —
-/// only how many slots it inspects. The hit/fallback counters fire here,
-/// after the route is fixed, so observability never perturbs the decision.
-fn scan_candidates(
-    db: &Database,
-    txn: &TxnState,
-    data: &[&TableData],
-    tables: &[ScopeTable],
-    s: &Select,
-) -> Vec<Option<Vec<usize>>> {
-    let mut out: Vec<Option<Vec<usize>>> = vec![None; tables.len()];
-    // Unpredicated scans are honest full walks, not index fallbacks.
-    if s.selection.is_none() && s.joins.is_empty() {
-        return out;
-    }
-    if db.use_indexes() {
-        let plan_tables: Vec<PlanTable<'_>> = tables
-            .iter()
-            .map(|t| PlanTable {
-                effective_name: &t.effective,
-                columns: &t.columns,
-            })
-            .collect();
-        let mut clauses: Vec<&Expr> = Vec::new();
-        if let Some(sel) = &s.selection {
-            clauses.push(sel);
-        }
-        for j in &s.joins {
-            clauses.push(&j.on);
-        }
-        if let Some(constraints) = equality_constraints(&clauses, &plan_tables) {
-            for c in &constraints {
-                if out[c.table].is_some() {
-                    continue;
-                }
-                out[c.table] = data[c.table].indexes.probe(c.column, &c.value);
-            }
-            // Depths an equality couldn't serve fall through to ordered
-            // range probes (`qty < k`, `BETWEEN`) when those are enabled.
-            if db.use_range_indexes() {
-                if let Some(ranges) = range_constraints(&clauses, &plan_tables) {
-                    for r in &ranges {
-                        if out[r.table].is_some() {
-                            continue;
-                        }
-                        out[r.table] = data[r.table].indexes.probe_range(
-                            r.column,
-                            r.lower.as_ref(),
-                            r.upper.as_ref(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    for cand in &out {
-        db.obs.index_probe(txn.id.0, cand.is_some());
-    }
-    out
-}
-
-/// Scan the (joined) tables, returning rows matching the ON and WHERE
-/// clauses under `view`. `data` is aligned with `tables` (self-joins alias
-/// the same latched table); `candidates` is aligned with both.
-fn scan(
-    data: &[&TableData],
-    tables: &[ScopeTable],
-    s: &Select,
-    view: ReadView,
-    candidates: &[Option<Vec<usize>>],
-) -> Result<Vec<Matched>, DbError> {
-    let mut matches = Vec::new();
-    let mut current: Vec<(usize, &[Value])> = Vec::new();
-    scan_rec(
-        data,
-        tables,
-        s,
-        view,
-        candidates,
-        0,
-        &mut current,
-        &mut matches,
-    )?;
-    Ok(matches)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan_rec<'a>(
-    data: &[&'a TableData],
-    tables: &[ScopeTable],
-    s: &Select,
-    view: ReadView,
-    candidates: &[Option<Vec<usize>>],
-    depth: usize,
-    current: &mut Vec<(usize, &'a [Value])>,
-    matches: &mut Vec<Matched>,
-) -> Result<(), DbError> {
-    if depth == tables.len() {
-        let scope = build_scope(tables, current);
-        if let Some(sel) = &s.selection {
-            if !eval(sel, &scope)?.is_truthy() {
-                return Ok(());
-            }
-        }
-        // Materialize values only now that the predicate has accepted the
-        // row combination; rejected rows are never cloned.
-        matches.push(Matched {
-            slots: current.iter().map(|(slot, _)| *slot).collect(),
-            values: current.iter().map(|(_, v)| v.to_vec()).collect(),
-        });
-        return Ok(());
-    }
-    let rows = &data[depth].rows;
-    let mut index_slots;
-    let mut full_walk;
-    let slot_indices: &mut dyn Iterator<Item = usize> = match &candidates[depth] {
-        Some(slots) => {
-            index_slots = slots.iter().copied();
-            &mut index_slots
-        }
-        None => {
-            full_walk = 0..rows.len();
-            &mut full_walk
-        }
-    };
-    for slot_idx in slot_indices {
-        let Some(version) = view.visible_version(&rows[slot_idx]) else {
-            continue;
-        };
-        current.push((slot_idx, version.values.as_slice()));
-        // Apply the join condition as soon as both sides are bound.
-        let join_ok = if depth == 0 {
-            true
-        } else {
-            let scope = build_scope(&tables[..=depth], current);
-            eval(&s.joins[depth - 1].on, &scope)?.is_truthy()
-        };
-        if join_ok {
-            scan_rec(
-                data,
-                tables,
-                s,
-                view,
-                candidates,
-                depth + 1,
-                current,
-                matches,
-            )?;
-        }
-        current.pop();
-    }
-    Ok(())
-}
-fn build_scope<'a>(tables: &'a [ScopeTable], current: &'a [(usize, &'a [Value])]) -> EvalScope<'a> {
+/// The evaluation scope of one materialized match.
+fn match_scope<'a>(tables: &'a [ScopeTable], m: &'a Matched) -> EvalScope<'a> {
     EvalScope {
         tables: tables
             .iter()
-            .zip(current)
-            .map(|(t, &(_, values))| EvalTable {
-                effective_name: &t.effective,
+            .zip(m)
+            .map(|(t, hit)| EvalTable {
+                effective_name: t.effective,
                 columns: &t.columns,
-                values,
+                values: &hit.values,
             })
             .collect(),
     }
@@ -449,19 +482,12 @@ fn project(
     if !s.order_by.is_empty() {
         let mut keyed: Vec<(Vec<Value>, Matched)> = Vec::with_capacity(matches.len());
         for m in matches {
-            let mut keys = Vec::with_capacity(s.order_by.len());
-            {
-                let current: Vec<(usize, &[Value])> = m
-                    .slots
-                    .iter()
-                    .copied()
-                    .zip(m.values.iter().map(Vec::as_slice))
-                    .collect();
-                let scope = build_scope(tables, &current);
-                for ob in &s.order_by {
-                    keys.push(eval(&ob.expr, &scope)?);
-                }
-            }
+            let scope = match_scope(tables, &m);
+            let keys = s
+                .order_by
+                .iter()
+                .map(|ob| eval(&ob.expr, &scope))
+                .collect::<Result<_, _>>()?;
             keyed.push((keys, m));
         }
         keyed.sort_by(|(ka, _), (kb, _)| {
@@ -493,7 +519,7 @@ fn project(
             SelectItem::QualifiedWildcard(q) => {
                 let t = tables
                     .iter()
-                    .find(|t| &t.effective == q)
+                    .find(|t| t.effective == q)
                     .ok_or_else(|| DbError::UnknownTable(q.clone()))?;
                 columns.extend(t.columns.iter().cloned());
             }
@@ -503,24 +529,18 @@ fn project(
 
     let mut rows = Vec::with_capacity(matches.len());
     for m in &matches {
-        let current: Vec<(usize, &[Value])> = m
-            .slots
-            .iter()
-            .copied()
-            .zip(m.values.iter().map(Vec::as_slice))
-            .collect();
-        let scope = build_scope(tables, &current);
+        let scope = match_scope(tables, m);
         let mut row = Vec::with_capacity(columns.len());
         for item in &s.projection {
             match item {
                 SelectItem::Wildcard => {
-                    for values in &m.values {
-                        row.extend(values.iter().cloned());
+                    for hit in m {
+                        row.extend(hit.values.iter().cloned());
                     }
                 }
                 SelectItem::QualifiedWildcard(q) => {
-                    let ti = tables.iter().position(|t| &t.effective == q).unwrap();
-                    row.extend(m.values[ti].iter().cloned());
+                    let ti = tables.iter().position(|t| t.effective == q).unwrap();
+                    row.extend(m[ti].values.iter().cloned());
                 }
                 SelectItem::Expr { expr, .. } => row.push(eval(expr, &scope)?),
             }
@@ -546,15 +566,7 @@ fn eval_aggregate(
             let per_row = |arg: &Expr| -> Result<Vec<Value>, DbError> {
                 matches
                     .iter()
-                    .map(|m| {
-                        let current: Vec<(usize, &[Value])> = m
-                            .slots
-                            .iter()
-                            .copied()
-                            .zip(m.values.iter().map(Vec::as_slice))
-                            .collect();
-                        eval(arg, &build_scope(tables, &current))
-                    })
+                    .map(|m| eval(arg, &match_scope(tables, m)))
                     .collect()
             };
             match upper.as_str() {
@@ -704,108 +716,71 @@ fn exec_insert(db: &Database, txn: &mut TxnState, i: &Insert) -> Result<ResultSe
     // Auto-increment unique columns are checked too: an *explicit* value
     // supplied for one must not duplicate a stored row. Values the engine
     // will assign below are still `Null` here and skip the check.
-    let unique_cols: Vec<usize> = table_schema
-        .columns
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.unique)
-        .map(|(idx, _)| idx)
-        .collect();
-    let current = db.current_read(txn.id);
-    for &col in &unique_cols {
+    for (col, def) in table_schema.columns.iter().enumerate() {
+        if !def.unique {
+            continue;
+        }
         for (ri, row) in new_rows.iter().enumerate() {
             let v = &row[col];
             if v.is_null() {
                 continue;
             }
+            let equals_v = |version: &RowVersion| version.values[col].sql_eq(v).unwrap_or(false);
+            let duplicate = || {
+                DbError::ConstraintViolation(format!(
+                    "duplicate value {v} for unique column {}.{}",
+                    i.table, def.name
+                ))
+            };
             // Within the batch.
-            for other in &new_rows[..ri] {
-                if other[col].sql_eq(v).unwrap_or(false) {
-                    return Err(DbError::ConstraintViolation(format!(
-                        "duplicate value {v} for unique column {}.{}",
-                        i.table, table_schema.columns[col].name
-                    )));
-                }
+            if new_rows[..ri]
+                .iter()
+                .any(|o| o[col].sql_eq(v).unwrap_or(false))
+            {
+                return Err(duplicate());
             }
             // Unique columns are always index-backed, so the duplicate
-            // probe is a point lookup unless the index path is disabled.
-            // Buckets are visibility-agnostic supersets: every stored
-            // version carrying a `sql_eq`-equal value is in the bucket.
-            let dup_candidates: Option<Vec<usize>> = if db.use_indexes() {
-                table.indexes.probe(col, v)
-            } else {
-                None
-            };
+            // probe is a point lookup unless `set_use_indexes(false)` asks
+            // for the reference scan. Buckets are visibility-agnostic
+            // supersets: every stored version carrying a `sql_eq`-equal
+            // value is in the bucket.
+            let dup_candidates = db
+                .use_indexes()
+                .then(|| table.indexes.probe(col, v))
+                .flatten();
             db.obs.index_probe(txn.id.0, dup_candidates.is_some());
-            let mut index_slots;
-            let mut full_walk;
-            let slot_indices: &mut dyn Iterator<Item = usize> = match &dup_candidates {
-                Some(slots) => {
-                    index_slots = slots.iter().copied();
-                    &mut index_slots
-                }
-                None => {
-                    full_walk = 0..table.rows.len();
-                    &mut full_walk
-                }
-            };
-            // Against stored rows: committed-visible duplicates violate;
-            // a duplicate from an in-flight writer — uncommitted
-            // (`begin_ts` unset) *or* stamped by a commit that has not yet
-            // published a timestamp our clock bound covers — blocks
-            // (InnoDB waits on the duplicate-key lock). Every conflicting
-            // writer is collected: waiting out only one would let another
+            // Against stored rows, as a current read: a committed-visible
+            // duplicate violates; a duplicate from an in-flight writer —
+            // uncommitted (begin word still tagged) *or* stamped by a
+            // commit the view's clock does not cover yet — is waited out
+            // under an S lock (InnoDB waits on the duplicate-key lock) and
+            // judged again under the post-grant view. Every conflicting
+            // writer is named: waiting out only one would let another
             // commit its duplicate unobserved.
-            let mut blocked: Vec<usize> = Vec::new();
-            for slot_idx in slot_indices {
-                let slot = &table.rows[slot_idx];
-                if let Some(version) = current.visible_version(slot) {
-                    if version.values[col].sql_eq(v).unwrap_or(false) {
-                        return Err(DbError::ConstraintViolation(format!(
-                            "duplicate value {v} for unique column {}.{}",
-                            i.table, table_schema.columns[col].name
-                        )));
+            current_read(db, txn, &[(table_idx, Some(LockMode::Shared))], |view| {
+                let mut in_flight = Vec::new();
+                for slot_idx in walk(dup_candidates.as_deref(), table.rows.len()) {
+                    let slot = &table.rows[slot_idx];
+                    if view.visible_version(slot).is_some_and(equals_v) {
+                        return Err(duplicate());
                     }
-                }
-                if let Some(last) = slot.versions.last() {
+                    let Some(last) = slot.versions.last() else {
+                        continue;
+                    };
                     if !last.created_by(txn.id)
                         && last.is_open()
-                        && !current.sees(last)
-                        && last.values[col].sql_eq(v).unwrap_or(false)
+                        && !view.sees(last)
+                        && equals_v(last)
                     {
-                        blocked.push(slot_idx);
+                        in_flight.push(vec![Hit {
+                            slot: slot_idx,
+                            version: slot.versions.len() - 1,
+                            values: Vec::new(),
+                        }]);
                     }
                 }
-            }
-            if !blocked.is_empty() {
-                // Wait for every conflicting writer to finish, acquiring
-                // in ascending slot order (the latch guard drops on a
-                // WouldBlock return and the statement retries whole).
-                for &slot_idx in &blocked {
-                    acquire(
-                        db,
-                        txn,
-                        ResourceId::Row(table_idx, slot_idx),
-                        LockMode::Shared,
-                    )?;
-                }
-                // All granted: none of the writers can have been stamped
-                // or rolled back under our latch, so each was stamped
-                // before we latched and has since published and released.
-                // Re-check every one under a single refreshed clock,
-                // which now covers them all.
-                let fresh = db.current_read(txn.id);
-                for &slot_idx in &blocked {
-                    if let Some(version) = fresh.visible_version(&table.rows[slot_idx]) {
-                        if version.values[col].sql_eq(v).unwrap_or(false) {
-                            return Err(DbError::ConstraintViolation(format!(
-                                "duplicate value {v} for unique column {}.{}",
-                                i.table, table_schema.columns[col].name
-                            )));
-                        }
-                    }
-                }
-            }
+                Ok(in_flight)
+            })?;
         }
     }
 
@@ -850,208 +825,18 @@ fn exec_insert(db: &Database, txn: &mut TxnState, i: &Insert) -> Result<ResultSe
 // ---------------------------------------------------------------------------
 // UPDATE / DELETE
 
-/// One UPDATE/DELETE target: a row slot, the index of the version visible
-/// under the statement's view, and that version's values.
-struct Target {
-    slot: usize,
-    version: usize,
-    values: Vec<Value>,
-}
-
-/// Identify rows matching `selection` under `view` (a current read).
-/// `candidates`, when present, restricts the walk to an ascending
-/// index-supplied slot list; index buckets are visibility-agnostic
-/// supersets, so the restriction never drops a matching row.
-fn identify_targets(
-    table: &TableData,
-    view: ReadView,
-    effective: &str,
-    columns: &[String],
+/// The shared front half of UPDATE and DELETE: resolve the table, take its
+/// IX lock and write latch, and X-lock the rows matching `selection` as a
+/// current read (plus Snapshot Isolation's first-updater-wins validation).
+/// Returns the table's scope entry, the held latch and the locked targets.
+fn lock_write_targets<'a>(
+    db: &'a Database,
+    txn: &mut TxnState,
+    name: &'a str,
     selection: Option<&Expr>,
-    candidates: Option<&[usize]>,
-) -> Result<Vec<Target>, DbError> {
-    let mut out = Vec::new();
-    let mut index_slots;
-    let mut full_walk;
-    let slot_indices: &mut dyn Iterator<Item = usize> = match candidates {
-        Some(slots) => {
-            index_slots = slots.iter().copied();
-            &mut index_slots
-        }
-        None => {
-            full_walk = 0..table.rows.len();
-            &mut full_walk
-        }
-    };
-    for slot_idx in slot_indices {
-        let slot = &table.rows[slot_idx];
-        let Some(pos) = slot.versions.iter().rposition(|v| view.sees(v)) else {
-            continue;
-        };
-        let version = &slot.versions[pos];
-        let matched = match selection {
-            Some(sel) => {
-                let scope = EvalScope::single(effective, columns, &version.values);
-                eval(sel, &scope)?.is_truthy()
-            }
-            None => true,
-        };
-        if matched {
-            out.push(Target {
-                slot: slot_idx,
-                version: pos,
-                values: version.values.clone(),
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Lock targets and run Snapshot Isolation first-updater-wins validation.
-fn lock_and_validate_targets(
-    db: &Database,
-    txn: &TxnState,
-    table_idx: usize,
-    table: &TableData,
-    targets: &[Target],
-) -> Result<(), DbError> {
-    for t in targets {
-        acquire(
-            db,
-            txn,
-            ResourceId::Row(table_idx, t.slot),
-            LockMode::Exclusive,
-        )?;
-    }
-    if txn.isolation.validates_write_snapshot() {
-        if let Some(snapshot) = txn.snapshot_ts {
-            for t in targets {
-                let slot = &table.rows[t.slot];
-                let modified_since = slot.versions.iter().any(|v| {
-                    !v.created_by(txn.id)
-                        && (v.begin_ts().is_some_and(|ts| ts > snapshot)
-                            || v.end_ts().is_some_and(|ts| ts > snapshot))
-                });
-                if modified_since {
-                    return Err(DbError::WriteConflict(format!(
-                        "row {} of table {} changed after this transaction's snapshot",
-                        t.slot, table.name
-                    )));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Identify the target rows of an UPDATE/DELETE under a current read and
-/// X-lock them, returning targets consistent with a clock bound that
-/// covers every commit affecting them.
-///
-/// The table's version chains are frozen while the statement holds the
-/// write latch, but the commit clock and the lock manager are not: a
-/// commit that stamped this table's versions *before* the statement
-/// latched may publish its timestamp and release its row locks
-/// mid-statement. A view drawn from the pre-publication clock would
-/// identify such a commit's already-ended version as current and — once
-/// the committer's locks are gone — clobber its end stamp. So the clock
-/// is re-read after every lock grant and the targets re-identified until
-/// stable: locks are released only after publication, so a grant
-/// guarantees the refreshed clock covers every commit that touched the
-/// granted rows.
-///
-/// Terminates because the chains are frozen under the latch: successive
-/// clock reads are nondecreasing, and visibility against the table's
-/// fixed stamps changes at only finitely many timestamps.
-///
-/// `candidates` is computed once by the caller — version chains *and*
-/// indexes are frozen under the write latch, so one probe serves every
-/// re-identification round.
-#[allow(clippy::too_many_arguments)]
-fn lock_current_targets(
-    db: &Database,
-    txn: &TxnState,
-    table_idx: usize,
-    table: &TableData,
-    effective: &str,
-    columns: &[String],
-    selection: Option<&Expr>,
-    candidates: Option<&[usize]>,
-) -> Result<Vec<Target>, DbError> {
-    let mut view = db.current_read(txn.id);
-    let mut targets = identify_targets(table, view, effective, columns, selection, candidates)?;
-    loop {
-        lock_and_validate_targets(db, txn, table_idx, table, &targets)?;
-        let fresh = db.current_read(txn.id);
-        if fresh == view {
-            return Ok(targets);
-        }
-        let fresh_targets =
-            identify_targets(table, fresh, effective, columns, selection, candidates)?;
-        let stable = fresh_targets.len() == targets.len()
-            && fresh_targets
-                .iter()
-                .zip(&targets)
-                .all(|(a, b)| a.slot == b.slot && a.version == b.version);
-        view = fresh;
-        targets = fresh_targets;
-        if stable {
-            return Ok(targets);
-        }
-    }
-}
-
-/// Index candidates for a single-table UPDATE/DELETE selection, or `None`
-/// for a full walk. Must be called under the table's write latch so the
-/// probe sees the same frozen index state target identification will.
-/// Fires the hit/fallback counter after the route is fixed; unpredicated
-/// statements are honest full walks and count as neither.
-fn write_candidates(
-    db: &Database,
-    txn: &TxnState,
-    table: &TableData,
-    effective: &str,
-    columns: &[String],
-    selection: Option<&Expr>,
-) -> Option<Vec<usize>> {
-    let sel = selection?;
-    let mut result = None;
-    if db.use_indexes() {
-        let plan_tables = [PlanTable {
-            effective_name: effective,
-            columns,
-        }];
-        if let Some(constraints) = equality_constraints(&[sel], &plan_tables) {
-            result = constraints
-                .iter()
-                .find_map(|c| table.indexes.probe(c.column, &c.value));
-            // No usable equality: try an ordered range probe before
-            // surrendering to the full walk.
-            if result.is_none() && db.use_range_indexes() {
-                if let Some(ranges) = range_constraints(&[sel], &plan_tables) {
-                    result = ranges.iter().find_map(|r| {
-                        table
-                            .indexes
-                            .probe_range(r.column, r.lower.as_ref(), r.upper.as_ref())
-                    });
-                }
-            }
-        }
-    }
-    db.obs.index_probe(txn.id.0, result.is_some());
-    result
-}
-
-fn exec_update(db: &Database, txn: &mut TxnState, u: &Update) -> Result<ResultSet, DbError> {
-    let table_idx = table_index(db, &u.table)?;
-    let columns: Vec<String> = db
-        .schema
-        .table(&u.table)
-        .ok_or_else(|| DbError::UnknownTable(u.table.clone()))?
-        .column_names()
-        .map(str::to_string)
-        .collect();
-
+) -> Result<(ScopeTable<'a>, TableWriteGuard<'a>, Vec<Hit>), DbError> {
+    let scope = scope_table(db, name, name)?;
+    let table_idx = scope.table_idx;
     acquire(
         db,
         txn,
@@ -1059,22 +844,59 @@ fn exec_update(db: &Database, txn: &mut TxnState, u: &Update) -> Result<ResultSe
         LockMode::IntentionExclusive,
     )?;
     let token = db.obs.latch_wait_start();
-    let mut table = db.storage.write(table_idx);
+    let table = db.storage.write(table_idx);
     db.obs.latch_acquired(token, txn.id.0);
     // Pin the SI snapshot before writing so validation has a baseline even
     // when the transaction starts with a write.
-    let _ = db.read_snapshot_ts(txn);
-    let candidates = write_candidates(db, txn, &table, &u.table, &columns, u.selection.as_ref());
-    let targets = lock_current_targets(
-        db,
-        txn,
-        table_idx,
-        &table,
-        &u.table,
-        &columns,
-        u.selection.as_ref(),
-        candidates.as_deref(),
-    )?;
+    let snapshot = db.read_snapshot_ts(txn);
+
+    let data = [&*table];
+    let tables = std::slice::from_ref(&scope);
+    let scan = Scan::plan(db, txn, &data, tables, selection, &[]);
+    let row_locks = [(table_idx, Some(LockMode::Exclusive))];
+    let targets: Vec<Hit> = current_read(db, txn, &row_locks, |view| scan.run(view))?
+        .into_iter()
+        .flatten()
+        .collect();
+
+    // Snapshot Isolation's first-updater-wins rule.
+    if txn.isolation.validates_write_snapshot() {
+        for t in &targets {
+            let modified_since = table.rows[t.slot].versions.iter().any(|v| {
+                !v.created_by(txn.id)
+                    && (v.begin_ts().is_some_and(|ts| ts > snapshot)
+                        || v.end_ts().is_some_and(|ts| ts > snapshot))
+            });
+            if modified_since {
+                return Err(DbError::WriteConflict(format!(
+                    "row {} of table {} changed after this transaction's snapshot",
+                    t.slot, table.name
+                )));
+            }
+        }
+    }
+    Ok((scope, table, targets))
+}
+
+/// End a locked target's version on behalf of `txn` and record the undo.
+/// The X lock plus [`current_read`]'s post-grant pass guarantee the version
+/// is live: a committed ender would have published a timestamp the final
+/// view covers, making the version invisible, and an uncommitted ender
+/// would still hold the row lock.
+fn end_target(table: &TableData, table_idx: usize, txn: &mut TxnState, target: &Hit) {
+    let version = &table.rows[target.slot].versions[target.version];
+    debug_assert!(version.is_open(), "locked target version already ended");
+    version.mark_ended(txn.id);
+    txn.undo.push(UndoRecord::Ended {
+        table: table_idx,
+        row: target.slot,
+        version: target.version,
+    });
+}
+
+fn exec_update(db: &Database, txn: &mut TxnState, u: &Update) -> Result<ResultSet, DbError> {
+    let (scope, mut table, targets) = lock_write_targets(db, txn, &u.table, u.selection.as_ref())?;
+    let columns = &scope.columns;
 
     // Compute all new value vectors before mutating (statement atomicity).
     let mut assignment_indices = Vec::with_capacity(u.assignments.len());
@@ -1087,7 +909,7 @@ fn exec_update(db: &Database, txn: &mut TxnState, u: &Update) -> Result<ResultSe
     }
     let mut updated: Vec<Vec<Value>> = Vec::with_capacity(targets.len());
     for t in &targets {
-        let scope = EvalScope::single(&u.table, &columns, &t.values);
+        let scope = EvalScope::single(&u.table, columns, &t.values);
         let mut new_values = t.values.clone();
         for (a, &ci) in u.assignments.iter().zip(&assignment_indices) {
             new_values[ci] = eval(&a.value, &scope)?;
@@ -1098,16 +920,11 @@ fn exec_update(db: &Database, txn: &mut TxnState, u: &Update) -> Result<ResultSe
     // Apply: end the identified version (by its recorded index — the
     // chain is frozen under the latch), append the new one.
     let n = targets.len();
-    for (t, new_values) in targets.into_iter().zip(updated) {
-        end_target_version(&table, txn.id, &t);
-        txn.undo.push(UndoRecord::Ended {
-            table: table_idx,
-            row: t.slot,
-            version: t.version,
-        });
+    for (t, new_values) in targets.iter().zip(updated) {
+        end_target(&table, scope.table_idx, txn, t);
         let created = table.push_version(t.slot, RowVersion::uncommitted(new_values, txn.id));
         txn.undo.push(UndoRecord::Created {
-            table: table_idx,
+            table: scope.table_idx,
             row: t.slot,
             version: created,
         });
@@ -1116,63 +933,12 @@ fn exec_update(db: &Database, txn: &mut TxnState, u: &Update) -> Result<ResultSe
 }
 
 fn exec_delete(db: &Database, txn: &mut TxnState, d: &Delete) -> Result<ResultSet, DbError> {
-    let table_idx = table_index(db, &d.table)?;
-    let columns: Vec<String> = db
-        .schema
-        .table(&d.table)
-        .ok_or_else(|| DbError::UnknownTable(d.table.clone()))?
-        .column_names()
-        .map(str::to_string)
-        .collect();
-
-    acquire(
-        db,
-        txn,
-        ResourceId::Table(table_idx),
-        LockMode::IntentionExclusive,
-    )?;
-    let token = db.obs.latch_wait_start();
-    let table = db.storage.write(table_idx);
-    db.obs.latch_acquired(token, txn.id.0);
-    let _ = db.read_snapshot_ts(txn);
-    let candidates = write_candidates(db, txn, &table, &d.table, &columns, d.selection.as_ref());
-    let targets = lock_current_targets(
-        db,
-        txn,
-        table_idx,
-        &table,
-        &d.table,
-        &columns,
-        d.selection.as_ref(),
-        candidates.as_deref(),
-    )?;
-
-    let n = targets.len();
-    for t in targets {
-        end_target_version(&table, txn.id, &t);
-        txn.undo.push(UndoRecord::Ended {
-            table: table_idx,
-            row: t.slot,
-            version: t.version,
-        });
+    let (scope, table, targets) = lock_write_targets(db, txn, &d.table, d.selection.as_ref())?;
+    for t in &targets {
+        end_target(&table, scope.table_idx, txn, t);
     }
-    Ok(ResultSet::affected(n))
+    Ok(ResultSet::affected(targets.len()))
 }
-
-/// Mark a locked target's version as ended by `txn`. The X lock plus the
-/// post-grant re-identification in [`lock_current_targets`] guarantee the
-/// version is live: any committed ender would have published a timestamp
-/// the refreshed clock bound covers, making the version invisible, and an
-/// uncommitted ender would still hold the row lock.
-fn end_target_version(table: &TableData, txn: TxnId, target: &Target) {
-    let version = &table.rows[target.slot].versions[target.version];
-    debug_assert!(version.is_open(), "locked target version already ended");
-    version.mark_ended(txn);
-}
-
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
@@ -1737,13 +1503,13 @@ mod tests {
             "SELECT id FROM items WHERE qty > 1 AND qty < 5 ORDER BY id",
         ];
         for q in queries {
-            db.set_use_range_indexes(true);
+            db.set_use_indexes(true);
             let indexed = db.connect().execute(q).unwrap();
-            db.set_use_range_indexes(false);
+            db.set_use_indexes(false);
             let scanned = db.connect().execute(q).unwrap();
             assert_eq!(indexed, scanned, "route changed results for {q}");
         }
-        db.set_use_range_indexes(true);
+        db.set_use_indexes(true);
         // Writes through a range predicate behave identically too.
         let mut c = db.connect();
         c.execute("UPDATE items SET tag = 'low' WHERE qty < 2")
@@ -1771,8 +1537,8 @@ mod tests {
             .unwrap();
         let mid = db.obs.counters();
         assert_eq!(mid.index_hits, before.index_hits + 1);
-        // With range indexes disabled the same predicate is a fallback.
-        db.set_use_range_indexes(false);
+        // With the index path off the same predicate is a fallback.
+        db.set_use_indexes(false);
         db.connect()
             .execute("SELECT * FROM items WHERE qty < 10")
             .unwrap();

@@ -27,6 +27,7 @@
 
 use acidrain_sql::ast::{BinOp, ColumnRef, Expr};
 
+use crate::storage::TableData;
 use crate::value::Value;
 
 /// A `col = literal` equality that holds for every row combination the
@@ -85,32 +86,32 @@ fn resolve(tables: &[PlanTable<'_>], col: &ColumnRef) -> Option<(usize, usize)> 
     None
 }
 
+/// Whether every column reference in every clause resolves. When one does
+/// not, the statement must take the full scan so evaluation raises the
+/// same `UnknownColumn` error the index-free engine does.
+fn all_resolve(clauses: &[&Expr], tables: &[PlanTable<'_>]) -> bool {
+    let mut ok = true;
+    for clause in clauses {
+        clause.visit_columns(&mut |c| ok &= resolve(tables, c).is_some());
+    }
+    ok
+}
+
 /// Collect the `col = literal` constraints proven by the top-level AND
 /// conjuncts of every clause in `clauses`. Returns `None` — demanding a
 /// full-scan fallback — when any column reference in any clause fails to
-/// resolve, so the scan raises the same `UnknownColumn` error the
-/// index-free engine did.
+/// resolve.
 pub fn equality_constraints(
     clauses: &[&Expr],
     tables: &[PlanTable<'_>],
 ) -> Option<Vec<EqConstraint>> {
-    // Fallback on unresolvable columns anywhere in the clauses.
-    for clause in clauses {
-        let mut all_resolve = true;
-        clause.visit_columns(&mut |c| {
-            if resolve(tables, c).is_none() {
-                all_resolve = false;
-            }
-        });
-        if !all_resolve {
-            return None;
+    all_resolve(clauses, tables).then(|| {
+        let mut out = Vec::new();
+        for clause in clauses {
+            collect_conjuncts(clause, tables, &mut out);
         }
-    }
-    let mut out = Vec::new();
-    for clause in clauses {
-        collect_conjuncts(clause, tables, &mut out);
-    }
-    Some(out)
+        out
+    })
 }
 
 /// Collect the one-column range constraints proven by the top-level AND
@@ -124,22 +125,43 @@ pub fn range_constraints(
     clauses: &[&Expr],
     tables: &[PlanTable<'_>],
 ) -> Option<Vec<RangeConstraint>> {
-    for clause in clauses {
-        let mut all_resolve = true;
-        clause.visit_columns(&mut |c| {
-            if resolve(tables, c).is_none() {
-                all_resolve = false;
-            }
-        });
-        if !all_resolve {
-            return None;
+    all_resolve(clauses, tables).then(|| {
+        let mut out = Vec::new();
+        for clause in clauses {
+            collect_range_conjuncts(clause, tables, &mut out);
+        }
+        out
+    })
+}
+
+/// The one routing decision every statement shares. Per scope table
+/// (`data` is aligned with `tables`): the candidate slots of the first
+/// equality conjunct an index can serve, else of the first range conjunct
+/// one can (`qty < k`, `BETWEEN`), else `None` — a full slot walk, which
+/// is also what every table gets when a column fails to resolve.
+pub fn index_routes(
+    clauses: &[&Expr],
+    tables: &[PlanTable<'_>],
+    data: &[&TableData],
+) -> Vec<Option<Vec<usize>>> {
+    let mut routes = vec![None; tables.len()];
+    for c in equality_constraints(clauses, tables).iter().flatten() {
+        if routes[c.table].is_none() {
+            routes[c.table] = data[c.table].indexes.probe(c.column, &c.value);
         }
     }
-    let mut out: Vec<RangeConstraint> = Vec::new();
-    for clause in clauses {
-        collect_range_conjuncts(clause, tables, &mut out);
+    if routes.iter().all(Option::is_some) {
+        return routes;
     }
-    Some(out)
+    for r in range_constraints(clauses, tables).iter().flatten() {
+        if routes[r.table].is_none() {
+            routes[r.table] =
+                data[r.table]
+                    .indexes
+                    .probe_range(r.column, r.lower.as_ref(), r.upper.as_ref());
+        }
+    }
+    routes
 }
 
 fn collect_range_conjuncts(expr: &Expr, tables: &[PlanTable<'_>], out: &mut Vec<RangeConstraint>) {

@@ -19,7 +19,7 @@
 //! so the three states never collide (a begin word of `0` is the seeded
 //! "committed at time zero" state). Visibility checks are plain `Acquire`
 //! loads — no latch — and commit stamping is a `Release` store through a
-//! shared reference, which is why [`Storage::publish_commit`] needs only
+//! shared reference, which is why `Storage::publish_commit` needs only
 //! *read* latches: the latch pins the slot/chain `Vec` structure, not the
 //! stamps. Readers scanning concurrently with a commit can only observe
 //! the `TXN_TAG|id → ts` transition, and both sides of it are invisible
@@ -267,6 +267,11 @@ pub struct GcStats {
 /// owning tables' read latches, and readers `Acquire`-load their `as_of`
 /// bound — so a partially stamped commit always carries a timestamp
 /// strictly greater than any reader's bound and is consistently invisible.
+///
+/// That covers snapshot reads. A *current* read ("latest committed, then
+/// lock it") also has to order itself against the committer's lock
+/// release, which happens after the clock store and outside any latch;
+/// that protocol lives, and is stated once, at `exec.rs::current_read`.
 #[derive(Debug)]
 pub struct Storage {
     tables: Vec<RwLock<TableData>>,
@@ -326,7 +331,8 @@ impl Storage {
     }
 
     /// Commit critical section: stamp every version named by `undo` with
-    /// the next commit timestamp, then publish the new clock value.
+    /// the next commit timestamp, hand the redo record to `log` if there is
+    /// one, then publish the new clock value.
     ///
     /// Stamps are `Release` stores through shared references, so only
     /// per-table *read* latches are needed (they pin the slot and chain
@@ -334,10 +340,27 @@ impl Storage {
     /// readers of the same table proceed concurrently and cannot observe
     /// the half-stamped commit (see the module docs). The only globally
     /// serialized part is the stamping itself, under `commit_serial`.
-    pub fn publish_commit(&self, txn: TxnId, undo: &[UndoRecord]) {
+    ///
+    /// With a write-ahead log attached, `log(ts, ops)` receives the redo
+    /// ops ([`WalOp`]s in undo order, plus each touched table's
+    /// auto-increment watermark after its run of records) still inside the
+    /// critical section, so WAL append order is commit-clock order; its LSN
+    /// is returned (0 without a log, where no op is built and no value
+    /// cloned). The clock is published only when `log` succeeds; on failure
+    /// the stamped-but-unpublished versions stay invisible to snapshot
+    /// reads (their timestamp is above every reader's bound) and the engine
+    /// is expected to stop accepting work (the WAL is dead).
+    pub(crate) fn publish_commit(
+        &self,
+        txn: TxnId,
+        undo: &[UndoRecord],
+        log: Option<impl FnOnce(u64, &[WalOp]) -> Result<u64, DbError>>,
+    ) -> Result<u64, DbError> {
         let _serial_order = latch_order::acquired(LatchRank::CommitSerial, None);
         let _serial = self.commit_serial.lock();
         let ts = self.commit_ts.load(Ordering::Relaxed) + 1;
+        let logged = log.is_some();
+        let mut ops = Vec::with_capacity(if logged { undo.len() + 1 } else { 0 });
         let mut i = 0;
         while i < undo.len() {
             let table = undo[i].table();
@@ -348,17 +371,38 @@ impl Storage {
                         let v = &guard.rows[row].versions[version];
                         debug_assert!(v.created_by(txn));
                         v.stamp_begin(ts);
+                        if logged {
+                            ops.push(WalOp::Create {
+                                table: table as u32,
+                                slot: row as u64,
+                                values: v.values.clone(),
+                            });
+                        }
                     }
                     UndoRecord::Ended { row, version, .. } => {
                         let v = &guard.rows[row].versions[version];
                         debug_assert!(v.ended_by(txn));
                         v.stamp_end(ts);
+                        if logged {
+                            ops.push(WalOp::End {
+                                table: table as u32,
+                                slot: row as u64,
+                            });
+                        }
                     }
                 }
                 i += 1;
             }
+            if logged {
+                ops.push(WalOp::AutoInc {
+                    table: table as u32,
+                    value: guard.auto_counter,
+                });
+            }
         }
+        let lsn = log.map_or(Ok(0), |append| append(ts, &ops))?;
         self.commit_ts.store(ts, Ordering::Release);
+        Ok(lsn)
     }
 
     /// Force the commit clock to `ts`. Recovery-only: called while the
@@ -377,64 +421,6 @@ impl Storage {
         let _serial_order = latch_order::acquired(LatchRank::CommitSerial, None);
         let _serial = self.commit_serial.lock();
         f()
-    }
-
-    /// [`Storage::publish_commit`] with write-ahead logging: stamps every
-    /// version exactly like the unlogged path while capturing the redo ops
-    /// ([`WalOp`]s in undo order, plus each touched table's auto-increment
-    /// watermark), then calls `append(ts, ops)` — still inside the commit
-    /// critical section, so WAL append order is commit-clock order.
-    ///
-    /// The clock is published only when `append` succeeds; on failure the
-    /// stamped-but-unpublished versions stay invisible to snapshot reads
-    /// (their timestamp is above every reader's bound) and the engine is
-    /// expected to stop accepting work (the WAL is dead).
-    pub(crate) fn publish_commit_logged(
-        &self,
-        txn: TxnId,
-        undo: &[UndoRecord],
-        append: impl FnOnce(u64, &[WalOp]) -> Result<u64, DbError>,
-    ) -> Result<u64, DbError> {
-        let _serial_order = latch_order::acquired(LatchRank::CommitSerial, None);
-        let _serial = self.commit_serial.lock();
-        let ts = self.commit_ts.load(Ordering::Relaxed) + 1;
-        let mut ops = Vec::with_capacity(undo.len() + 1);
-        let mut i = 0;
-        while i < undo.len() {
-            let table = undo[i].table();
-            let guard = self.read(table);
-            while i < undo.len() && undo[i].table() == table {
-                match undo[i] {
-                    UndoRecord::Created { row, version, .. } => {
-                        let v = &guard.rows[row].versions[version];
-                        debug_assert!(v.created_by(txn));
-                        v.stamp_begin(ts);
-                        ops.push(WalOp::Create {
-                            table: table as u32,
-                            slot: row as u64,
-                            values: v.values.clone(),
-                        });
-                    }
-                    UndoRecord::Ended { row, version, .. } => {
-                        let v = &guard.rows[row].versions[version];
-                        debug_assert!(v.ended_by(txn));
-                        v.stamp_end(ts);
-                        ops.push(WalOp::End {
-                            table: table as u32,
-                            slot: row as u64,
-                        });
-                    }
-                }
-                i += 1;
-            }
-            ops.push(WalOp::AutoInc {
-                table: table as u32,
-                value: guard.auto_counter,
-            });
-        }
-        let lsn = append(ts, &ops)?;
-        self.commit_ts.store(ts, Ordering::Release);
-        Ok(lsn)
     }
 
     /// Undo every effect named by `undo`, newest first. Reverse order keeps
@@ -588,11 +574,8 @@ impl DerefMut for TableWriteGuard<'_> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadView {
     /// See the newest version regardless of commit status, hiding versions
-    /// ended by anyone (Read Uncommitted).
-    Latest {
-        /// The reading transaction (its own ended versions stay hidden).
-        txn: TxnId,
-    },
+    /// ended by anyone — the reader's own included (Read Uncommitted).
+    Latest,
     /// See versions committed at or before `as_of`, plus this transaction's
     /// own writes.
     Snapshot {
@@ -610,12 +593,8 @@ impl ReadView {
     /// yields the same answer).
     pub fn sees(&self, version: &RowVersion) -> bool {
         match *self {
-            ReadView::Latest { txn } => {
-                // Any creator counts; any ender (even uncommitted) hides it,
-                // including a version we ended ourselves.
-                let _ = txn;
-                version.is_open()
-            }
+            // Any creator counts; any ender (even uncommitted) hides it.
+            ReadView::Latest => version.is_open(),
             ReadView::Snapshot { as_of, txn } => {
                 let begin_visible =
                     version.created_by(txn) || version.begin_ts().is_some_and(|ts| ts <= as_of);
@@ -629,10 +608,15 @@ impl ReadView {
         }
     }
 
-    /// The visible version in `slot`, if any. Version chains contain at
-    /// most one visible version per view by construction.
+    /// Chain position of the visible version in `slot`, if any. Version
+    /// chains contain at most one visible version per view by construction.
+    pub fn visible_index(&self, slot: &RowSlot) -> Option<usize> {
+        slot.versions.iter().rposition(|v| self.sees(v))
+    }
+
+    /// The visible version in `slot`, if any.
     pub fn visible_version<'a>(&self, slot: &'a RowSlot) -> Option<&'a RowVersion> {
-        slot.versions.iter().rev().find(|v| self.sees(v))
+        self.visible_index(slot).map(|i| &slot.versions[i])
     }
 }
 
@@ -703,10 +687,10 @@ mod tests {
     #[test]
     fn latest_sees_uncommitted_and_respects_any_delete() {
         let version = RowVersion::uncommitted(v(1), TxnId(3));
-        assert!(ReadView::Latest { txn: TxnId(4) }.sees(&version));
+        assert!(ReadView::Latest.sees(&version));
         let deleted = RowVersion::committed(v(1), 1);
         deleted.mark_ended(TxnId(5));
-        assert!(!ReadView::Latest { txn: TxnId(4) }.sees(&deleted));
+        assert!(!ReadView::Latest.sees(&deleted));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! values), `WalOp::End` (the visible version of a slot was ended), and
 //! `WalOp::AutoInc` (the table's auto-increment watermark). Records are
 //! appended *inside the commit critical section*
-//! (`Storage::publish_commit_logged`), so WAL order is exactly
+//! (`Storage::publish_commit`), so WAL order is exactly
 //! commit-clock order and replaying records front to back reconstructs
 //! every version chain bit-for-bit (rolled-back inserts leave gap slots,
 //! which replay materializes as empty [`RowSlot`]s to keep slot indices
@@ -24,10 +24,9 @@
 //! session to need a flush becomes the leader: it takes the whole buffer
 //! (its own record plus every record appended by sessions that committed
 //! meanwhile), writes and fsyncs it outside the buffer lock, then wakes
-//! all waiters — one fsync amortized over the batch. With
-//! [`WalConfig::per_commit_fsync`] the fsync instead happens inline in
-//! `append`, serializing every commit behind its own flush (the classic
-//! cost group commit exists to amortize).
+//! all waiters — one fsync amortized over the batch. A session committing
+//! alone is its own leader and fsyncs its one record before it is
+//! acknowledged, so there is no separate per-commit mode.
 //!
 //! # Latching
 //!
@@ -67,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use acidrain_obs::Obs;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::DbError;
 use crate::fault::{CrashPoint, FaultHandle};
@@ -85,14 +84,11 @@ pub const WAL_HEADER_LEN: u64 = 8;
 /// Per-record frame header: u32 payload length + u64 FNV-1a checksum.
 const REC_HEADER_LEN: usize = 12;
 
-/// Durability configuration: where the log lives and how it flushes.
+/// Durability configuration: where the log lives and what a flush costs.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Directory holding `wal.log` and `snapshot.bin`.
     pub dir: PathBuf,
-    /// Batch fsyncs across concurrently committing sessions (default) vs.
-    /// one fsync per commit inside the commit critical section.
-    pub group_commit: bool,
     /// Extra simulated device latency added to every fsync (spin-waited
     /// after the real `sync_data`), letting benchmarks model a disk with
     /// a meaningful flush cost.
@@ -100,19 +96,12 @@ pub struct WalConfig {
 }
 
 impl WalConfig {
-    /// Group-commit configuration (the default) rooted at `dir`.
+    /// A log rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
-            group_commit: true,
             fsync_delay: None,
         }
-    }
-
-    /// Switch to one fsync per commit, inside the commit critical section.
-    pub fn per_commit_fsync(mut self) -> Self {
-        self.group_commit = false;
-        self
     }
 
     /// Add a simulated per-fsync device latency.
@@ -549,8 +538,7 @@ impl Wal {
 
     /// Append one commit record. Called inside the commit critical
     /// section, so append order is commit order. Returns the record's end
-    /// LSN to pass to `Wal::sync_to`. In per-commit-fsync mode the
-    /// flush happens here, still inside the critical section.
+    /// LSN to pass to `Wal::sync_to`.
     pub(crate) fn append(
         &self,
         session: u64,
@@ -589,11 +577,7 @@ impl Wal {
         g.buf.extend_from_slice(&record);
         g.buf_commits += 1;
         g.appended_lsn += record.len() as u64;
-        let lsn = g.appended_lsn;
-        if !self.config.group_commit {
-            self.flush_inline(&mut g, session, faults)?;
-        }
-        Ok(lsn)
+        Ok(g.appended_lsn)
     }
 
     /// Wait until everything up to `lsn` is durable, becoming the group
@@ -637,41 +621,6 @@ impl Wal {
                 }
             }
             self.flushed.notify_all();
-        }
-    }
-
-    /// Per-commit-fsync flush, holding the buffer lock throughout (the
-    /// caller is inside the commit critical section anyway).
-    fn flush_inline(
-        &self,
-        g: &mut MutexGuard<'_, WalInner>,
-        session: u64,
-        faults: &FaultHandle,
-    ) -> Result<(), DbError> {
-        loop {
-            if let Some(msg) = &g.dead {
-                return Err(Self::dead_err(msg));
-            }
-            if !g.flushing {
-                break;
-            }
-            self.flushed.wait(g);
-        }
-        let bytes = std::mem::take(&mut g.buf);
-        let commits = std::mem::replace(&mut g.buf_commits, 0);
-        let target = g.appended_lsn;
-        match self.write_batch(&bytes, faults) {
-            Ok(()) => {
-                g.durable_lsn = g.durable_lsn.max(target);
-                self.obs.wal_fsync(session, commits);
-                self.flushed.notify_all();
-                Ok(())
-            }
-            Err(e) => {
-                g.dead = Some(death_msg(&e));
-                self.flushed.notify_all();
-                Err(e)
-            }
         }
     }
 

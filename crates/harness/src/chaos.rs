@@ -52,20 +52,14 @@ pub struct ChaosConfig {
     /// run produces a bit-for-bit identical [`ChaosReport`] whether this
     /// is on or off (the observability test suite pins this down).
     pub metrics: bool,
-    /// Route point lookups through the store's equality indexes (the
-    /// engine default). Indexes are maintained either way; this gates only
-    /// the read path, and index candidates are probed in the same
-    /// ascending slot order a full scan visits — so a seeded run produces
-    /// a bit-for-bit identical [`ChaosReport`] whether this is on or off
-    /// (the engine invariance suite pins this down).
+    /// Route predicates through the store's hash and ordered indexes (the
+    /// engine default) rather than the reference full scan. Indexes are
+    /// maintained either way; this gates only the read path, and index
+    /// candidates are probed in the same ascending slot order a full scan
+    /// visits — so a seeded run produces a bit-for-bit identical
+    /// [`ChaosReport`] whether this is on or off (the engine invariance
+    /// suite pins this down).
     pub use_indexes: bool,
-    /// Route range predicates (`qty < k`, `BETWEEN`) through the store's
-    /// ordered indexes (the engine default; only effective while
-    /// `use_indexes` is also on). Range candidates come back in the same
-    /// ascending slot order a full scan visits, so seeded reports are
-    /// bit-for-bit identical either way (pinned by the engine invariance
-    /// suite, same contract as `use_indexes`).
-    pub use_range_indexes: bool,
     /// Attach a write-ahead log before the workload runs. Combined with a
     /// crash point in `faults`, the run dies at a deterministic, seeded
     /// instant (the report's `crashed` flag is set and the remaining
@@ -86,7 +80,6 @@ impl Default for ChaosConfig {
             isolation: IsolationLevel::ReadCommitted,
             metrics: false,
             use_indexes: true,
-            use_range_indexes: true,
             wal: None,
         }
     }
@@ -216,7 +209,6 @@ fn run_chaos_core(
     app.reset_session_state();
     let db = app.make_store(config.isolation);
     db.set_use_indexes(config.use_indexes);
-    db.set_use_range_indexes(config.use_range_indexes);
     let mut faults = config.faults.clone();
     faults.seed = config.seed;
     db.enable_faults(faults);

@@ -39,7 +39,6 @@ fn main() {
         isolation: IsolationLevel::ReadCommitted,
         metrics: false,
         use_indexes: true,
-        use_range_indexes: true,
         wal: None,
     };
 

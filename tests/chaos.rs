@@ -26,7 +26,6 @@ fn chaotic_config(seed: u64) -> ChaosConfig {
         isolation: IsolationLevel::ReadCommitted,
         metrics: false,
         use_indexes: true,
-        use_range_indexes: true,
         wal: None,
     }
 }

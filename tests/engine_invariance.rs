@@ -183,7 +183,6 @@ fn chaos_config(seed: u64) -> ChaosConfig {
         isolation: IsolationLevel::ReadCommitted,
         metrics: false,
         use_indexes: true,
-        use_range_indexes: true,
         wal: None,
     }
 }
@@ -230,10 +229,11 @@ fn seeded_chaos_reports_match_pre_refactor_baseline() {
     }
 }
 
-/// The equality-index read path is a pure routing change: forcing it off
-/// (full scans everywhere) must reproduce field-for-field identical chaos
-/// reports — request outcomes, fault counters, 2AD witnesses, and the
-/// state digest — for the same seeds.
+/// The index read path (equality probe, else range probe) is a pure
+/// routing change: forcing it off (the reference full scan everywhere)
+/// must reproduce field-for-field identical chaos reports — request
+/// outcomes, fault counters, 2AD witnesses, and the state digest — for the
+/// same seeds.
 #[test]
 fn chaos_reports_identical_with_index_path_on_or_off() {
     for seed in [7u64, 42, 0xAC1D] {
@@ -252,87 +252,76 @@ fn chaos_reports_identical_with_index_path_on_or_off() {
     }
 }
 
-/// The ordered-index range path is the same kind of pure routing change:
-/// forcing it off (range predicates full-scan) must reproduce
-/// field-for-field identical chaos reports for the same seeds.
+/// One scripted two-session scenario: `(session, SQL)` steps at a level,
+/// and the abstract-history fingerprint the index-on run is pinned to
+/// (where a baseline exists).
+struct Script {
+    level: IsolationLevel,
+    apis: [(&'static str, u64); 2],
+    steps: &'static [(usize, &'static str)],
+    baseline: Option<(usize, usize, usize)>,
+}
+
+/// Scripted scenarios lift to the same abstract history and final state
+/// with the index path on or off: point probes (the lost-update script)
+/// and range probes (the sweep/restock script, whose predicates are
+/// genuine ranges) must read and lock the same rows in the same slot
+/// order the full scan visits.
 #[test]
-fn chaos_reports_identical_with_range_index_path_on_or_off() {
-    for seed in [7u64, 42, 0xAC1D] {
-        let on = run_chaos(&PrestaShop, &chaos_config(seed));
-        let off = run_chaos(
-            &PrestaShop,
-            &ChaosConfig {
-                use_range_indexes: false,
-                ..chaos_config(seed)
-            },
-        );
+fn scripted_fingerprints_identical_with_index_path_on_or_off() {
+    let scripts = [
+        Script {
+            level: IsolationLevel::MySqlRepeatableRead,
+            apis: [("debit", 0), ("debit", 1)],
+            steps: &[
+                (0, "BEGIN"),
+                (1, "BEGIN"),
+                (0, "SELECT value FROM test WHERE id = 1"),
+                (1, "SELECT value FROM test WHERE id = 1"),
+                (0, "UPDATE test SET value = 9 WHERE id = 1"),
+                (0, "COMMIT"),
+                (1, "UPDATE test SET value = 8 WHERE id = 1"),
+                (1, "COMMIT"),
+            ],
+            baseline: Some((2, 2, 1)),
+        },
+        Script {
+            level: IsolationLevel::ReadCommitted,
+            apis: [("sweep", 0), ("restock", 0)],
+            steps: &[
+                (0, "BEGIN"),
+                (0, "SELECT id FROM test WHERE value < 15"),
+                (1, "UPDATE test SET value = 5 WHERE value >= 20"),
+                (0, "UPDATE test SET value = 99 WHERE value BETWEEN 1 AND 12"),
+                (0, "COMMIT"),
+            ],
+            baseline: None,
+        },
+    ];
+    for script in &scripts {
+        let run = |use_indexes: bool| {
+            let d = test_db(script.level);
+            d.set_use_indexes(use_indexes);
+            let mut sessions = [d.connect(), d.connect()];
+            for (session, (api, invocation)) in sessions.iter_mut().zip(script.apis) {
+                session.set_api(api, invocation);
+            }
+            for &(session, sql) in script.steps {
+                sessions[session].execute(sql).unwrap();
+            }
+            let rows = d.table_rows("test").unwrap();
+            (fingerprint(&d, script.level), rows)
+        };
+        let (on, off) = (run(true), run(false));
         assert_eq!(
             on, off,
-            "seed {seed}: range-index routing changed the chaos report"
+            "index routing changed history or final state: {:?}",
+            script.steps
         );
+        if let Some(baseline) = script.baseline {
+            assert_eq!(on.0, baseline, "fingerprint drifted from baseline");
+        }
     }
-}
-
-/// A scripted scenario whose predicates are genuine ranges lifts to the
-/// same abstract history and final state with ordered indexes on or off:
-/// range probes must surface the same rows in the same slot order the
-/// full scan visits.
-#[test]
-fn scripted_range_fingerprint_identical_with_ordered_indexes_on_or_off() {
-    let level = IsolationLevel::ReadCommitted;
-    let run = |use_range: bool| {
-        let d = test_db(level);
-        d.set_use_range_indexes(use_range);
-        let mut t1 = d.connect();
-        let mut t2 = d.connect();
-        t1.set_api("sweep", 0);
-        t2.set_api("restock", 0);
-        t1.execute("BEGIN").unwrap();
-        t1.execute("SELECT id FROM test WHERE value < 15").unwrap();
-        t2.execute("UPDATE test SET value = 5 WHERE value >= 20")
-            .unwrap();
-        t1.execute("UPDATE test SET value = 99 WHERE value BETWEEN 1 AND 12")
-            .unwrap();
-        t1.execute("COMMIT").unwrap();
-        let rows = d.table_rows("test").unwrap();
-        (fingerprint(&d, level), rows)
-    };
-    let (on, off) = (run(true), run(false));
-    assert_eq!(on, off, "range routing changed history or final state");
-}
-
-/// The scripted lost-update scenario lifts to the same abstract history
-/// with the index path forced off: point lookups and full scans must read
-/// and lock the same rows in the same order.
-#[test]
-fn scripted_fingerprint_identical_with_index_path_on_or_off() {
-    let level = IsolationLevel::MySqlRepeatableRead;
-    let run = |use_indexes: bool| {
-        let d = test_db(level);
-        d.set_use_indexes(use_indexes);
-        let mut t1 = d.connect();
-        let mut t2 = d.connect();
-        t1.set_api("debit", 0);
-        t2.set_api("debit", 1);
-        t1.execute("BEGIN").unwrap();
-        t2.execute("BEGIN").unwrap();
-        t1.execute("SELECT value FROM test WHERE id = 1").unwrap();
-        t2.execute("SELECT value FROM test WHERE id = 1").unwrap();
-        t1.execute("UPDATE test SET value = 9 WHERE id = 1")
-            .unwrap();
-        t1.execute("COMMIT").unwrap();
-        t2.execute("UPDATE test SET value = 8 WHERE id = 1")
-            .unwrap();
-        t2.execute("COMMIT").unwrap();
-        fingerprint(&d, level)
-    };
-    let (on, off) = (run(true), run(false));
-    assert_eq!(on, off, "index routing changed the abstract history");
-    assert_eq!(
-        on,
-        (2, 2, 1),
-        "lost-update fingerprint drifted from baseline"
-    );
 }
 
 /// A genuinely concurrent threaded workload on disjoint rows: the abstract

@@ -36,7 +36,6 @@ fn chaotic_config(seed: u64, metrics: bool) -> ChaosConfig {
         isolation: IsolationLevel::ReadCommitted,
         metrics,
         use_indexes: true,
-        use_range_indexes: true,
         wal: None,
     }
 }

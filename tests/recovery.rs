@@ -623,12 +623,13 @@ fn group_commit_under_threads_recovers_every_acknowledged_write() {
     cleanup(&[dir]);
 }
 
-/// Per-commit fsync mode issues exactly one fsync per commit record (the
-/// unbatched baseline the group-commit bench compares against).
+/// A session committing alone is its own flush leader: every commit
+/// record gets its own fsync before the statement is acknowledged (the
+/// durability a separate per-commit mode used to provide).
 #[test]
-fn per_commit_mode_fsyncs_every_commit() {
-    let dir = scratch_dir("per-commit");
-    let wal = WalConfig::new(&dir).per_commit_fsync();
+fn lone_session_fsyncs_every_commit() {
+    let dir = scratch_dir("lone-session");
+    let wal = WalConfig::new(&dir);
     let db = accounts_db(IsolationLevel::ReadCommitted);
     db.attach_wal(wal.clone()).unwrap();
     db.enable_metrics();
@@ -642,7 +643,7 @@ fn per_commit_mode_fsyncs_every_commit() {
     assert_eq!(report.counters.wal_appends, 6);
     assert_eq!(
         report.counters.wal_fsyncs, 6,
-        "no batching in per-commit mode"
+        "a lone session has nobody to batch with"
     );
     assert_eq!(report.group_commit.count(), 6);
     assert_eq!(
