@@ -9,12 +9,13 @@
 //! the interleaving (Warszawski & Bailis, SIGMOD 2017, §5). This crate
 //! closes that gap with three pieces:
 //!
-//! * [`server`] — a dependency-free line-protocol server (one reactor
-//!   thread over non-blocking TCP, a small executor pool for blocking
-//!   statement work) that maps each socket onto an engine
-//!   [`acidrain_db::Connection`], with per-session isolation
-//!   negotiation, admission control, idle/in-transaction timeouts, and
-//!   abort-on-disconnect through the normal rollback path.
+//! * [`server`] — a dependency-free line-protocol server (one acceptor
+//!   thread, and one long-lived blocking thread per admitted session
+//!   that reads, executes and replies) that maps each socket onto an
+//!   engine [`acidrain_db::Connection`], with per-session isolation
+//!   negotiation, admission control, idle/in-transaction timeouts as
+//!   socket timeouts, and abort-on-disconnect through the normal
+//!   rollback path.
 //! * [`client`] — [`client::RemoteConn`], a socket-backed
 //!   [`acidrain_apps::SqlConn`], so the entire application corpus and
 //!   its retry wrappers run unmodified across the wire.

@@ -1,35 +1,39 @@
-//! The wire server: a reactor thread multiplexing non-blocking sockets
-//! onto a pool of executor workers.
+//! The wire server: one acceptor thread and one blocking thread per
+//! admitted session.
 //!
-//! One reactor thread owns the listener and every socket. It sweeps:
-//! accept → admission control → read → frame → dispatch → write →
-//! timeouts. Statement execution blocks (lock waits park on the lock
-//! table), so it never runs on the reactor: a complete request line and
-//! its session's [`Connection`] are moved to a worker over a shared job
-//! queue, and the connection comes back with the rendered response. A
-//! session therefore executes at most one frame at a time — pipelined
-//! input waits in the session's read buffer — which preserves the
+//! The acceptor owns the listener and admission control. A session thread
+//! owns one socket and its engine [`Connection`] for the session's whole
+//! life and does everything for it: read a line, execute it, write the
+//! reply. Nothing polls on the request path — a thread is blocked in
+//! `read` until its client speaks, in the engine while a statement waits
+//! on a row lock, or in `write` until the reply is taken — and a session
+//! executes one frame at a time by construction (pipelined input waits in
+//! the session's buffer and, behind it, in the kernel's), which is the
 //! one-session-one-thread discipline the engine's `Connection` assumes.
 //!
-//! Disconnect-abort needs no special machinery: when a socket vanishes,
-//! the reactor simply drops the session's `Connection`, and the
-//! connection's `Drop` takes the same rollback path an explicit
-//! `ROLLBACK` would — undo, GC unpin, lock release, waiter wakeup, and
-//! the synthetic `Aborted` log entry (DESIGN.md §14 explains why routing
-//! this through the normal path is what keeps the §8 latch hierarchy
-//! intact).
+//! Session threads are long-lived: `ServerConfig::workers` of them start
+//! with the server, each serves one session after another, and a further
+//! one is spawned only when an arrival finds none waiting.
+//! [`Server::start`] returns once the first ones have allocated and are
+//! waiting, which keeps every thread role of a process that starts
+//! servers repeatedly on one malloc arena (DESIGN.md §14.2).
+//!
+//! Idle and in-transaction timeouts are the socket's read and write
+//! timeouts. Disconnect-abort needs no machinery: whatever ends a session
+//! — EOF, a timeout, a reply nobody takes, shutdown — its thread drops
+//! the `Connection`, and the connection's `Drop` takes the same rollback
+//! path an explicit `ROLLBACK` would (DESIGN.md §14.3).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use acidrain_db::{Connection, Database};
-use acidrain_obs::Obs;
 
 use crate::protocol::{encode_error, encode_result, escape, isolation_code, Request, MAX_LINE};
 
@@ -50,10 +54,14 @@ pub struct ServerConfig {
     /// Abort sessions idle this long *inside* a transaction: the open
     /// transaction is rolled back through the normal drop path and the
     /// client is told `ERR TXN_TIMEOUT` before the socket closes. This
-    /// is the defense against a stalled client squatting on row locks.
+    /// is the defense against a stalled client squatting on row locks,
+    /// whether it stalls before its next request or stops reading its
+    /// replies.
     pub txn_timeout: Option<Duration>,
-    /// Executor threads. Each blocks for at most the database's
-    /// lock-wait timeout per statement.
+    /// Session threads started with the server (at least one). This many
+    /// concurrent sessions are served without spawning; beyond it each
+    /// arrival that finds no thread waiting adds one, which then stays.
+    /// It is not a concurrency limit — that is `max_sessions`.
     pub workers: usize,
 }
 
@@ -69,110 +77,65 @@ impl Default for ServerConfig {
     }
 }
 
-/// How the reactor naps between sweeps when nothing progressed but
-/// sessions (or queued sockets) still exist — their sockets are
-/// non-blocking, so they must be polled. With *zero* sessions and an
-/// empty queue the reactor does not poll at all: it parks in a blocking
-/// `accept` until the next arrival (see [`run_reactor`]).
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
+/// The acceptor's nap between polls while sockets are queued: the slot a
+/// queued socket waits for may be released by a session this server
+/// cannot see (the engine's ceiling is shared with in-process sessions),
+/// so no event of ours announces it. Queueing is an overload state and
+/// the nap is the acceptor's alone; no admitted session ever waits on it.
+const QUEUE_POLL: Duration = Duration::from_millis(1);
 
-/// Per-session read-buffer ceiling. A session executes one frame at a
-/// time, so a client pipelining complete lines faster than they drain
-/// would otherwise grow `rbuf` without bound; past this the reactor
-/// simply stops reading the socket (TCP backpressure, not memory
-/// growth) until dispatched frames make room.
-const RBUF_CAP: usize = 4 * MAX_LINE;
+/// Bytes asked of the socket per `read`.
+const READ_CHUNK: usize = 4096;
 
-/// A frame dispatched to the worker pool: the session's connection
-/// travels with the request line and comes back in the [`Done`].
-struct Job {
-    token: u64,
-    conn: Connection,
-    line: String,
-}
+/// How long a closing session waits for its client's own close, and how
+/// much it will read and discard meanwhile, before the socket drops.
+const DRAIN_WAIT: Duration = Duration::from_millis(50);
+const DRAIN_MAX: usize = 4 * MAX_LINE;
 
-/// A processed frame on its way back to the reactor. `conn` is `None`
-/// when the frame panicked at the worker: the connection was dropped
-/// during unwinding (rolling back any open transaction through the
-/// normal drop path), and the session closes with `ERR INTERNAL`.
-struct Done {
-    token: u64,
-    conn: Option<Connection>,
-    response: String,
-    close: bool,
-}
-
-/// Shared FIFO between the reactor and the worker pool (std-only: a
-/// mutex-guarded deque with a condvar, closed at shutdown).
-struct JobQueue {
-    state: Mutex<(VecDeque<Job>, bool)>,
-    cv: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        JobQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        state.0.push_back(job);
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        state.1 = true;
-        self.cv.notify_all();
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        loop {
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self.cv.wait(state).expect("job queue poisoned");
-        }
-    }
-}
-
-/// One admitted socket and its engine session.
+/// An admitted socket and its engine session, on the way to the thread
+/// that will serve it. The socket is shared with [`State::live`] so that
+/// shutdown can reach it.
 struct Session {
-    stream: TcpStream,
-    /// `None` exactly while a frame (and the connection with it) is at a
-    /// worker.
-    conn: Option<Connection>,
-    /// Database session id, for observability probes.
-    sid: u64,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    busy: bool,
-    /// Socket gone while a frame was in flight; finalized when the
-    /// worker returns the connection.
-    dead: bool,
-    /// Flush `wbuf`, then close cleanly.
-    closing: bool,
-    /// The server already aborted this session's transaction (txn
-    /// timeout); count the close as a disconnect-abort.
-    aborted: bool,
-    last_activity: Instant,
+    stream: Arc<TcpStream>,
+    conn: Connection,
+}
+
+/// Everything the acceptor and the session threads share.
+struct Shared {
+    db: Arc<Database>,
+    config: ServerConfig,
+    stop: AtomicBool,
+    state: Mutex<State>,
+    /// Waiting session threads sleep here; one is woken per hand-off.
+    work: Condvar,
+}
+
+#[derive(Default)]
+struct State {
+    /// Sockets of admitted sessions by engine session id: the count
+    /// `max_sessions` bounds, and the handles shutdown closes.
+    live: HashMap<u64, Arc<TcpStream>>,
+    /// Accepted sockets waiting for a session slot, oldest first.
+    pending: VecDeque<TcpStream>,
+    /// Admitted sessions no thread has picked up yet, each with a thread
+    /// (woken or newly spawned) on its way.
+    handoff: VecDeque<Session>,
+    /// Waiting threads not yet spoken for. A hand-off claims one *when it
+    /// is made*, not when the thread wakes, so an arrival never waits for
+    /// a thread already promised to another session.
+    idle: usize,
+    /// Every session thread ever started; the acceptor joins them.
+    threads: Vec<JoinHandle<()>>,
 }
 
 /// A running wire server. Dropping the handle (or calling
-/// [`ServerHandle::shutdown`]) stops the reactor, joins the workers, and
-/// closes every session — open transactions roll back via the normal
-/// connection drop path.
+/// [`ServerHandle::shutdown`]) stops the acceptor, closes every session —
+/// open transactions roll back via the normal connection drop path — and
+/// joins every thread.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    reactor: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -182,19 +145,19 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop the server and wait for the reactor and workers to exit.
+    /// Stop the server and wait for the acceptor and every session
+    /// thread to exit.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // An idle reactor is parked in a blocking `accept`; poke it awake
-        // with a loopback connect. Harmless when it is not parked: the
-        // stray socket is accepted after the stop flag is already
-        // visible (and dropped), or never accepted at all.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.reactor.take() {
+        self.shared.stop.store(true, Ordering::Release);
+        // The acceptor is normally blocked in `accept`; a connection is
+        // the only thing that wakes it. It checks the stop flag before
+        // looking at what it accepted.
+        let _ = TcpStream::connect(wake_addr(self.addr));
+        if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
     }
@@ -204,6 +167,18 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop_and_join();
     }
+}
+
+/// Where to connect to reach a listener bound to `addr`: the address
+/// itself, except that an unspecified address (`0.0.0.0`, `[::]`) is not
+/// connectable everywhere and becomes the loopback address of its family.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// The wire server front end. See the module docs for the threading
@@ -216,480 +191,396 @@ impl Server {
         Server::start_on(db, "127.0.0.1:0", config)
     }
 
-    /// Bind `addr` and serve `db` until the handle shuts down.
+    /// Bind `addr` and serve `db` until the handle shuts down. Returns
+    /// once the acceptor and the first `config.workers` session threads
+    /// are running and waiting.
     pub fn start_on(
         db: Arc<Database>,
         addr: &str,
         config: ServerConfig,
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let reactor = std::thread::Builder::new()
-            .name("acidrain-reactor".into())
-            .spawn(move || run_reactor(db, listener, config, stop2))?;
-        Ok(ServerHandle {
-            addr,
-            stop,
-            reactor: Some(reactor),
-        })
-    }
-}
-
-fn run_reactor(
-    db: Arc<Database>,
-    listener: TcpListener,
-    config: ServerConfig,
-    stop: Arc<AtomicBool>,
-) {
-    let obs = db.obs().clone();
-    let jobs = Arc::new(JobQueue::new());
-    let (done_tx, done_rx) = mpsc::channel::<Done>();
-    let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|i| {
-            let jobs = Arc::clone(&jobs);
-            let done_tx = done_tx.clone();
+        let shared = Arc::new(Shared {
+            db,
+            config,
+            stop: AtomicBool::new(false),
+            state: Mutex::default(),
+            work: Condvar::new(),
+        });
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let acceptor = {
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
-                .name(format!("acidrain-worker-{i}"))
-                .spawn(move || {
-                    while let Some(job) = jobs.pop() {
-                        let token = job.token;
-                        // An engine panic must not kill the worker or
-                        // swallow the Done — the reactor would hold the
-                        // session busy forever, pinning its engine slot.
-                        let done =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(job)))
-                                .unwrap_or_else(|_| Done {
-                                    token,
-                                    conn: None,
-                                    response: "ERR INTERNAL statement execution panicked\n".into(),
-                                    close: true,
-                                });
-                        if done_tx.send(done).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn worker")
-        })
-        .collect();
-    drop(done_tx);
-
-    let mut sessions: HashMap<u64, Session> = HashMap::new();
-    let mut pending: VecDeque<TcpStream> = VecDeque::new();
-    let mut next_token: u64 = 0;
-
-    while !stop.load(Ordering::Acquire) {
-        let mut progressed = false;
-
-        // Accept new arrivals.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    progressed = true;
-                    enroll(
-                        &db,
-                        &obs,
-                        &config,
-                        stream,
-                        &mut sessions,
-                        &mut pending,
-                        &mut next_token,
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                .name("acidrain-acceptor".into())
+                .spawn(move || run_acceptor(shared, listener, ready_tx))?
+        };
+        let mut handle = ServerHandle {
+            addr,
+            shared,
+            acceptor: Some(acceptor),
+        };
+        for _ in 0..handle.shared.config.workers.max(1) {
+            if ready_rx.recv().is_err() {
+                handle.stop_and_join();
+                return Err(std::io::Error::other("session threads failed to start"));
             }
         }
-
-        // Promote queued sockets into freed slots. An engine-level
-        // refusal ends promotion for this sweep: the engine ceiling
-        // cannot clear until some existing session (here or in another
-        // front end) releases its slot, so retrying in the same sweep
-        // would busy-spin the reactor and starve the very sessions
-        // whose completion frees a slot.
-        while !pending.is_empty()
-            && (config.max_sessions == 0 || sessions.len() < config.max_sessions)
-        {
-            let stream = pending.pop_front().expect("pending non-empty");
-            match admit(&db, stream, &mut sessions, &mut next_token) {
-                Ok(()) => progressed = true,
-                Err(stream) => {
-                    // Back to the head: it keeps its place in line, and
-                    // the queue stays within `queue_capacity` because
-                    // the socket was just popped from it.
-                    pending.push_front(stream);
-                    break;
-                }
-            }
-        }
-
-        // Collect finished frames from the workers.
-        while let Ok(done) = done_rx.try_recv() {
-            progressed = true;
-            let Some(session) = sessions.get_mut(&done.token) else {
-                continue;
-            };
-            if session.dead {
-                let in_txn = done.conn.as_ref().is_some_and(Connection::in_transaction);
-                drop(done.conn);
-                obs.net_session_closed(session.sid, in_txn);
-                sessions.remove(&done.token);
-                continue;
-            }
-            session.busy = false;
-            session.conn = done.conn;
-            session.wbuf.extend_from_slice(done.response.as_bytes());
-            if done.close {
-                session.closing = true;
-            }
-            session.last_activity = Instant::now();
-        }
-
-        // Per-session I/O, framing, dispatch, timeouts.
-        let tokens: Vec<u64> = sessions.keys().copied().collect();
-        let mut to_remove: Vec<u64> = Vec::new();
-        for token in tokens {
-            let session = sessions.get_mut(&token).expect("token just listed");
-            if session.dead {
-                continue;
-            }
-            if sweep_session(session, &jobs, token, &config, &mut progressed) {
-                // Socket is gone or the session finished closing.
-                if session.busy {
-                    session.dead = true; // finalize when the worker returns
-                } else {
-                    let in_txn = session
-                        .conn
-                        .as_ref()
-                        .is_some_and(Connection::in_transaction)
-                        || session.aborted;
-                    obs.net_session_closed(session.sid, in_txn);
-                    to_remove.push(token);
-                }
-            }
-        }
-        for token in to_remove {
-            sessions.remove(&token);
-        }
-
-        if !progressed {
-            if sessions.is_empty() && pending.is_empty() {
-                // Zero sessions and an empty queue: connections travel
-                // with their sessions, so no frame can be at a worker, no
-                // `Done` can arrive, and no timeout can fire. The only
-                // possible next event is a new arrival — park in a
-                // blocking `accept` instead of polling.
-                // `ServerHandle::stop_and_join` wakes a parked reactor
-                // with a loopback connect after raising the stop flag.
-                obs.net_reactor_parked();
-                let Some(stream) = park_for_arrival(&listener) else {
-                    continue;
-                };
-                if stop.load(Ordering::Acquire) {
-                    break; // the arrival was (or raced with) the shutdown wake
-                }
-                enroll(
-                    &db,
-                    &obs,
-                    &config,
-                    stream,
-                    &mut sessions,
-                    &mut pending,
-                    &mut next_token,
-                );
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
-        }
-    }
-
-    // Shutdown: close the queue, let workers drain, drop every session
-    // (open transactions roll back on connection drop).
-    jobs.close();
-    for handle in workers {
-        let _ = handle.join();
-    }
-    while let Ok(done) = done_rx.try_recv() {
-        drop(done.conn);
-    }
-    for (_, session) in sessions.drain() {
-        let in_txn = session
-            .conn
-            .as_ref()
-            .is_some_and(Connection::in_transaction);
-        obs.net_session_closed(session.sid, in_txn);
+        Ok(handle)
     }
 }
 
-/// Block until the next arrival (or a socket-level error) with the
-/// listener temporarily switched to blocking mode. `None` means no
-/// socket was obtained; the caller re-checks the stop flag and sweeps
-/// again either way.
-fn park_for_arrival(listener: &TcpListener) -> Option<TcpStream> {
-    if listener.set_nonblocking(false).is_err() {
-        // Can't switch modes — fall back to one polling nap.
-        std::thread::sleep(IDLE_SLEEP);
-        return None;
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("server state poisoned")
     }
-    let accepted = listener.accept();
-    let _ = listener.set_nonblocking(true);
-    accepted.ok().map(|(stream, _)| stream)
-}
 
-/// Route one accepted socket through admission control: into a session
-/// slot, the bounded wait queue, or an outright `SERVER_BUSY` refusal. A
-/// socket is refused a slot either by the server ceiling (checked here)
-/// or by the engine's own [`Database::set_max_sessions`] ceiling inside
-/// [`admit`]; both overflow into the same queue-or-reject path. Both
-/// accept sites — the non-blocking sweep and the parked blocking accept
-/// — go through here, so the admission bounds hold no matter how the
-/// socket arrived.
-fn enroll(
-    db: &Arc<Database>,
-    obs: &Obs,
-    config: &ServerConfig,
-    stream: TcpStream,
-    sessions: &mut HashMap<u64, Session>,
-    pending: &mut VecDeque<TcpStream>,
-    next_token: &mut u64,
-) {
-    let overflow = if config.max_sessions == 0 || sessions.len() < config.max_sessions {
-        admit(db, stream, sessions, next_token).err()
-    } else {
-        Some(stream)
-    };
-    if let Some(stream) = overflow {
-        if pending.len() < config.queue_capacity {
-            pending.push_back(stream);
-            obs.net_queued(pending.len() as u64);
+    fn has_room(&self, state: &State) -> bool {
+        self.config.max_sessions == 0 || state.live.len() < self.config.max_sessions
+    }
+
+    /// Route one accepted socket through admission control: into a
+    /// session, the bounded wait queue, or an outright `SERVER_BUSY`
+    /// refusal. The server ceiling, the engine's own ceiling (inside
+    /// [`Shared::admit`]) and earlier arrivals still queued all overflow
+    /// into the same queue-or-reject path.
+    fn enroll(self: &Arc<Self>, stream: TcpStream) {
+        let mut state = self.lock();
+        let overflow = if state.pending.is_empty() && self.has_room(&state) {
+            self.admit(&mut state, stream).err()
         } else {
-            reject(stream);
-            obs.net_rejected();
+            Some(stream)
+        };
+        if let Some(mut stream) = overflow {
+            if state.pending.len() < self.config.queue_capacity {
+                state.pending.push_back(stream);
+                self.db.obs().net_queued(state.pending.len() as u64);
+            } else {
+                // Best effort: the client may already be gone. A fresh
+                // socket's send buffer takes one line without blocking.
+                let _ = stream.write_all(b"ERR SERVER_BUSY admission queue full\n");
+                self.db.obs().net_rejected();
+            }
         }
+    }
+
+    /// Move queued sockets into freed slots, oldest first. An engine-level
+    /// refusal ends it: the engine ceiling cannot clear until some session
+    /// (here or in another front end) releases its slot, and the refused
+    /// socket keeps its place at the head.
+    fn promote(self: &Arc<Self>, state: &mut State) {
+        while !self.stop.load(Ordering::Acquire) && self.has_room(state) {
+            let Some(stream) = state.pending.pop_front() else {
+                return;
+            };
+            if let Err(stream) = self.admit(state, stream) {
+                state.pending.push_front(stream);
+                return;
+            }
+        }
+    }
+
+    /// Admit one socket: reserve a database session, register the socket
+    /// for shutdown, and give both to a session thread — a waiting one if
+    /// any is not yet spoken for, else a new one. When the engine itself
+    /// is at its ceiling the socket is handed back, to be queued or
+    /// refused under the configured bounds.
+    fn admit(self: &Arc<Self>, state: &mut State, stream: TcpStream) -> Result<(), TcpStream> {
+        let Ok(conn) = self.db.try_connect() else {
+            return Err(stream);
+        };
+        // The listener is non-blocking while sockets are queued; where
+        // accepted sockets inherit that, undo it.
+        let _ = stream.set_nonblocking(false);
+        let _ = stream.set_nodelay(true);
+        let sid = conn.session_id();
+        let stream = Arc::new(stream);
+        state.live.insert(sid, Arc::clone(&stream));
+        state.handoff.push_back(Session { stream, conn });
+        if state.idle > 0 {
+            state.idle -= 1;
+            self.work.notify_one();
+        } else if self.spawn_thread(state, None).is_err() {
+            // Nobody to serve it: the engine slot is freed and the client
+            // sees a bare close.
+            state.handoff.pop_back();
+            state.live.remove(&sid);
+        }
+        Ok(())
+    }
+
+    /// Start a session thread; the acceptor joins it at shutdown.
+    fn spawn_thread(
+        self: &Arc<Self>,
+        state: &mut State,
+        ready: Option<mpsc::Sender<()>>,
+    ) -> std::io::Result<()> {
+        let shared = Arc::clone(self);
+        let thread = std::thread::Builder::new()
+            .name("acidrain-session".into())
+            .spawn(move || run_session_thread(shared, ready))?;
+        state.threads.push(thread);
+        Ok(())
     }
 }
 
-/// Admit one socket: reserve a database session, send the greeting, and
-/// register the session. When the engine itself is at its ceiling
-/// (other front ends or in-process sessions hold the
-/// [`Database::set_max_sessions`] slots), the socket is handed back so
-/// the caller can park or refuse it under the configured bounds.
-fn admit(
-    db: &Arc<Database>,
-    stream: TcpStream,
-    sessions: &mut HashMap<u64, Session>,
-    next_token: &mut u64,
-) -> Result<(), TcpStream> {
-    let conn = match db.try_connect() {
-        Ok(conn) => conn,
-        Err(_) => return Err(stream),
+fn run_acceptor(shared: Arc<Shared>, listener: TcpListener, ready: mpsc::Sender<()>) {
+    {
+        // A thread that fails to start drops its sender unsignalled, and
+        // `Server::start_on` reports the failure.
+        let mut state = shared.lock();
+        for _ in 0..shared.config.workers.max(1) {
+            let _ = shared.spawn_thread(&mut state, Some(ready.clone()));
+        }
+    }
+    drop(ready);
+
+    let mut polling = false;
+    loop {
+        let (queued, sessions) = {
+            let mut state = shared.lock();
+            shared.promote(&mut state);
+            (!state.pending.is_empty(), state.live.len())
+        };
+        if queued != polling && listener.set_nonblocking(queued).is_ok() {
+            polling = queued;
+        }
+        if !polling && sessions == 0 {
+            shared.db.obs().net_reactor_parked();
+        }
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::Acquire) {
+            break; // whatever arrived was, or raced with, the shutdown wake
+        }
+        match accepted {
+            Ok((stream, _)) => shared.enroll(stream),
+            // Nothing arrived while polling — or `accept` itself failed
+            // (out of descriptors, say), which only time can cure.
+            Err(_) => std::thread::sleep(QUEUE_POLL),
+        }
+    }
+
+    // Shutdown. The stop flag is visible, so nothing more is admitted.
+    // Closing a socket wakes the thread blocked on it, which drops its
+    // connection (open transactions roll back) and exits.
+    let threads = {
+        let mut state = shared.lock();
+        for stream in state.live.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        // Sockets never served: queued ones, and hand-offs whose thread
+        // will see the stop flag first.
+        state.pending.clear();
+        state.handoff.clear();
+        shared.work.notify_all();
+        std::mem::take(&mut state.threads)
     };
-    if stream.set_nonblocking(true).is_err() {
-        return Ok(()); // connection drops; the slot frees immediately
+    for thread in threads {
+        let _ = thread.join();
     }
-    let _ = stream.set_nodelay(true);
-    let sid = conn.session_id();
-    db.obs().net_session_opened(sid);
-    let greeting = format!("OK acidrain {} {}\n", sid, isolation_code(conn.isolation()));
-    *next_token += 1;
-    sessions.insert(
-        *next_token,
-        Session {
-            stream,
-            conn: Some(conn),
-            sid,
-            rbuf: Vec::new(),
-            wbuf: greeting.into_bytes(),
-            busy: false,
-            dead: false,
-            closing: false,
-            aborted: false,
-            last_activity: Instant::now(),
-        },
-    );
-    Ok(())
 }
 
-/// Refuse a socket outright (best effort — the client may already be
-/// gone).
-fn reject(stream: TcpStream) {
-    let _ = stream.set_nonblocking(true);
-    let mut stream = stream;
-    let _ = stream.write_all(b"ERR SERVER_BUSY admission queue full\n");
+/// A session thread: serve one handed-off session after another until
+/// the server stops. A thread started with the server signals `ready`
+/// once it owns its buffer and counts as waiting; one started for an
+/// arrival is spoken for from birth.
+fn run_session_thread(shared: Arc<Shared>, ready: Option<mpsc::Sender<()>>) {
+    // Pending input. Allocated before `ready` so that the thread has
+    // claimed its malloc arena by the time `Server::start` returns.
+    let mut buf: Vec<u8> = Vec::with_capacity(READ_CHUNK);
+    let mut state = shared.lock();
+    if let Some(ready) = ready {
+        state.idle += 1;
+        let _ = ready.send(());
+    }
+    loop {
+        let session = loop {
+            if shared.stop.load(Ordering::Acquire) {
+                return;
+            }
+            if let Some(session) = state.handoff.pop_front() {
+                break session;
+            }
+            state = shared.work.wait(state).expect("server state poisoned");
+        };
+        drop(state);
+        let sid = session.conn.session_id();
+        serve(&shared.config, &session.stream, session.conn, &mut buf);
+        state = shared.lock();
+        state.live.remove(&sid);
+        // Waiting again before promoting, so that a socket promoted into
+        // the slot just freed is served by this thread, not a new one.
+        state.idle += 1;
+        shared.promote(&mut state);
+    }
 }
 
-/// One reactor pass over a live session. Returns `true` when the
-/// session should be torn down (socket error/EOF, or clean close
-/// completed).
-fn sweep_session(
-    session: &mut Session,
-    jobs: &Arc<JobQueue>,
-    token: u64,
-    config: &ServerConfig,
-    progressed: &mut bool,
-) -> bool {
-    // A closing session's inbound bytes are drained and discarded: left
-    // unread, they would turn the eventual close into an RST that can
-    // destroy the error reply still in flight to the client.
-    if session.closing {
-        let mut buf = [0u8; 4096];
-        loop {
-            match session.stream.read(&mut buf) {
-                Ok(0) => break, // EOF; the flush below still runs
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // WouldBlock or a dead socket
-            }
-        }
-    }
-
-    // Read whatever the socket has, up to the buffer ceiling.
-    if !session.closing {
-        let mut buf = [0u8; 4096];
-        while session.rbuf.len() < RBUF_CAP {
-            match session.stream.read(&mut buf) {
-                Ok(0) => return true, // EOF: client went away
-                Ok(n) => {
-                    *progressed = true;
-                    session.rbuf.extend_from_slice(&buf[..n]);
-                    session.last_activity = Instant::now();
-                    // The unterminated tail is the line under assembly;
-                    // judge MAX_LINE against it alone so an over-long
-                    // line is caught even behind complete pipelined
-                    // lines waiting their turn.
-                    let tail = match session.rbuf.iter().rposition(|&b| b == b'\n') {
-                        Some(pos) => session.rbuf.len() - pos - 1,
-                        None => session.rbuf.len(),
-                    };
-                    if tail > MAX_LINE {
-                        session
-                            .wbuf
-                            .extend_from_slice(b"ERR PROTOCOL line exceeds MAX_LINE\n");
-                        session.closing = true;
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return true,
-            }
-        }
-    }
-
-    // Dispatch the next complete frame (one at a time per session).
-    if !session.busy && !session.closing && session.conn.is_some() {
-        if let Some(pos) = session.rbuf.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = session.rbuf.drain(..=pos).collect();
-            line.pop(); // '\n'
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            match String::from_utf8(line) {
-                Ok(line) => {
-                    let conn = session.conn.take().expect("idle session holds conn");
-                    session.busy = true;
-                    jobs.push(Job { token, conn, line });
-                    *progressed = true;
-                }
-                Err(_) => {
-                    session
-                        .wbuf
-                        .extend_from_slice(b"ERR PROTOCOL frame is not UTF-8\n");
-                    session.closing = true;
-                }
-            }
-        }
-    }
-
-    // Timeouts (only judged while the session is quiescent here).
-    if !session.busy && !session.closing {
-        let idle_for = session.last_activity.elapsed();
-        let in_txn = session
-            .conn
-            .as_ref()
-            .is_some_and(Connection::in_transaction);
-        if in_txn {
-            if config.txn_timeout.is_some_and(|t| idle_for >= t) {
-                // Abort through the normal rollback path: dropping the
-                // connection state is exactly what a vanished client
-                // gets. The client is told why before the close.
-                session.conn = None; // drop rolls the transaction back
-                session.aborted = true;
-                session
-                    .wbuf
-                    .extend_from_slice(b"ERR TXN_TIMEOUT in-transaction idle limit\n");
-                session.closing = true;
-            }
-        } else if config.idle_timeout.is_some_and(|t| idle_for >= t) {
-            session.closing = true;
-        }
-    }
-
-    // Flush pending output.
-    if !session.wbuf.is_empty() {
-        match session.stream.write(&session.wbuf) {
-            Ok(0) => return true,
-            Ok(n) => {
-                session.wbuf.drain(..n);
-                *progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return true,
-        }
-    }
-
-    session.closing && session.wbuf.is_empty()
-}
-
-/// Execute one frame on a worker thread. Blocking is confined here: a
-/// statement may park on the lock table for up to the database's
-/// lock-wait timeout, but the reactor keeps serving every other session
-/// meanwhile.
-fn process(job: Job) -> Done {
-    let Job {
-        token,
-        mut conn,
-        line,
-    } = job;
+/// One session, greeting to close.
+fn serve(config: &ServerConfig, stream: &TcpStream, mut conn: Connection, buf: &mut Vec<u8>) {
     let obs = conn.obs().clone();
     let sid = conn.session_id();
-    let (response, close) = match Request::parse(&line) {
-        Err(msg) => {
-            obs.net_protocol_error(sid);
-            (format!("ERR PROTOCOL {}\n", escape(&msg)), true)
+    obs.net_session_opened(sid);
+    buf.clear();
+    let farewell = converse(config, stream, &mut conn, buf);
+    // However the session ended, an open transaction ends here, through
+    // the normal rollback path — before any waiting on the client below,
+    // so its row locks are not held for a client that is being dismissed.
+    let aborted = conn.in_transaction();
+    drop(conn);
+    obs.net_session_closed(sid, aborted);
+    if let Some(text) = farewell {
+        close(stream, &text);
+    }
+}
+
+/// The session's read-execute-reply loop. `None` means the client is
+/// gone (EOF, a socket error, or a reply it would not take within the
+/// limit); `Some(text)` asks for an orderly close after `text` is sent.
+fn converse(
+    config: &ServerConfig,
+    mut stream: &TcpStream,
+    conn: &mut Connection,
+    buf: &mut Vec<u8>,
+) -> Option<String> {
+    let mut reply = format!(
+        "OK acidrain {} {}\n",
+        conn.session_id(),
+        isolation_code(conn.isolation())
+    );
+    let mut chunk = [0u8; READ_CHUNK];
+    let mut armed = None;
+    loop {
+        // One limit bounds both directions: how long the client may stay
+        // silent, and how long it may leave a reply unread.
+        let limit = if conn.in_transaction() {
+            config.txn_timeout
+        } else {
+            config.idle_timeout
         }
-        Ok(req) => {
-            obs.net_frame(sid);
-            match req {
-                Request::Hello(level) => {
-                    conn.set_isolation(level);
-                    (format!("OK iso {}\n", isolation_code(level)), false)
-                }
-                Request::Query(sql) => match conn.execute(&sql) {
-                    Ok(rs) => (encode_result(&rs), false),
-                    Err(e) => (format!("{}\n", encode_error(&e)), false),
-                },
-                Request::Api { invocation, name } => {
-                    conn.set_api(name, invocation);
-                    ("OK api\n".to_string(), false)
-                }
-                Request::NoApi => {
-                    conn.clear_api();
-                    ("OK api\n".to_string(), false)
-                }
-                Request::Ping => ("OK pong\n".to_string(), false),
-                Request::Quit => ("OK bye\n".to_string(), true),
+        .map(|t| t.max(Duration::from_millis(1))); // zero is not a socket timeout
+        if armed != Some(limit) {
+            let _ = stream.set_read_timeout(limit);
+            let _ = stream.set_write_timeout(limit);
+            armed = Some(limit);
+        }
+        stream.write_all(reply.as_bytes()).ok()?;
+
+        // The next line: from the buffer if a pipelining client already
+        // sent it, else from the socket. Nothing is read while a complete
+        // line waits, so the buffer holds at most one line under assembly
+        // plus one chunk, and `MAX_LINE` is judged on that line alone.
+        let end = loop {
+            let end = buf.iter().position(|&b| b == b'\n');
+            if end.unwrap_or(buf.len()) > MAX_LINE {
+                return Some("ERR PROTOCOL line exceeds MAX_LINE\n".into());
             }
+            if let Some(end) = end {
+                break end;
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) => return None,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Some(if conn.in_transaction() {
+                        "ERR TXN_TIMEOUT in-transaction idle limit\n".into()
+                    } else {
+                        String::new()
+                    });
+                }
+                Err(_) => return None,
+            }
+        };
+        let Ok(line) = std::str::from_utf8(&buf[..end]) else {
+            return Some("ERR PROTOCOL frame is not UTF-8\n".into());
+        };
+        let line = line.strip_suffix('\r').unwrap_or(line);
+
+        // An engine panic must cost one session, not the thread: the
+        // caller drops the connection, which rolls back whatever the
+        // statement left open.
+        let (response, last) = catch_unwind(AssertUnwindSafe(|| process(conn, line)))
+            .unwrap_or_else(|_| ("ERR INTERNAL statement execution panicked\n".into(), true));
+        buf.drain(..=end);
+        if last {
+            return Some(response);
+        }
+        reply = response;
+    }
+}
+
+/// Execute one frame. This is where a session thread blocks on the
+/// engine: a statement may park on the lock table for up to the
+/// database's lock-wait timeout, and stalls nobody but its own client.
+/// Returns the reply and whether it is the session's last.
+fn process(conn: &mut Connection, line: &str) -> (String, bool) {
+    let sid = conn.session_id();
+    let request = match Request::parse(line) {
+        Ok(request) => request,
+        Err(msg) => {
+            conn.obs().net_protocol_error(sid);
+            return (format!("ERR PROTOCOL {}\n", escape(&msg)), true);
         }
     };
-    Done {
-        token,
-        conn: Some(conn),
-        response,
-        close,
+    conn.obs().net_frame(sid);
+    let reply = match request {
+        Request::Hello(level) => {
+            conn.set_isolation(level);
+            format!("OK iso {}\n", isolation_code(level))
+        }
+        Request::Query(sql) => match conn.execute(&sql) {
+            Ok(rs) => encode_result(&rs),
+            Err(e) => format!("{}\n", encode_error(&e)),
+        },
+        Request::Api { invocation, name } => {
+            conn.set_api(name, invocation);
+            "OK api\n".into()
+        }
+        Request::NoApi => {
+            conn.clear_api();
+            "OK api\n".into()
+        }
+        Request::Ping => "OK pong\n".into(),
+        Request::Quit => return ("OK bye\n".into(), true),
+    };
+    (reply, false)
+}
+
+/// Orderly close: send the last words, half-close so the client reads
+/// them and then EOF, and discard what it still sends until it closes
+/// too. Dropping a socket with unread input turns the close into an RST,
+/// which can destroy the very reply that explains it.
+fn close(mut stream: &TcpStream, farewell: &str) {
+    let _ = stream.write_all(farewell.as_bytes());
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(DRAIN_WAIT));
+    let mut sink = [0u8; READ_CHUNK];
+    let mut budget = DRAIN_MAX;
+    while budget > 0 {
+        match stream.read(&mut sink) {
+            Ok(0) => break,
+            Ok(n) => budget = budget.saturating_sub(n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_loopback_of_the_same_family() {
+        for (bound, wake) in [
+            ("0.0.0.0:7878", "127.0.0.1:7878"),
+            ("[::]:7878", "[::1]:7878"),
+            ("127.0.0.1:7878", "127.0.0.1:7878"),
+            ("192.0.2.7:80", "192.0.2.7:80"),
+            ("[::1]:9", "[::1]:9"),
+        ] {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), wake.parse().unwrap(), "{bound}");
+        }
     }
 }

@@ -361,7 +361,7 @@ fn disconnect_mid_txn_rolls_back_at_every_level() {
         );
         assert_eq!(db.locked_resources(), 0, "{level:?}");
 
-        // Wait for the reactor to finalize the vanished session, then
+        // Wait for the server to finalize the vanished session, then
         // check the disconnect was counted as an abort.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -403,14 +403,14 @@ fn shutdown_rolls_back_open_transactions() {
 }
 
 /// EOF from a half-closed client socket tears the session down even when
-/// the teardown races a frame still at a worker.
+/// the teardown races a frame still executing.
 #[test]
 fn disconnect_while_frame_in_flight() {
     let db = accounts_db(IsolationLevel::ReadCommitted);
     db.set_lock_wait_timeout(Duration::from_secs(2));
     let handle = start(&db, ServerConfig::default());
 
-    // Holder parks a row lock so the victim's frame blocks at a worker.
+    // Holder parks a row lock so the victim's frame blocks in the engine.
     let mut holder = db.connect();
     holder.execute("BEGIN").unwrap();
     holder
@@ -424,11 +424,11 @@ fn disconnect_while_frame_in_flight() {
     victim
         .write_all(b"Q BEGIN\nQ UPDATE accounts SET balance = 9 WHERE id = 1\n")
         .unwrap();
-    std::thread::sleep(Duration::from_millis(150)); // frame reaches the worker and parks
+    std::thread::sleep(Duration::from_millis(150)); // frame reaches the engine and parks
     drop(victim);
     drop(reader);
 
-    // The worker's statement finishes (lock timeout or success after the
+    // The parked statement finishes (lock timeout or success after the
     // holder commits); either way the dead session must be finalized.
     holder.execute("COMMIT").unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -475,8 +475,8 @@ fn multiline_sql_stays_one_frame() {
 /// When the *engine's* session ceiling (not the server's) refuses an
 /// arrival, the socket parks in the bounded queue without starving the
 /// sessions already being served, and is admitted once the slot frees.
-/// Regression test for a reactor livelock: the promotion loop used to
-/// re-queue the refused socket and retry forever within one sweep.
+/// Regression test for a livelock: a promotion loop that re-queues the
+/// refused socket and retries at once never lets anything else run.
 #[test]
 fn engine_ceiling_parks_arrivals_without_starving_service() {
     let db = accounts_db(IsolationLevel::ReadCommitted);
@@ -505,12 +505,12 @@ fn engine_ceiling_parks_arrivals_without_starving_service() {
     );
 
     // The admitted session must still be served while the refused socket
-    // waits — a livelocked reactor would never answer this ping.
+    // waits — a livelocked server would never answer this ping.
     first.ping().expect("existing session starved");
 
     drop(first); // engine slot frees; the parked socket is promoted
     drop(queued.join().expect("queued socket never admitted"));
-    handle.shutdown(); // and shutdown must not hang on the reactor
+    handle.shutdown(); // and shutdown must not hang on the polling acceptor
 }
 
 /// With no queue configured, an engine-level refusal is answered
@@ -547,8 +547,8 @@ fn pipelined_flood_is_bounded_and_fully_answered() {
     let mut line = String::new();
     reader.read_line(&mut line).unwrap(); // greeting
 
-    // 60k pings ≈ 300 KiB of complete lines — past RBUF_CAP, so the
-    // writer only finishes because the reader below drains responses.
+    // 60k pings ≈ 300 KiB of complete lines — the session buffers one
+    // read chunk of them at a time; the rest waits in the socket buffers.
     const N: usize = 60_000;
     let writer = std::thread::spawn(move || {
         let mut stream = stream;
@@ -640,52 +640,342 @@ fn greeting_and_hello_wire_format() {
     handle.shutdown();
 }
 
-/// With zero sessions and an empty admission queue the reactor parks in
-/// a blocking `accept` instead of cycling its idle nap: the park counter
-/// rises once and then stays flat while idle, a client arriving at the
-/// parked reactor is served normally, and shutdown wakes it promptly.
-/// Regression test for the reactor busy-polling at `IDLE_SLEEP` forever
-/// with nothing to do.
+/// The request path holds no nap: a round trip is two socket wake-ups
+/// and the frame, so sequential `PING`s on an otherwise idle connection
+/// finish far inside a budget of 400 us each (a debug build under the
+/// parallel test runner on two cores takes 11-20 ms for the run, 170 ms
+/// at worst). A server that polls its sockets between sleeps cannot: the
+/// reactor this replaced napped 500 us at least once per round trip, so
+/// its floor was 1 s, and it took 2.7 s.
 #[test]
-fn idle_reactor_parks_instead_of_polling() {
+fn no_nap_on_the_request_path() {
+    const PINGS: u32 = 2000;
+    let db = accounts_db(IsolationLevel::ReadCommitted);
+    let handle = start(&db, ServerConfig::default());
+    let mut remote = RemoteConn::connect(handle.addr()).unwrap();
+    remote.ping().unwrap(); // first frame: the session thread is awake
+    let begun = Instant::now();
+    for _ in 0..PINGS {
+        remote.ping().unwrap();
+    }
+    let took = begun.elapsed();
+    assert!(
+        took < Duration::from_micros(400) * PINGS,
+        "{PINGS} sequential pings took {took:?}: something naps on the request path"
+    );
+    handle.shutdown();
+}
+
+/// An idle server burns nothing: with no session open the acceptor is
+/// blocked in `accept` — the park counter rises once and then stays flat
+/// — and shutdown wakes it promptly from there.
+#[test]
+fn idle_acceptor_blocks_in_accept() {
     let db = accounts_db(IsolationLevel::ReadCommitted);
     let handle = start(&db, ServerConfig::default());
     let parks = |db: &Arc<Database>| db.metrics_report().counters.net_reactor_parks;
 
-    // No sessions yet: the reactor parks as soon as its first sweep
-    // finds nothing to do.
     let deadline = Instant::now() + Duration::from_secs(5);
     while parks(&db) == 0 {
-        assert!(Instant::now() < deadline, "reactor never parked");
+        assert!(Instant::now() < deadline, "acceptor never blocked");
         std::thread::sleep(Duration::from_millis(10));
     }
-    let parked = parks(&db);
     std::thread::sleep(Duration::from_millis(150));
-    assert_eq!(
-        parks(&db),
-        parked,
-        "a parked reactor must block, not cycle park/wake while idle"
-    );
+    assert_eq!(parks(&db), 1, "a blocked acceptor must stay blocked");
 
-    // A client arriving at the parked reactor is admitted and served.
+    // A client arriving at the blocked acceptor is admitted and served;
+    // the acceptor goes back to `accept` with a session open, which is
+    // not a park.
     let mut remote = RemoteConn::connect(handle.addr()).unwrap();
     remote.ping().unwrap();
+    assert_eq!(parks(&db), 1);
     drop(remote);
 
-    // Once its session is gone the reactor parks again...
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while parks(&db) <= parked {
-        assert!(Instant::now() < deadline, "reactor never re-parked");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    // ...and shutdown completes promptly from the parked state.
     let begun = Instant::now();
     handle.shutdown();
     assert!(
-        begun.elapsed() < Duration::from_secs(5),
-        "shutdown hung on a parked reactor"
+        begun.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?} from a blocked accept",
+        begun.elapsed()
     );
+}
+
+/// No head-of-line blocking, even with a single pre-started session
+/// thread: of eight sockets connecting at once, one parks on a row lock
+/// for two seconds and the other seven are admitted and answered at once,
+/// before and while it is parked.
+#[test]
+fn a_parked_session_blocks_no_other() {
+    const PROMPT: Duration = Duration::from_millis(250);
+    let db = accounts_db(IsolationLevel::ReadCommitted);
+    db.set_lock_wait_timeout(Duration::from_secs(30));
+    let handle = start(
+        &db,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut holder = db.connect();
+    holder.execute("BEGIN").unwrap();
+    holder
+        .execute("UPDATE accounts SET balance = 0 WHERE id = 1")
+        .unwrap();
+
+    let addr = handle.addr();
+    let line = Arc::new(std::sync::Barrier::new(8));
+    let clients: Vec<_> = (0..8)
+        .map(|i| {
+            let line = Arc::clone(&line);
+            std::thread::spawn(move || {
+                line.wait();
+                let begun = Instant::now();
+                let mut conn = RemoteConn::connect(addr).unwrap();
+                if i == 0 {
+                    conn.exec("UPDATE accounts SET balance = balance + 1 WHERE id = 1")
+                        .unwrap();
+                    return vec![begun.elapsed()];
+                }
+                conn.ping().unwrap();
+                let admitted = begun.elapsed();
+                std::thread::sleep(Duration::from_millis(500)); // socket 0 is parked by now
+                let begun = Instant::now();
+                conn.ping().unwrap();
+                vec![admitted, begun.elapsed()]
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_secs(2));
+    holder.execute("COMMIT").unwrap();
+
+    for (i, client) in clients.into_iter().enumerate() {
+        let times = client.join().unwrap();
+        if i == 0 {
+            assert!(
+                times[0] > Duration::from_secs(1),
+                "socket 0 was meant to park on the row lock, took {times:?}"
+            );
+        } else {
+            assert!(
+                times.iter().all(|t| *t < PROMPT),
+                "socket {i} waited behind a parked session: {times:?}"
+            );
+        }
+    }
+    handle.shutdown();
+}
+
+/// Shutdown does not wait on its sessions' clients: 32 idle sessions and
+/// one mid-transaction (holding a row lock and a snapshot pin) are closed
+/// and joined within a second, and the engine is left clean.
+#[test]
+fn shutdown_is_prompt_with_many_sessions() {
+    let db = accounts_db(IsolationLevel::SnapshotIsolation);
+    let handle = start(&db, ServerConfig::default());
+    let idle: Vec<RemoteConn> = (0..32)
+        .map(|_| {
+            let mut conn = RemoteConn::connect(handle.addr()).unwrap();
+            conn.ping().unwrap();
+            conn
+        })
+        .collect();
+    let mut open = RemoteConn::connect(handle.addr()).unwrap();
+    open.exec("BEGIN").unwrap();
+    open.exec("SELECT balance FROM accounts WHERE id = 2")
+        .unwrap();
+    open.exec("UPDATE accounts SET balance = 1 WHERE id = 1")
+        .unwrap();
+    assert_eq!(db.active_transactions(), 1);
+    assert_eq!(db.pinned_snapshots(), 1);
+
+    let begun = Instant::now();
+    handle.shutdown();
+    let took = begun.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    assert_eq!(db.active_transactions(), 0);
+    assert_eq!(db.locked_resources(), 0);
+    assert_eq!(db.pinned_snapshots(), 0);
+    drop((idle, open));
+}
+
+/// Both timeouts are socket timeouts, so they fire on time: measured by
+/// the client from just before its last request, the close arrives no
+/// earlier than the limit and within 250 ms after it.
+#[test]
+fn timeouts_fire_on_time() {
+    const IDLE: Duration = Duration::from_millis(400);
+    const TXN: Duration = Duration::from_millis(200);
+    const LATE: Duration = Duration::from_millis(250);
+    let db = accounts_db(IsolationLevel::ReadCommitted);
+    let handle = start(
+        &db,
+        ServerConfig {
+            idle_timeout: Some(IDLE),
+            txn_timeout: Some(TXN),
+            ..ServerConfig::default()
+        },
+    );
+    for (request, limit, last_words) in [
+        ("PING\n", IDLE, ""),
+        (
+            "Q BEGIN\n",
+            TXN,
+            "ERR TXN_TIMEOUT in-transaction idle limit\n",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap(); // greeting
+        let begun = Instant::now();
+        stream.write_all(request.as_bytes()).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap(); // the request's own reply
+        assert!(line.starts_with("OK"), "{request:?} answered {line:?}");
+        let mut rest = String::new();
+        std::io::Read::read_to_string(&mut reader, &mut rest).unwrap();
+        let took = begun.elapsed();
+        assert_eq!(rest, last_words, "{request:?}");
+        assert!(
+            took >= limit && took < limit + LATE,
+            "{request:?}: closed after {took:?}, limit {limit:?}"
+        );
+    }
+    handle.shutdown();
+}
+
+/// The idle clock is the socket's read timeout, so it restarts whenever
+/// bytes arrive, terminated line or not: a client trickling one byte at a
+/// time keeps its session for as long as it keeps trickling, and loses it
+/// one limit after it stops.
+#[test]
+fn trickled_bytes_keep_a_session_alive() {
+    const IDLE: Duration = Duration::from_millis(400);
+    let db = accounts_db(IsolationLevel::ReadCommitted);
+    let handle = start(
+        &db,
+        ServerConfig {
+            idle_timeout: Some(IDLE),
+            ..ServerConfig::default()
+        },
+    );
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap(); // greeting
+
+    // 600 ms without a complete line, never 400 ms without a byte.
+    for byte in b"PING\r\n" {
+        std::thread::sleep(Duration::from_millis(100));
+        stream.write_all(&[*byte]).unwrap();
+    }
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line, "OK pong\n", "trickled frame");
+
+    // Half a line, then silence.
+    stream.write_all(b"PI").unwrap();
+    let begun = Instant::now();
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "got {line:?}");
+    let took = begun.elapsed();
+    assert!(
+        took >= IDLE && took < IDLE + Duration::from_millis(250),
+        "closed after {took:?}"
+    );
+    handle.shutdown();
+}
+
+/// A client that stops *reading* is as gone as one that stops writing.
+/// It opens a transaction, takes a row lock, and then pipelines queries
+/// without ever reading a reply: once the socket buffers between them are
+/// full the session thread's write blocks, and the write timeout — the
+/// same limit as the read side — ends the session, rolling the
+/// transaction back. The requests keep coming the whole time, so no idle
+/// clock that restarts on inbound bytes would ever fire.
+#[test]
+fn unread_replies_cannot_pin_locks() {
+    const TXN: Duration = Duration::from_millis(500);
+    let schema = Schema::new()
+        .with_table(TableSchema::new(
+            "accounts",
+            vec![
+                ColumnDef::new("id", ColumnType::Int).unique(),
+                ColumnDef::new("balance", ColumnType::Int),
+            ],
+        ))
+        .with_table(TableSchema::new(
+            "blobs",
+            vec![
+                ColumnDef::new("id", ColumnType::Int).unique(),
+                ColumnDef::new("body", ColumnType::Str),
+            ],
+        ));
+    let db = Database::new(schema, IsolationLevel::SnapshotIsolation);
+    db.seed("accounts", vec![vec![Value::Int(1), Value::Int(100)]])
+        .unwrap();
+    // One 16 KiB reply per 30-byte request fills megabytes of socket
+    // buffer in a few hundred frames.
+    db.seed(
+        "blobs",
+        vec![vec![Value::Int(1), Value::Str("x".repeat(16 * 1024))]],
+    )
+    .unwrap();
+    db.enable_metrics();
+    let handle = start(
+        &db,
+        ServerConfig {
+            txn_timeout: Some(TXN),
+            ..ServerConfig::default()
+        },
+    );
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream
+        .write_all(
+            b"Q BEGIN\n\
+              Q UPDATE accounts SET balance = 0 WHERE id = 1\n\
+              Q SELECT balance FROM accounts WHERE id = 1\n",
+        )
+        .unwrap();
+    let mut line = String::new();
+    for _ in 0..8 {
+        // greeting, BEGIN's status, and three lines each for the others
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+    }
+    assert_eq!(line, "i:0\n");
+    assert_eq!(db.active_transactions(), 1);
+    assert!(db.locked_resources() > 0);
+    assert_eq!(db.pinned_snapshots(), 1);
+
+    // From here on nobody reads. The writer stops when the server drops
+    // the socket.
+    let writer = std::thread::spawn(move || {
+        let burst = "Q SELECT body FROM blobs\n".repeat(64);
+        while stream.write_all(burst.as_bytes()).is_ok() {}
+    });
+    let deadline = Instant::now() + TXN + Duration::from_secs(5);
+    while db.active_transactions() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "a client that reads nothing still holds its transaction"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(db.locked_resources(), 0);
+    assert_eq!(db.pinned_snapshots(), 0);
+    writer.join().unwrap();
+    let report = db.metrics_report();
+    assert_eq!(report.counters.net_disconnect_aborts, 1, "{report:?}");
+    assert_eq!(
+        db.connect()
+            .query_i64("SELECT balance FROM accounts WHERE id = 1")
+            .unwrap(),
+        100
+    );
+    handle.shutdown();
 }
 
 /// A wire session that vanishes mid-transaction at a snapshot-pinning
@@ -785,9 +1075,9 @@ fn shutdown_releases_pin() {
     }
 }
 
-/// The hard case: the socket vanishes while its frame is parked at a
-/// worker on a lock wait. The dead session must still be finalized when
-/// the worker returns the connection, releasing the snapshot pin.
+/// The hard case: the socket vanishes while its frame is parked on a lock
+/// wait. The dead session must still be finalized when the statement
+/// returns, releasing the snapshot pin.
 #[test]
 fn disconnect_with_frame_in_flight_releases_pin() {
     for level in [
@@ -798,7 +1088,7 @@ fn disconnect_with_frame_in_flight_releases_pin() {
         db.set_lock_wait_timeout(Duration::from_secs(2));
         let handle = start(&db, ServerConfig::default());
 
-        // Holder parks a row lock so the victim's frame blocks at a worker.
+        // Holder parks a row lock so the victim's frame blocks in the engine.
         let mut holder = db.connect();
         holder.execute("BEGIN").unwrap();
         holder
@@ -822,7 +1112,7 @@ fn disconnect_with_frame_in_flight_releases_pin() {
                 .as_bytes(),
             )
             .unwrap();
-        std::thread::sleep(Duration::from_millis(300)); // frame reaches the worker and parks
+        std::thread::sleep(Duration::from_millis(300)); // frame reaches the engine and parks
         drop(victim);
         drop(reader);
         holder.execute("COMMIT").unwrap();

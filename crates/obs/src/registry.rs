@@ -652,10 +652,11 @@ impl Obs {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The reactor parked in a blocking `accept`: with no sessions and no
-    /// queued sockets the only possible event is a new arrival, so it
-    /// stops polling entirely. Fired once per park, just before blocking;
-    /// the reactor is engine-wide, so the counter lands on shard 0.
+    /// The wire server's acceptor is about to block in `accept` with no
+    /// session open and no socket queued: an idle server, waiting for its
+    /// next arrival without polling. Fired once per such entry; the
+    /// acceptor is engine-wide, so the counter lands on shard 0. (The name
+    /// is from the reactor the acceptor replaced; the benchmark reads it.)
     #[inline]
     pub fn net_reactor_parked(&self) {
         if !self.registry.enabled.load(Ordering::Relaxed) {

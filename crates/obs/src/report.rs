@@ -67,8 +67,8 @@ pub struct Counters {
     /// Malformed frames / protocol violations the server answered with
     /// `ERR PROTOCOL`.
     pub net_protocol_errors: u64,
-    /// Times the reactor parked in a blocking `accept` because it had no
-    /// sessions and no queued sockets (idle without polling).
+    /// Times the wire server's acceptor entered a blocking `accept` with
+    /// no session open and no socket queued (idle without polling).
     pub net_reactor_parks: u64,
     /// Candidate fix sets the repair adviser evaluated statically.
     pub repair_candidates: u64,
