@@ -10,7 +10,7 @@ use std::fmt;
 
 use acidrain_sql::{fnv1a, statement_template};
 
-use crate::detect::{CycleWitness, Finding};
+use crate::detect::CycleWitness;
 use crate::history::AbstractHistory;
 
 /// Fingerprint of one statement's *shape*: the [`StatementTemplate`] hash
@@ -64,19 +64,6 @@ impl SeedKey {
             ),
         }
     }
-}
-
-/// Locate the finding in `findings` whose seed pair matches `key`, where
-/// the findings were produced over `history` (concrete or symbolized —
-/// the key is invariant under symbolization).
-pub fn find_by_seed<'a>(
-    history: &AbstractHistory,
-    findings: &'a [Finding],
-    key: &SeedKey,
-) -> Option<&'a Finding> {
-    findings
-        .iter()
-        .find(|f| &SeedKey::of(history, &f.witness) == key)
 }
 
 /// One line of a witness schedule.
@@ -363,7 +350,9 @@ mod tests {
 
         for f in &concrete_findings {
             let key = SeedKey::of(&concrete, &f.witness);
-            let hit = find_by_seed(&symbolized, &sym_findings, &key)
+            let hit = sym_findings
+                .iter()
+                .find(|s| SeedKey::of(&symbolized, &s.witness) == key)
                 .unwrap_or_else(|| panic!("key {key:?} unmatched on symbolized side"));
             assert_eq!(hit.api, f.api, "key routed to the wrong endpoint");
             assert_ne!(

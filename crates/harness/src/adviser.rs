@@ -21,10 +21,37 @@ use acidrain_apps::endpoints::{all_surfaces, AppSurface};
 use acidrain_db::{IsolationLevel, Obs};
 use acidrain_static::{
     plan_scenario, remediate_scenario, rewrite_plan, AppRemedies, AuditError, LevelRemedies,
-    RemedyReport, Verdict,
+    RemedyReport, ScenarioPlans, ScenarioRemedies, Verdict,
 };
 
 use crate::replay::{execute_replay_plan, ReplayCaches};
+
+/// Remedies and plans are paired by position: both list the scenario's
+/// static findings in detector order, from two recordings of it. Pairing
+/// lists that disagree would attach witnesses to the wrong findings and
+/// still print a report, so disagreement — in length or in any paired
+/// finding — is an error, in release builds too.
+fn check_paired(
+    app: &str,
+    remedies: &ScenarioRemedies,
+    plans: &ScenarioPlans,
+) -> Result<(), AuditError> {
+    let paired = remedies.outcomes.len() == plans.plans.len()
+        && remedies
+            .outcomes
+            .iter()
+            .zip(&plans.plans)
+            .all(|(outcome, fp)| outcome.finding == fp.finding);
+    if paired {
+        return Ok(());
+    }
+    Err(AuditError::Record(format!(
+        "{app}/{}: the adviser's {} findings and the replay planner's {} do not pair up",
+        remedies.scenario,
+        remedies.outcomes.len(),
+        plans.plans.len()
+    )))
+}
 
 /// Remediate `surface` at each of `levels`, replaying every closing
 /// candidate until one survives the witness. Adviser-level counters
@@ -40,7 +67,7 @@ pub fn advise_surface(
         for scenario in &surface.scenarios {
             let mut remedies = remediate_scenario(surface, scenario, level)?;
             let plans = plan_scenario(surface, scenario, level)?;
-            debug_assert_eq!(remedies.outcomes.len(), plans.plans.len());
+            check_paired(&surface.app, &remedies, &plans)?;
             let mut caches = ReplayCaches::new();
             for (outcome, fp) in remedies.outcomes.iter_mut().zip(&plans.plans) {
                 obs.repair_candidates(outcome.tried as u64);
@@ -132,6 +159,32 @@ mod tests {
             .chain(booking_surfaces())
             .find(|s| s.app == name)
             .unwrap()
+    }
+
+    #[test]
+    fn mismatched_remedies_and_plans_are_an_error() {
+        let surface = surface_named("bank-transfer");
+        let scenario = &surface.scenarios[0];
+        let level = IsolationLevel::ReadCommitted;
+        let remedies = remediate_scenario(&surface, scenario, level).unwrap();
+        let plans = plan_scenario(&surface, scenario, level).unwrap();
+        assert!(remedies.outcomes.len() >= 2, "need two findings to swap");
+        assert_eq!(check_paired(&surface.app, &remedies, &plans), Ok(()));
+
+        let mut shorter = plans.clone();
+        shorter.plans.pop();
+        let err = check_paired(&surface.app, &remedies, &shorter).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("bank-transfer/transfer: the adviser's 2 findings"),
+            "{err}"
+        );
+
+        // Same lengths, findings in a different order.
+        let mut swapped = plans.clone();
+        swapped.plans.swap(0, 1);
+        assert_ne!(swapped.plans[0].finding, remedies.outcomes[0].finding);
+        assert!(check_paired(&surface.app, &remedies, &swapped).is_err());
     }
 
     #[test]

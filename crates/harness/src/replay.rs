@@ -2,8 +2,9 @@
 //!
 //! `acidrain-static::replay` lowers each static finding to a
 //! [`ReplayPlan`] — canned per-session scripts plus the Lemma-4 split
-//! point. This module runs the plan through the deterministic scheduler
-//! ([`crate::sched`]) on a fresh store and classifies the outcome:
+//! point. This module steps the scripts in that order on a fresh store,
+//! one statement at a time from the calling thread, and classifies the
+//! outcome:
 //!
 //! - **Confirmed** — the interleaving executed and its outcome digest
 //!   (per-statement results plus final table contents) differs from
@@ -21,20 +22,27 @@
 //! digest comparison is the replayer's anomaly oracle — it needs no
 //! per-app invariant knowledge, which is what lets it run over the whole
 //! corpus uniformly.
+//!
+//! A plan's sessions are statement lists, not application code, so they
+//! need no stack of their own: `ScriptSession` holds a connection and a
+//! cursor, and the driver calls [`Connection::try_execute`] itself. That
+//! is the [`crate::sched`] protocol — a lock conflict is
+//! [`StepOutcome::Blocked`] with nothing consumed — without the thread per
+//! session and the two condvar hand-offs per statement that `sched` pays
+//! to park application closures mid-call.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use acidrain_apps::endpoints::{all_surfaces, AppSurface, Scenario};
-use acidrain_apps::SqlConn;
-use acidrain_db::{Database, DbError, IsolationLevel, ResultSet};
+use acidrain_db::{Connection, Database, DbError, IsolationLevel, ResultSet};
 use acidrain_sql::schema::Schema;
 use acidrain_static::{
     plan_scenario, AppReplay, AuditError, LevelReplay, ReplayOutcome, ReplayPlan, ReplayReport,
     ScenarioReplay, Verdict,
 };
 
-use crate::sched::{run_deterministic_on, StepOutcome, Stepper};
+use crate::sched::StepOutcome;
 
 /// Largest witness (concurrent instances) the replayer baselines: the
 /// serial oracle enumerates every permutation of the sessions, so the
@@ -54,7 +62,7 @@ struct Digest {
 
 /// One session's script execution: rendered outcomes plus whether the
 /// transaction died to an abort-class error.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 struct ScriptRun {
     lines: Vec<String>,
     aborted: Option<&'static str>,
@@ -92,24 +100,82 @@ fn error_class(e: &DbError) -> &'static str {
     }
 }
 
-/// Run one canned script on `conn`, stopping early if the transaction is
-/// rolled back under it (the remaining statements would only measure
-/// error noise, identically in every execution).
-fn run_script(conn: &mut dyn SqlConn, statements: &[String]) -> ScriptRun {
-    let mut lines = Vec::with_capacity(statements.len());
-    let mut aborted = None;
-    for sql in statements {
-        let result = conn.exec(sql);
-        lines.push(render_outcome(&result));
+/// One plan session mid-execution: its connection, its canned statements
+/// and how far it got.
+struct ScriptSession<'a> {
+    conn: Connection,
+    statements: &'a [String],
+    next: usize,
+    run: ScriptRun,
+}
+
+impl<'a> ScriptSession<'a> {
+    /// Open a session on `db`, at `level` when the plan overrides the
+    /// store default for it.
+    fn open(db: &Arc<Database>, level: Option<IsolationLevel>, statements: &'a [String]) -> Self {
+        let mut conn = db.connect();
+        if let Some(level) = level {
+            conn.set_isolation(level);
+        }
+        ScriptSession {
+            conn,
+            statements,
+            next: 0,
+            run: ScriptRun {
+                lines: Vec::with_capacity(statements.len()),
+                aborted: None,
+            },
+        }
+    }
+
+    /// Attempt the next statement. A lock conflict consumes nothing: the
+    /// same statement is attempted again by the next call. The script is
+    /// finished after its last statement, or early once the transaction
+    /// is rolled back under it (the remaining statements would only
+    /// measure error noise, identically in every execution).
+    fn step(&mut self) -> StepOutcome {
+        if self.run.aborted.is_some() {
+            return StepOutcome::Finished;
+        }
+        let Some(sql) = self.statements.get(self.next) else {
+            return StepOutcome::Finished;
+        };
+        let result = self.conn.try_execute(sql);
+        if matches!(result, Err(DbError::WouldBlock { .. })) {
+            return StepOutcome::Blocked;
+        }
+        self.run.lines.push(render_outcome(&result));
+        self.next += 1;
         if let Err(e) = &result {
             if e.aborts_transaction() {
-                aborted = Some(error_class(e));
-                break;
+                self.run.aborted = Some(error_class(e));
+            }
+        }
+        StepOutcome::Executed
+    }
+
+    /// Step until the script finishes; `Err` when a statement hits a lock
+    /// wait first.
+    fn run_to_end(&mut self) -> Result<(), LockWait> {
+        loop {
+            match self.step() {
+                StepOutcome::Executed => {}
+                StepOutcome::Finished => return Ok(()),
+                StepOutcome::Blocked => return Err(LockWait),
             }
         }
     }
-    ScriptRun { lines, aborted }
+
+    /// Close the connection (rolling back whatever the script left open)
+    /// and hand back what ran.
+    fn close(self) -> ScriptRun {
+        self.run
+    }
 }
+
+/// A statement could not take its lock at its scheduled slot.
+#[derive(Debug)]
+struct LockWait;
 
 /// Replay the setup statements on a plain connection. Recorded failures
 /// (statement-level errors the endpoint itself provoked) repeat
@@ -176,11 +242,15 @@ fn serial_digests(
         run_setup(&db, &plan.setup);
         let mut sessions = vec![Vec::new(); n];
         for &i in &perm {
-            let mut conn = db.connect();
-            if let Some(l) = session_levels.get(i).copied().flatten() {
-                conn.set_isolation(l);
-            }
-            sessions[i] = run_script(&mut conn, &plan.sessions[i].statements).lines;
+            let mut session = ScriptSession::open(
+                &db,
+                session_levels.get(i).copied().flatten(),
+                &plan.sessions[i].statements,
+            );
+            session
+                .run_to_end()
+                .expect("a serial run has no other open session to wait on");
+            sessions[i] = session.close().lines;
         }
         let digest = Digest {
             sessions,
@@ -193,20 +263,29 @@ fn serial_digests(
     digests
 }
 
-/// Step session `i` repeatedly until it finishes; `Err` carries the lock
-/// wait that broke the schedule.
-fn step_to_completion(stepper: &mut Stepper, i: usize, api: &str) -> Result<(), String> {
-    loop {
-        match stepper.step(i) {
+/// Run the Lemma-4 interleaving over open sessions: the seed prefix (up
+/// to and including o₁), every hop instance in cycle order in full, the
+/// seed remainder. `Err` carries the lock wait that broke the schedule;
+/// a broken schedule stops where it broke.
+fn interleave(sessions: &mut [ScriptSession], plan: &ReplayPlan) -> Result<(), String> {
+    for _ in 0..plan.seed_prefix {
+        match sessions[0].step() {
             StepOutcome::Executed => {}
-            StepOutcome::Finished => return Ok(()),
+            StepOutcome::Finished => break,
             StepOutcome::Blocked => {
-                return Err(format!(
-                    "lock wait: session {i} ({api}) blocked mid-schedule"
-                ))
+                return Err("lock wait: seed session blocked inside its prefix".to_string())
             }
         }
     }
+    for i in (1..sessions.len()).chain([0]) {
+        sessions[i].run_to_end().map_err(|LockWait| {
+            format!(
+                "lock wait: session {i} ({}) blocked mid-schedule",
+                plan.sessions[i].api
+            )
+        })?;
+    }
+    Ok(())
 }
 
 /// Per-scenario-per-level execution caches. Findings overwhelmingly share
@@ -292,68 +371,25 @@ fn execute_plan(
     let db = scenario.make_store(level);
     run_setup(&db, &plan.setup);
 
-    let runs: Arc<Mutex<Vec<Option<ScriptRun>>>> =
-        Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-    let tasks: Vec<_> = plan
+    let mut sessions: Vec<ScriptSession> = plan
         .sessions
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            let runs = Arc::clone(&runs);
-            let statements = s.statements.clone();
-            move |conn: &mut dyn SqlConn| {
-                let run = run_script(conn, &statements);
-                runs.lock().unwrap()[i] = Some(run);
-            }
+            ScriptSession::open(&db, session_levels.get(i).copied().flatten(), &s.statements)
         })
         .collect();
-    let conns = (0..n)
-        .map(|i| {
-            let mut conn = db.connect();
-            if let Some(l) = session_levels.get(i).copied().flatten() {
-                conn.set_isolation(l);
-            }
-            conn
-        })
-        .collect();
+    let schedule = interleave(&mut sessions, plan);
+    // Sessions close before the tables are digested: a transaction a
+    // script left open is rolled back, not left pending.
+    let runs: Vec<ScriptRun> = sessions.into_iter().map(ScriptSession::close).collect();
 
-    let mut schedule_break: Option<String> = None;
-    run_deterministic_on(conns, tasks, |stepper: &mut Stepper| {
-        // Seed prefix: up to and including o1.
-        for _ in 0..plan.seed_prefix {
-            match stepper.step(0) {
-                StepOutcome::Executed => {}
-                StepOutcome::Finished => break,
-                StepOutcome::Blocked => {
-                    schedule_break =
-                        Some("lock wait: seed session blocked inside its prefix".to_string());
-                    return;
-                }
-            }
-        }
-        // Every hop instance, in cycle order, in full.
-        for (i, session) in plan.sessions.iter().enumerate().skip(1) {
-            if let Err(reason) = step_to_completion(stepper, i, &session.api) {
-                schedule_break = Some(reason);
-                return;
-            }
-        }
-        // Seed remainder.
-        if let Err(reason) = step_to_completion(stepper, 0, &plan.sessions[0].api) {
-            schedule_break = Some(reason);
-        }
-    });
-
-    let runs = Arc::try_unwrap(runs)
-        .expect("session tasks joined")
-        .into_inner()
-        .unwrap();
-    let verdict = if let Some(reason) = schedule_break {
+    let verdict = if let Err(reason) = schedule {
         Verdict::Blocked(reason)
     } else if let Some((i, class)) = runs
         .iter()
         .enumerate()
-        .find_map(|(i, r)| r.as_ref().and_then(|r| r.aborted).map(|class| (i, class)))
+        .find_map(|(i, r)| r.aborted.map(|class| (i, class)))
     {
         Verdict::Blocked(format!(
             "abort: session {i} ({}) rolled back ({class})",
@@ -361,10 +397,7 @@ fn execute_plan(
         ))
     } else {
         let digest = Digest {
-            sessions: runs
-                .into_iter()
-                .map(|r| r.expect("every session ran").lines)
-                .collect(),
+            sessions: runs.into_iter().map(|r| r.lines).collect(),
             tables: table_digest(&db, schema),
         };
         let skey = serial_key(plan, session_levels);
@@ -443,14 +476,323 @@ pub fn replay_all(levels: &[IsolationLevel]) -> Result<ReplayReport, AuditError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acidrain_apps::endpoints::{didactic_surfaces, flexcoin_surface};
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+
+    use acidrain_apps::endpoints::flexcoin_surface;
+    use acidrain_apps::SqlConn;
     use acidrain_core::AnomalyScope;
+    use acidrain_db::Value;
+    use acidrain_sql::schema::{ColumnDef, ColumnType, TableSchema};
+    use acidrain_static::{remediate_scenario, rewrite_plan};
+
+    use crate::sched::{run_deterministic_on, Stepper};
 
     fn surface_named(name: &str) -> AppSurface {
-        didactic_surfaces()
-            .into_iter()
-            .find(|s| s.app == name)
-            .unwrap()
+        all_surfaces().into_iter().find(|s| s.app == name).unwrap()
+    }
+
+    /// Two counters at 0.
+    fn counters() -> Arc<Database> {
+        let schema = Schema::new().with_table(TableSchema::new(
+            "counter",
+            vec![
+                ColumnDef::new("id", ColumnType::Int).unique(),
+                ColumnDef::new("n", ColumnType::Int),
+            ],
+        ));
+        let db = Database::new(schema, IsolationLevel::ReadCommitted);
+        db.seed(
+            "counter",
+            vec![
+                vec![Value::Int(1), Value::Int(0)],
+                vec![Value::Int(2), Value::Int(0)],
+            ],
+        )
+        .unwrap();
+        db
+    }
+
+    fn script(statements: &[&str]) -> Vec<String> {
+        statements.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn a_blocked_statement_is_retried_verbatim_and_not_recorded() {
+        let db = counters();
+        let bump = script(&[
+            "BEGIN",
+            "UPDATE counter SET n = n + 10 WHERE id = 1",
+            "COMMIT",
+        ]);
+        let mut a = ScriptSession::open(&db, None, &bump);
+        let mut b = ScriptSession::open(&db, None, &bump);
+        assert_eq!(a.step(), StepOutcome::Executed); // BEGIN
+        assert_eq!(a.step(), StepOutcome::Executed); // UPDATE: holds the row lock
+        assert_eq!(b.step(), StepOutcome::Executed); // BEGIN
+        for _ in 0..3 {
+            assert_eq!(b.step(), StepOutcome::Blocked);
+            assert_eq!(b.next, 1, "a lock wait consumes nothing");
+            assert_eq!(b.run.lines.len(), 1, "a lock wait records nothing");
+        }
+        assert!(b.run_to_end().is_err());
+        a.run_to_end().unwrap();
+        // The same UPDATE, attempted a fifth time, now runs — once.
+        b.run_to_end().unwrap();
+        assert_eq!(b.step(), StepOutcome::Finished);
+        let (a, b) = (a.close(), b.close());
+        assert_eq!(a, b, "both scripts saw the same three outcomes");
+        assert_eq!(b.lines.len(), 3);
+        assert!(b.lines.iter().all(|l| l.starts_with("ok ")), "{b:?}");
+        assert_eq!(b.aborted, None);
+        assert_eq!(db.table_rows("counter").unwrap()[0][1], Value::Int(20));
+    }
+
+    #[test]
+    fn an_abort_class_error_ends_the_script_with_its_class() {
+        // A holds row 1 and waits for row 2; B holds row 2 and asks for
+        // row 1: B closes the cycle and is the deadlock victim.
+        let db = counters();
+        let one_then_two = script(&[
+            "BEGIN",
+            "UPDATE counter SET n = n + 1 WHERE id = 1",
+            "UPDATE counter SET n = n + 1 WHERE id = 2",
+            "COMMIT",
+        ]);
+        let two_then_one = script(&[
+            "BEGIN",
+            "UPDATE counter SET n = n + 5 WHERE id = 2",
+            "UPDATE counter SET n = n + 5 WHERE id = 1",
+            "COMMIT",
+        ]);
+        let mut a = ScriptSession::open(&db, None, &one_then_two);
+        let mut b = ScriptSession::open(&db, None, &two_then_one);
+        assert_eq!(a.step(), StepOutcome::Executed);
+        assert_eq!(a.step(), StepOutcome::Executed);
+        assert_eq!(b.step(), StepOutcome::Executed);
+        assert_eq!(b.step(), StepOutcome::Executed);
+        assert_eq!(a.step(), StepOutcome::Blocked);
+        assert_eq!(b.step(), StepOutcome::Executed, "the abort is an outcome");
+        assert_eq!(b.step(), StepOutcome::Finished, "COMMIT is never sent");
+        assert_eq!(b.next, 3);
+        a.run_to_end().unwrap();
+        let b = b.close();
+        assert_eq!(b.aborted, Some("deadlock"));
+        assert_eq!(b.lines.len(), 3);
+        assert_eq!(b.lines[2], "err deadlock");
+        assert_eq!(a.close().aborted, None);
+        let rows = db.table_rows("counter").unwrap();
+        assert_eq!((&rows[0][1], &rows[1][1]), (&Value::Int(1), &Value::Int(1)));
+    }
+
+    /// `run_script` as it was when sessions were scheduler tasks: every
+    /// statement through [`SqlConn::exec`], which under the scheduler
+    /// parks for a permit and retries through lock waits.
+    fn reference_run_script(conn: &mut dyn SqlConn, statements: &[String]) -> ScriptRun {
+        let mut lines = Vec::with_capacity(statements.len());
+        let mut aborted = None;
+        for sql in statements {
+            let result = conn.exec(sql);
+            lines.push(render_outcome(&result));
+            if let Err(e) = &result {
+                if e.aborts_transaction() {
+                    aborted = Some(error_class(e));
+                    break;
+                }
+            }
+        }
+        ScriptRun { lines, aborted }
+    }
+
+    /// The executor as it was before in-thread stepping — one thread per
+    /// session under [`crate::sched`], serial baselines on blocking
+    /// connections, no caches. The reference [`execute_plan`] is held to.
+    fn reference_execute_plan(
+        scenario: &Scenario,
+        level: IsolationLevel,
+        plan: &ReplayPlan,
+        schema: &Schema,
+        session_levels: &[Option<IsolationLevel>],
+    ) -> Verdict {
+        let n = plan.sessions.len();
+        let connect = |db: &Arc<Database>, i: usize| {
+            let mut conn = db.connect();
+            if let Some(l) = session_levels.get(i).copied().flatten() {
+                conn.set_isolation(l);
+            }
+            conn
+        };
+        let db = scenario.make_store(level);
+        run_setup(&db, &plan.setup);
+
+        let runs: Arc<Mutex<Vec<Option<ScriptRun>>>> =
+            Arc::new(Mutex::new((0..n).map(|_| None).collect()));
+        let tasks: Vec<_> = plan
+            .sessions
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let runs = Arc::clone(&runs);
+                let statements = s.statements.clone();
+                move |conn: &mut dyn SqlConn| {
+                    let run = reference_run_script(conn, &statements);
+                    runs.lock().unwrap()[i] = Some(run);
+                }
+            })
+            .collect();
+        let conns = (0..n).map(|i| connect(&db, i)).collect();
+
+        fn step_to_completion(stepper: &mut Stepper, i: usize, api: &str) -> Result<(), String> {
+            loop {
+                match stepper.step(i) {
+                    StepOutcome::Executed => {}
+                    StepOutcome::Finished => return Ok(()),
+                    StepOutcome::Blocked => {
+                        return Err(format!(
+                            "lock wait: session {i} ({api}) blocked mid-schedule"
+                        ))
+                    }
+                }
+            }
+        }
+        let mut schedule_break: Option<String> = None;
+        run_deterministic_on(conns, tasks, |stepper: &mut Stepper| {
+            for _ in 0..plan.seed_prefix {
+                match stepper.step(0) {
+                    StepOutcome::Executed => {}
+                    StepOutcome::Finished => break,
+                    StepOutcome::Blocked => {
+                        schedule_break =
+                            Some("lock wait: seed session blocked inside its prefix".to_string());
+                        return;
+                    }
+                }
+            }
+            for (i, session) in plan.sessions.iter().enumerate().skip(1) {
+                if let Err(reason) = step_to_completion(stepper, i, &session.api) {
+                    schedule_break = Some(reason);
+                    return;
+                }
+            }
+            if let Err(reason) = step_to_completion(stepper, 0, &plan.sessions[0].api) {
+                schedule_break = Some(reason);
+            }
+        });
+
+        let runs = Arc::try_unwrap(runs)
+            .expect("session tasks joined")
+            .into_inner()
+            .unwrap();
+        if let Some(reason) = schedule_break {
+            return Verdict::Blocked(reason);
+        }
+        if let Some((i, class)) = runs
+            .iter()
+            .enumerate()
+            .find_map(|(i, r)| r.as_ref().and_then(|r| r.aborted).map(|class| (i, class)))
+        {
+            return Verdict::Blocked(format!(
+                "abort: session {i} ({}) rolled back ({class})",
+                plan.sessions[i].api
+            ));
+        }
+        let digest = Digest {
+            sessions: runs
+                .into_iter()
+                .map(|r| r.expect("every session ran").lines)
+                .collect(),
+            tables: table_digest(&db, schema),
+        };
+        let serial_equivalent = permutations(n).into_iter().any(|perm| {
+            let db = scenario.make_store(level);
+            run_setup(&db, &plan.setup);
+            let mut sessions = vec![Vec::new(); n];
+            for &i in &perm {
+                let mut conn = connect(&db, i);
+                sessions[i] = reference_run_script(&mut conn, &plan.sessions[i].statements).lines;
+            }
+            let serial = Digest {
+                sessions,
+                tables: table_digest(&db, schema),
+            };
+            serial == digest
+        });
+        if serial_equivalent {
+            Verdict::Inconclusive("executed cleanly; outcome serially equivalent".to_string())
+        } else {
+            Verdict::Confirmed
+        }
+    }
+
+    #[test]
+    fn in_thread_stepping_equals_the_scheduler() {
+        // Every witness plan, and every repaired plan the adviser would
+        // replay (isolation overrides included), must get the verdict —
+        // label and reason string — that the threaded scheduler gave it.
+        let mut labels: HashSet<&'static str> = HashSet::new();
+        let mut reasons: HashSet<String> = HashSet::new();
+        let mut overridden = 0;
+        for app in [
+            "bank-figure1b",
+            "bank-transfer",
+            "ticketing",
+            "flexcoin",
+            "Oscar",
+            "Saleor",
+        ] {
+            let surface = surface_named(app);
+            for scenario in &surface.scenarios {
+                for level in [
+                    IsolationLevel::ReadCommitted,
+                    IsolationLevel::MySqlRepeatableRead,
+                    IsolationLevel::Serializable,
+                ] {
+                    let plans = plan_scenario(&surface, scenario, level).unwrap();
+                    let remedies = remediate_scenario(&surface, scenario, level).unwrap();
+                    assert_eq!(plans.plans.len(), remedies.outcomes.len());
+                    let mut caches = Caches::new();
+                    let mut seen: HashSet<String> = HashSet::new();
+                    let mut check = |plan: &ReplayPlan, levels: &[Option<IsolationLevel>]| {
+                        if !seen.insert(verdict_key(plan, levels)) {
+                            return;
+                        }
+                        let schema = &surface.schema;
+                        let stepped =
+                            execute_plan(scenario, level, plan, schema, levels, &mut caches);
+                        let scheduled =
+                            reference_execute_plan(scenario, level, plan, schema, levels);
+                        assert_eq!(
+                            stepped, scheduled,
+                            "{app}/{} @ {level:?}, overrides {levels:?}: {plan:?}",
+                            scenario.name
+                        );
+                        labels.insert(stepped.label());
+                        if let Some(detail) = stepped.detail() {
+                            // Session index and API vary; the shape does not.
+                            reasons.insert(detail.split(" session").next().unwrap().to_string());
+                        }
+                        overridden += usize::from(levels.iter().any(Option::is_some));
+                    };
+                    for (fp, outcome) in plans.plans.iter().zip(&remedies.outcomes) {
+                        let Ok(plan) = &fp.plan else { continue };
+                        check(plan, &vec![None; plan.sessions.len()]);
+                        for candidate in &outcome.candidates {
+                            if let Ok((repaired, levels)) = rewrite_plan(plan, candidate) {
+                                check(&repaired, &levels);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The comparison saw every kind of ending, not just clean runs.
+        for label in ["confirmed", "blocked", "inconclusive"] {
+            assert!(labels.contains(label), "{labels:?}");
+        }
+        for reason in ["lock wait:", "abort:"] {
+            assert!(reasons.contains(reason), "{reasons:?}");
+        }
+        assert!(overridden > 0, "no plan carried an isolation override");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! it through the PR-9 engine replayer, requiring a never-`Confirmed`
 //! verdict before a fix is recommended.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use acidrain_apps::endpoints::{all_surfaces, AppSurface, Scenario};
 use acidrain_apps::{is_transaction_control_sql, uses_transaction_control};
@@ -58,7 +58,7 @@ use crate::template::symbolize_trace;
 // Fixes.
 
 /// One atomic repair. Candidates are (possibly singleton) sets of these.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Fix {
     /// Promote every recorded statement of `api` whose statement
     /// fingerprint matches to `SELECT ... FOR UPDATE`.
@@ -250,50 +250,84 @@ fn audit_findings(
         .collect())
 }
 
-/// Whether `fixes` closes `target` without opening anything new: the
-/// target identity is gone *and* the post-fix finding set is a subset of
-/// the pre-fix one.
-fn closes(
+/// The finding identities the audit reports once `fixes` are applied, or
+/// `None` when the fix list cannot be applied or the repaired trace no
+/// longer lifts.
+fn post_fix_identities(
     log: &[LogEntry],
     schema: &Schema,
     base: &RefinementConfig,
     fixes: &[Fix],
-    target: &Identity,
-    pre: &BTreeSet<Identity>,
-) -> bool {
-    let Ok(rewritten) = apply_fixes_to_log(log, fixes) else {
-        return false;
-    };
+) -> Option<BTreeSet<Identity>> {
+    let rewritten = apply_fixes_to_log(log, fixes).ok()?;
     let config = config_with_fixes(base, fixes);
-    let Ok(post) = audit_findings(&rewritten, schema, &config) else {
-        return false;
-    };
-    let post_ids: BTreeSet<Identity> = post.iter().map(identity).collect();
-    !post_ids.contains(target) && post_ids.is_subset(pre)
+    let post = audit_findings(&rewritten, schema, &config).ok()?;
+    Some(post.iter().map(identity).collect())
 }
 
-/// Prune a closing candidate to minimality: while dropping some element
-/// still closes the finding, drop it.
-fn minimize(
-    log: &[LogEntry],
-    schema: &Schema,
-    base: &RefinementConfig,
-    mut fixes: Vec<Fix>,
-    target: &Identity,
-    pre: &BTreeSet<Identity>,
-) -> Vec<Fix> {
-    'outer: while fixes.len() > 1 {
-        for i in 0..fixes.len() {
-            let mut trial = fixes.clone();
-            trial.remove(i);
-            if closes(log, schema, base, &trial, target, pre) {
-                fixes = trial;
-                continue 'outer;
-            }
+/// The re-audits of one recorded scenario, one per distinct fix list.
+///
+/// The post-fix identity set is a function of (log, schema, base config,
+/// ordered fix list) and of nothing else — in particular not of the
+/// finding under repair — so every finding of the scenario, and every
+/// drop-one trial of [`Reaudits::minimize`], that asks about the same
+/// list shares one audit. The key is the *ordered* list because
+/// [`apply_fixes_to_log`] applies fixes in order. Lives and dies inside
+/// one [`remediate_scenario`] call.
+struct Reaudits<'a> {
+    log: &'a [LogEntry],
+    schema: &'a Schema,
+    base: &'a RefinementConfig,
+    /// The finding identities before any fix.
+    pre: BTreeSet<Identity>,
+    memo: HashMap<Vec<Fix>, Option<BTreeSet<Identity>>>,
+}
+
+impl<'a> Reaudits<'a> {
+    fn new(
+        log: &'a [LogEntry],
+        schema: &'a Schema,
+        base: &'a RefinementConfig,
+        findings: &[StaticFinding],
+    ) -> Self {
+        Reaudits {
+            log,
+            schema,
+            base,
+            pre: findings.iter().map(identity).collect(),
+            memo: HashMap::new(),
         }
-        break;
     }
-    fixes
+
+    /// Whether `fixes` closes `target` without opening anything new: the
+    /// target identity is gone *and* the post-fix finding set is a subset
+    /// of the pre-fix one.
+    fn closes(&mut self, fixes: &[Fix], target: &Identity) -> bool {
+        if !self.memo.contains_key(fixes) {
+            let post = post_fix_identities(self.log, self.schema, self.base, fixes);
+            self.memo.insert(fixes.to_vec(), post);
+        }
+        self.memo[fixes]
+            .as_ref()
+            .is_some_and(|post| !post.contains(target) && post.is_subset(&self.pre))
+    }
+
+    /// Prune a closing candidate to minimality: while dropping some
+    /// element still closes the finding, drop it.
+    fn minimize(&mut self, mut fixes: Vec<Fix>, target: &Identity) -> Vec<Fix> {
+        'outer: while fixes.len() > 1 {
+            for i in 0..fixes.len() {
+                let mut trial = fixes.clone();
+                trial.remove(i);
+                if self.closes(&trial, target) {
+                    fixes = trial;
+                    continue 'outer;
+                }
+            }
+            break;
+        }
+        fixes
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -307,15 +341,58 @@ fn stronger_levels(level: IsolationLevel) -> Vec<IsolationLevel> {
     IsolationLevel::ALL[(pos + 1).min(IsolationLevel::ALL.len())..].to_vec()
 }
 
+/// What the lattice asks of one recorded statement shape of one endpoint,
+/// worked out once per scenario instead of once per finding. One entry per
+/// distinct (endpoint, fingerprint), in log order; the first recorded
+/// statement of a shape speaks for it.
+struct StatementFacts {
+    api: String,
+    fingerprint: u64,
+    /// The statement template, when the statement is a plain `SELECT`
+    /// that [`promote_for_update`] can promote.
+    promotable: Option<String>,
+    /// Tables the statement reads or writes (empty when it does not parse).
+    tables: Vec<String>,
+}
+
+fn statement_facts(log: &[LogEntry], schema: &Schema) -> Vec<StatementFacts> {
+    let mut facts = Vec::new();
+    let mut seen: BTreeSet<(&str, u64)> = BTreeSet::new();
+    for e in log {
+        let Some(tag) = &e.api else { continue };
+        let fingerprint = statement_fingerprint(&e.sql);
+        if !seen.insert((&tag.name, fingerprint)) {
+            continue;
+        }
+        let promotable = matches!(promote_for_update(&e.sql), Ok(Some(_))).then(|| {
+            statement_template(&e.sql)
+                .map(|t| t.text)
+                .unwrap_or_else(|_| e.sql.clone())
+        });
+        let tables = parse_statement(&e.sql)
+            .map(|stmt| {
+                statement_accesses(&stmt, schema)
+                    .into_iter()
+                    .map(|a| a.table)
+                    .collect()
+            })
+            .unwrap_or_default();
+        facts.push(StatementFacts {
+            api: tag.name.clone(),
+            fingerprint,
+            promotable,
+            tables,
+        });
+    }
+    facts
+}
+
 /// A `ForUpdate` fix for a seed statement, when the recorded statement
 /// behind it is a promotable plain `SELECT`.
-fn seed_fix(log: &[LogEntry], api: &str, seed: &SeedRef) -> Option<Fix> {
-    log.iter()
-        .any(|e| {
-            entry_is(e, api)
-                && statement_fingerprint(&e.sql) == seed.fingerprint
-                && matches!(promote_for_update(&e.sql), Ok(Some(_)))
-        })
+fn seed_fix(facts: &[StatementFacts], api: &str, seed: &SeedRef) -> Option<Fix> {
+    facts
+        .iter()
+        .any(|s| s.api == api && s.fingerprint == seed.fingerprint && s.promotable.is_some())
         .then(|| Fix::ForUpdate {
             api: api.to_string(),
             fingerprint: seed.fingerprint,
@@ -325,40 +402,24 @@ fn seed_fix(log: &[LogEntry], api: &str, seed: &SeedRef) -> Option<Fix> {
 
 /// Lock-widening fixes: other promotable reads of the conflicted table
 /// anywhere in the scenario (distinct fingerprints, seeds excluded).
-fn widen_fixes(finding: &StaticFinding, log: &[LogEntry], schema: &Schema) -> Vec<Fix> {
-    let mut fixes = Vec::new();
-    let mut seen: BTreeSet<(String, u64)> = BTreeSet::new();
-    for e in log {
-        let Some(tag) = &e.api else { continue };
-        let fp = statement_fingerprint(&e.sql);
-        if fp == finding.seed.0.fingerprint || fp == finding.seed.1.fingerprint {
-            continue;
-        }
-        if !seen.insert((tag.name.clone(), fp)) {
-            continue;
-        }
-        let Ok(stmt) = parse_statement(&e.sql) else {
-            continue;
-        };
-        if !statement_accesses(&stmt, schema)
-            .iter()
-            .any(|a| a.table == finding.table)
-        {
-            continue;
-        }
-        if !matches!(promote_for_update(&e.sql), Ok(Some(_))) {
-            continue;
-        }
-        let template = statement_template(&e.sql)
-            .map(|t| t.text)
-            .unwrap_or_else(|_| e.sql.clone());
-        fixes.push(Fix::ForUpdate {
-            api: tag.name.clone(),
-            fingerprint: fp,
-            template,
-        });
-    }
-    fixes
+fn widen_fixes<'a>(
+    finding: &'a StaticFinding,
+    facts: &'a [StatementFacts],
+) -> impl Iterator<Item = Fix> + 'a {
+    facts
+        .iter()
+        .filter(|s| {
+            s.fingerprint != finding.seed.0.fingerprint
+                && s.fingerprint != finding.seed.1.fingerprint
+                && s.tables.contains(&finding.table)
+        })
+        .filter_map(|s| {
+            Some(Fix::ForUpdate {
+                api: s.api.clone(),
+                fingerprint: s.fingerprint,
+                template: s.promotable.clone()?,
+            })
+        })
 }
 
 /// The cost-ordered candidate lattice for one finding, cheapest first.
@@ -367,7 +428,7 @@ fn widen_fixes(finding: &StaticFinding, log: &[LogEntry], schema: &Schema) -> Ve
 fn candidate_lattice(
     finding: &StaticFinding,
     log: &[LogEntry],
-    schema: &Schema,
+    facts: &[StatementFacts],
     level: IsolationLevel,
 ) -> Result<Vec<Vec<Fix>>, String> {
     // Phantoms never get lock promotions: the engine's FOR UPDATE locks
@@ -376,15 +437,15 @@ fn candidate_lattice(
     let lockable = finding.pattern != AnomalyPattern::Phantom;
     let mut lock_fixes: Vec<Fix> = Vec::new();
     if lockable {
-        if let Some(f) = seed_fix(log, &finding.api, &finding.seed.0) {
+        if let Some(f) = seed_fix(facts, &finding.api, &finding.seed.0) {
             lock_fixes.push(f);
         }
-        if let Some(f) = seed_fix(log, &finding.api, &finding.seed.1) {
+        if let Some(f) = seed_fix(facts, &finding.api, &finding.seed.1) {
             if !lock_fixes.contains(&f) {
                 lock_fixes.push(f);
             }
         }
-        for f in widen_fixes(finding, log, schema) {
+        for f in widen_fixes(finding, facts) {
             if !lock_fixes.contains(&f) {
                 lock_fixes.push(f);
             }
@@ -578,24 +639,24 @@ pub fn remediate_scenario(
     let base = refinement_for(surface, level);
     let findings = audit_findings(&log, &surface.schema, &base)
         .map_err(|e| AuditError::Lift(format!("{}/{}: {e}", surface.app, scenario.name)))?;
-    let pre: BTreeSet<Identity> = findings.iter().map(identity).collect();
+    let facts = statement_facts(&log, &surface.schema);
+    let mut reaudits = Reaudits::new(&log, &surface.schema, &base, &findings);
 
     let outcomes = findings
         .iter()
         .map(|finding| {
             let target = identity(finding);
             let (candidates, tried, residual) =
-                match candidate_lattice(finding, &log, &surface.schema, level) {
+                match candidate_lattice(finding, &log, &facts, level) {
                     Err(residual) => (Vec::new(), 0, Some(residual)),
                     Ok(lattice) => {
                         let tried = lattice.len();
                         let mut closing: Vec<Vec<Fix>> = Vec::new();
                         for cand in lattice {
-                            if !closes(&log, &surface.schema, &base, &cand, &target, &pre) {
+                            if !reaudits.closes(&cand, &target) {
                                 continue;
                             }
-                            let minimal =
-                                minimize(&log, &surface.schema, &base, cand, &target, &pre);
+                            let minimal = reaudits.minimize(cand, &target);
                             if !closing.contains(&minimal) {
                                 closing.push(minimal);
                             }
@@ -1020,18 +1081,17 @@ mod tests {
         let log = scenario.record(level).unwrap();
         let base = refinement_for(&surface, level);
         let findings = audit_findings(&log, &surface.schema, &base).unwrap();
-        let pre: BTreeSet<Identity> = findings.iter().map(identity).collect();
+        let mut reaudits = Reaudits::new(&log, &surface.schema, &base, &findings);
         let remedies = remediate_scenario(&surface, scenario, level).unwrap();
         for o in &remedies.outcomes {
             let target = identity(&o.finding);
             for cand in &o.candidates {
-                assert!(closes(&log, &surface.schema, &base, cand, &target, &pre));
+                assert!(reaudits.closes(cand, &target));
                 for i in 0..cand.len() {
                     let mut trial = cand.clone();
                     trial.remove(i);
                     assert!(
-                        trial.is_empty()
-                            || !closes(&log, &surface.schema, &base, &trial, &target, &pre),
+                        trial.is_empty() || !reaudits.closes(&trial, &target),
                         "dropping {} leaves {} closing",
                         cand[i],
                         fix_set_label(&trial)
@@ -1039,6 +1099,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `closes` as it was before the memo: one re-audit per call, nothing
+    /// remembered. The reference the memoised search is held to.
+    fn reference_closes(
+        log: &[LogEntry],
+        schema: &Schema,
+        base: &RefinementConfig,
+        fixes: &[Fix],
+        target: &Identity,
+        pre: &BTreeSet<Identity>,
+    ) -> bool {
+        post_fix_identities(log, schema, base, fixes)
+            .is_some_and(|post| !post.contains(target) && post.is_subset(pre))
+    }
+
+    /// `minimize` over [`reference_closes`].
+    fn reference_minimize(
+        log: &[LogEntry],
+        schema: &Schema,
+        base: &RefinementConfig,
+        mut fixes: Vec<Fix>,
+        target: &Identity,
+        pre: &BTreeSet<Identity>,
+    ) -> Vec<Fix> {
+        'outer: while fixes.len() > 1 {
+            for i in 0..fixes.len() {
+                let mut trial = fixes.clone();
+                trial.remove(i);
+                if reference_closes(log, schema, base, &trial, target, pre) {
+                    fixes = trial;
+                    continue 'outer;
+                }
+            }
+            break;
+        }
+        fixes
+    }
+
+    #[test]
+    fn memoised_search_equals_the_unmemoised_reference() {
+        // One re-audit per distinct fix list must answer every question
+        // the per-call re-audit answered: same closing candidates, same
+        // minimal forms, same `tried`, same residual — for every finding
+        // of every scenario at the three levels `audit_corpus` sweeps.
+        let mut findings_checked = 0;
+        for surface in all_surfaces() {
+            for scenario in &surface.scenarios {
+                for level in [
+                    IsolationLevel::ReadCommitted,
+                    IsolationLevel::MySqlRepeatableRead,
+                    IsolationLevel::Serializable,
+                ] {
+                    let schema = &surface.schema;
+                    let log = scenario.record(level).unwrap();
+                    let base = refinement_for(&surface, level);
+                    let findings = audit_findings(&log, schema, &base).unwrap();
+                    let pre: BTreeSet<Identity> = findings.iter().map(identity).collect();
+                    let facts = statement_facts(&log, schema);
+                    let remedies = remediate_scenario(&surface, scenario, level).unwrap();
+                    assert_eq!(remedies.outcomes.len(), findings.len());
+                    for (finding, o) in findings.iter().zip(&remedies.outcomes) {
+                        let at = format!("{}/{} @ {level:?}", surface.app, scenario.name);
+                        assert_eq!(&o.finding, finding, "{at}");
+                        let target = identity(finding);
+                        let (closing, tried, residual) =
+                            match candidate_lattice(finding, &log, &facts, level) {
+                                Err(residual) => (Vec::new(), 0, Some(residual)),
+                                Ok(lattice) => {
+                                    let tried = lattice.len();
+                                    let mut closing: Vec<Vec<Fix>> = Vec::new();
+                                    for cand in lattice {
+                                        if !reference_closes(
+                                            &log, schema, &base, &cand, &target, &pre,
+                                        ) {
+                                            continue;
+                                        }
+                                        let minimal = reference_minimize(
+                                            &log, schema, &base, cand, &target, &pre,
+                                        );
+                                        if !closing.contains(&minimal) {
+                                            closing.push(minimal);
+                                        }
+                                    }
+                                    let residual = closing.is_empty().then(|| {
+                                        "no lattice candidate closes the finding".to_string()
+                                    });
+                                    (closing, tried, residual)
+                                }
+                            };
+                        assert_eq!(o.candidates, closing, "{at}: {finding:?}");
+                        assert_eq!(o.tried, tried, "{at}: {finding:?}");
+                        assert_eq!(o.residual, residual, "{at}: {finding:?}");
+                        findings_checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(findings_checked > 2000, "{findings_checked}");
     }
 
     #[test]

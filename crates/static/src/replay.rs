@@ -21,10 +21,10 @@
 //! interleaving — and classifies the outcome as confirmed, blocked, or
 //! inconclusive ([`Verdict`]).
 
+use std::collections::HashMap;
+
 use acidrain_apps::endpoints::{AppSurface, Scenario};
-use acidrain_core::{
-    find_by_seed, lift_trace, AbstractHistory, Analyzer, AnomalyScope, Finding, SeedKey,
-};
+use acidrain_core::{lift_trace, AbstractHistory, Analyzer, AnomalyScope, Finding, SeedKey};
 use acidrain_db::{field, IsolationLevel, Json, LogEntry};
 
 use crate::audit::{refinement_for, static_finding, AuditError, StaticFinding};
@@ -99,18 +99,24 @@ pub fn plan_scenario(
     let concrete_findings = concrete_an.analyze(&config).findings;
     let symbolized_findings = symbolized_an.analyze(&config).findings;
 
+    // Each concrete finding's key, computed once (a key costs two SQL
+    // parses); on a shared key the first finding in detector order wins.
+    let mut concrete_by_seed: HashMap<SeedKey, &Finding> = HashMap::new();
+    for f in &concrete_findings {
+        concrete_by_seed
+            .entry(SeedKey::of(concrete_an.history(), &f.witness))
+            .or_insert(f);
+    }
+
     let scripts = session_scripts(&log);
     let plans = symbolized_findings
         .iter()
         .map(|f| FindingPlan {
             finding: static_finding(&symbolized_an, f),
-            plan: build_plan(
-                concrete_an.history(),
-                &concrete_findings,
-                &SeedKey::of(symbolized_an.history(), &f.witness),
-                &log,
-                &scripts,
-            ),
+            plan: concrete_by_seed
+                .get(&SeedKey::of(symbolized_an.history(), &f.witness))
+                .ok_or_else(|| "symbolized seed has no concrete counterpart".to_string())
+                .and_then(|twin| build_plan(concrete_an.history(), twin, &log, &scripts)),
         })
         .collect();
     Ok(ScenarioPlans {
@@ -134,15 +140,13 @@ fn session_scripts(log: &[LogEntry]) -> Vec<(String, Vec<&LogEntry>)> {
     scripts
 }
 
+/// Lower the concrete finding's Lemma-4 witness onto the recorded scripts.
 fn build_plan(
     history: &AbstractHistory,
-    findings: &[Finding],
-    key: &SeedKey,
+    finding: &Finding,
     log: &[LogEntry],
     scripts: &[(String, Vec<&LogEntry>)],
 ) -> Result<ReplayPlan, String> {
-    let finding = find_by_seed(history, findings, key)
-        .ok_or("symbolized seed has no concrete counterpart".to_string())?;
     let witness = &finding.witness;
     let api_name = |node: usize| history.trace.api_calls[history.locs[node].api].name.clone();
 
