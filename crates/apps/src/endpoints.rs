@@ -7,13 +7,14 @@
 //! the detector's refinement config depends on (schema, session locking).
 //! This module is that registry.
 //!
-//! Corpus scenarios are **definitionally identical** to the dynamic
-//! harness's probe traces (`acidrain-harness::attack::probe_trace`): the
-//! same endpoints, invoked with the same arguments, under the same API
-//! tags. That identity is what makes the static report a superset of the
-//! dynamic one — both detectors lift the same trace, and the static side
-//! runs the untargeted search. `tests/static_superset.rs` pins the
-//! byte-level equality of the two recordings.
+//! Corpus scenarios and the dynamic harness's probe traces
+//! (`acidrain-harness::attack::probe_trace`) are one script,
+//! [`record_shop_on`]: the same endpoints, invoked with the same
+//! arguments, under the same API tags. That identity is what makes the
+//! static report a superset of the dynamic one — both detectors lift the
+//! same trace, and the static side runs the untargeted search.
+//! `tests/static_superset.rs` pins the byte-level equality of the two
+//! recordings.
 
 use std::sync::Arc;
 
@@ -25,7 +26,8 @@ use crate::corpus::all_apps;
 use crate::didactic::{self, Bank};
 use crate::flexcoin::Flexcoin;
 use crate::framework::{
-    observed_request, AppResult, CheckoutRequest, FeatureStatus, ShopApp, LAPTOP, PEN, VOUCHER_CODE,
+    observed_request, AppError, AppResult, CheckoutRequest, FeatureStatus, ShopApp, LAPTOP, PEN,
+    VOUCHER_CODE,
 };
 
 /// Quantity of laptops the inventory scenario adds to the cart — shared
@@ -109,47 +111,27 @@ impl std::fmt::Debug for AppSurface {
     }
 }
 
-/// The shop invariants a corpus scenario can exercise. Mirrors the
-/// harness's `Invariant` so the recordings coincide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShopScenario {
-    Voucher,
-    Inventory,
-    Cart,
-}
-
-/// One deterministic solo pass of a shop scenario. Statement-for-statement
-/// identical to the dynamic harness's `probe_trace`.
-fn record_shop(
+/// Run the shop scenario called `name` (`"voucher"`, `"inventory"` or
+/// `"cart"`) as one solo pass on `db` and return the tagged query log. The
+/// one script behind the registry's corpus recordings and the dynamic
+/// harness's probe traces; the caller owns the store, so it can arm fault
+/// injection first.
+pub fn record_shop_on(
     app: &dyn ShopApp,
-    scenario: ShopScenario,
-    isolation: IsolationLevel,
+    db: &Arc<Database>,
+    name: &str,
 ) -> AppResult<Vec<LogEntry>> {
-    app.reset_session_state();
-    let db = app.make_store(isolation);
+    let (product, qty, request) = match name {
+        "voucher" => (PEN, 1, CheckoutRequest::with_voucher(VOUCHER_CODE)),
+        "inventory" => (LAPTOP, INVENTORY_QTY, CheckoutRequest::plain()),
+        "cart" => (PEN, 1, CheckoutRequest::plain()),
+        _ => return Err(AppError::Unsupported("no shop scenario of that name")),
+    };
     let mut conn = db.connect();
-    match scenario {
-        ShopScenario::Voucher => {
-            conn.set_api("add_to_cart", 0);
-            observed_request(&mut conn, |c| app.add_to_cart(c, 1, PEN, 1))?;
-            conn.set_api("checkout", 0);
-            observed_request(&mut conn, |c| {
-                app.checkout(c, 1, &CheckoutRequest::with_voucher(VOUCHER_CODE))
-            })?;
-        }
-        ShopScenario::Inventory => {
-            conn.set_api("add_to_cart", 0);
-            observed_request(&mut conn, |c| app.add_to_cart(c, 1, LAPTOP, INVENTORY_QTY))?;
-            conn.set_api("checkout", 0);
-            observed_request(&mut conn, |c| app.checkout(c, 1, &CheckoutRequest::plain()))?;
-        }
-        ShopScenario::Cart => {
-            conn.set_api("add_to_cart", 0);
-            observed_request(&mut conn, |c| app.add_to_cart(c, 1, PEN, 1))?;
-            conn.set_api("checkout", 0);
-            observed_request(&mut conn, |c| app.checkout(c, 1, &CheckoutRequest::plain()))?;
-        }
-    }
+    conn.set_api("add_to_cart", 0);
+    observed_request(&mut conn, |c| app.add_to_cart(c, 1, product, qty))?;
+    conn.set_api("checkout", 0);
+    observed_request(&mut conn, |c| app.checkout(c, 1, &request))?;
     drop(conn);
     Ok(db.log_entries())
 }
@@ -163,14 +145,10 @@ pub fn corpus_surfaces() -> Vec<AppSurface> {
         .map(|app| {
             let app: Arc<dyn ShopApp + Send + Sync> = Arc::from(app);
             let mut scenarios = Vec::new();
-            for (scenario, name, support) in [
-                (ShopScenario::Voucher, "voucher", app.voucher_support()),
-                (
-                    ShopScenario::Inventory,
-                    "inventory",
-                    app.inventory_support(),
-                ),
-                (ShopScenario::Cart, "cart", app.cart_support()),
+            for (name, support) in [
+                ("voucher", app.voucher_support()),
+                ("inventory", app.inventory_support()),
+                ("cart", app.cart_support()),
             ] {
                 if support != FeatureStatus::Supported {
                     continue;
@@ -184,7 +162,10 @@ pub fn corpus_surfaces() -> Vec<AppSurface> {
                         store_app.reset_session_state();
                         store_app.make_store(iso)
                     },
-                    move |iso| record_shop(&*app, scenario, iso),
+                    move |iso| {
+                        app.reset_session_state();
+                        record_shop_on(&*app, &app.make_store(iso), name)
+                    },
                 ));
             }
             AppSurface {

@@ -48,9 +48,7 @@ pub use framework::{
     SqlConn, StockModel,
 };
 pub use invariants::{check_cart, check_inventory, check_voucher, Violation};
-pub use repair::{
-    can_repair, is_transaction_control_sql, uses_transaction_control, Repair, Repaired,
-};
+pub use repair::{can_repair, is_transaction_control_sql, Repair, Repaired};
 pub use retry::{RetryConfig, RetryConn, RetryPolicy, RetryStats};
 
 /// Convenient glob-import surface.

@@ -20,17 +20,17 @@
 use acidrain_apps::endpoints::{all_surfaces, AppSurface};
 use acidrain_db::{IsolationLevel, Obs};
 use acidrain_static::{
-    plan_scenario, remediate_scenario, rewrite_plan, AppRemedies, AuditError, LevelRemedies,
-    RemedyReport, ScenarioPlans, ScenarioRemedies, Verdict,
+    rewrite_plan, sweep_surface, AppRemedies, AuditError, LevelRemedies, RemedyReport,
+    ScenarioPlans, ScenarioRemedies, Verdict,
 };
 
 use crate::replay::{execute_replay_plan, ReplayCaches};
 
 /// Remedies and plans are paired by position: both list the scenario's
-/// static findings in detector order, from two recordings of it. Pairing
-/// lists that disagree would attach witnesses to the wrong findings and
-/// still print a report, so disagreement — in length or in any paired
-/// finding — is an error, in release builds too.
+/// static findings in detector order. Pairing lists that disagree would
+/// attach witnesses to the wrong findings and still print a report, so
+/// disagreement — in length or in any paired finding — is an error, in
+/// release builds too.
 fn check_paired(
     app: &str,
     remedies: &ScenarioRemedies,
@@ -61,80 +61,79 @@ pub fn advise_surface(
     levels: &[IsolationLevel],
     obs: &Obs,
 ) -> Result<AppRemedies, AuditError> {
-    let mut level_remedies = Vec::with_capacity(levels.len());
-    for &level in levels {
-        let mut scenarios = Vec::with_capacity(surface.scenarios.len());
-        for scenario in &surface.scenarios {
-            let mut remedies = remediate_scenario(surface, scenario, level)?;
-            let plans = plan_scenario(surface, scenario, level)?;
-            check_paired(&surface.app, &remedies, &plans)?;
-            let mut caches = ReplayCaches::new();
-            for (outcome, fp) in remedies.outcomes.iter_mut().zip(&plans.plans) {
-                obs.repair_candidates(outcome.tried as u64);
-                obs.repair_closures(outcome.candidates.len() as u64);
-                if outcome.candidates.is_empty() {
+    let levels = sweep_surface(surface, levels, |analysis| {
+        let (scenario, level) = (analysis.scenario(), analysis.level());
+        let mut remedies = analysis.remedies();
+        let plans = analysis.plans()?;
+        check_paired(&surface.app, &remedies, &plans)?;
+        let mut caches = ReplayCaches::default();
+        for (outcome, fp) in remedies.outcomes.iter_mut().zip(&plans.plans) {
+            obs.repair_candidates(outcome.tried as u64);
+            obs.repair_closures(outcome.candidates.len() as u64);
+            if outcome.candidates.is_empty() {
+                continue;
+            }
+            let plan = match &fp.plan {
+                Ok(plan) => plan,
+                Err(reason) => {
+                    // No executable witness to disprove: recommend the
+                    // cheapest static closure, flagged as unreplayed.
+                    outcome.chosen = Some(0);
+                    outcome.verdict = Some(Verdict::Inconclusive(format!(
+                        "witness not replayable: {reason}"
+                    )));
                     continue;
                 }
-                let plan = match &fp.plan {
-                    Ok(plan) => plan,
-                    Err(reason) => {
-                        // No executable witness to disprove: recommend the
-                        // cheapest static closure, flagged as unreplayed.
-                        outcome.chosen = Some(0);
-                        outcome.verdict = Some(Verdict::Inconclusive(format!(
-                            "witness not replayable: {reason}"
-                        )));
-                        continue;
-                    }
+            };
+            let mut fallback: Option<(usize, Verdict)> = None;
+            for (ci, candidate) in outcome.candidates.iter().enumerate() {
+                let (repaired, session_levels) = match rewrite_plan(plan, candidate) {
+                    Ok(r) => r,
+                    Err(_) => continue,
                 };
-                let mut fallback: Option<(usize, Verdict)> = None;
-                for (ci, candidate) in outcome.candidates.iter().enumerate() {
-                    let (repaired, session_levels) = match rewrite_plan(plan, candidate) {
-                        Ok(r) => r,
-                        Err(_) => continue,
-                    };
-                    obs.repair_replay();
-                    let verdict = execute_replay_plan(
-                        scenario,
-                        level,
-                        &repaired,
-                        &surface.schema,
-                        &session_levels,
-                        &mut caches,
-                    );
-                    if verdict != Verdict::Confirmed {
+                obs.repair_replay();
+                let verdict = execute_replay_plan(
+                    scenario,
+                    level,
+                    &repaired,
+                    &surface.schema,
+                    &session_levels,
+                    &mut caches,
+                );
+                if verdict != Verdict::Confirmed {
+                    outcome.chosen = Some(ci);
+                    outcome.verdict = Some(verdict);
+                    break;
+                }
+                if fallback.is_none() {
+                    fallback = Some((ci, verdict));
+                }
+            }
+            if outcome.chosen.is_none() {
+                match fallback {
+                    // Every lowerable candidate still confirmed: report
+                    // the cheapest one so the disagreement is visible.
+                    Some((ci, verdict)) => {
                         outcome.chosen = Some(ci);
                         outcome.verdict = Some(verdict);
-                        break;
                     }
-                    if fallback.is_none() {
-                        fallback = Some((ci, verdict));
-                    }
-                }
-                if outcome.chosen.is_none() {
-                    match fallback {
-                        // Every lowerable candidate still confirmed: report
-                        // the cheapest one so the disagreement is visible.
-                        Some((ci, verdict)) => {
-                            outcome.chosen = Some(ci);
-                            outcome.verdict = Some(verdict);
-                        }
-                        None => {
-                            outcome.chosen = Some(0);
-                            outcome.verdict = Some(Verdict::Inconclusive(
-                                "no candidate could be lowered onto the witness plan".to_string(),
-                            ));
-                        }
+                    None => {
+                        outcome.chosen = Some(0);
+                        outcome.verdict = Some(Verdict::Inconclusive(
+                            "no candidate could be lowered onto the witness plan".to_string(),
+                        ));
                     }
                 }
             }
-            scenarios.push(remedies);
         }
-        level_remedies.push(LevelRemedies { level, scenarios });
-    }
+        Ok(remedies)
+    })?
+    .into_iter()
+    .map(|(level, scenarios)| LevelRemedies { level, scenarios })
+    .collect();
     Ok(AppRemedies {
         app: surface.app.clone(),
-        levels: level_remedies,
+        levels,
     })
 }
 
@@ -152,6 +151,7 @@ mod tests {
     use super::*;
     use acidrain_apps::endpoints::{booking_surfaces, didactic_surfaces, flexcoin_surface};
     use acidrain_core::AnomalyScope;
+    use acidrain_static::{plan_scenario, remediate_scenario};
 
     fn surface_named(name: &str) -> AppSurface {
         didactic_surfaces()

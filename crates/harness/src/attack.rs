@@ -5,10 +5,12 @@
 
 use std::sync::Arc;
 
+use acidrain_apps::endpoints::record_shop_on;
 use acidrain_apps::observed_request;
 use acidrain_apps::prelude::*;
 use acidrain_core::{Analyzer, ColumnTarget};
 use acidrain_db::{Database, FaultConfig, FaultStats, IsolationLevel, LogEntry};
+use acidrain_static::refinement_at;
 
 use crate::sched::{run_deterministic, Stepper};
 
@@ -73,8 +75,8 @@ impl std::fmt::Display for Invariant {
 
 /// Quantity of laptops per cart in the inventory attack: two checkouts of
 /// 3 each against a stock of 5 — individually fine, jointly overselling.
-/// Shared with the endpoint registry so the static audit records the same
-/// probe trace this module replays.
+/// Shared with the endpoint registry, whose recording script is the probe
+/// trace this module replays.
 use acidrain_apps::endpoints::INVENTORY_QTY;
 
 /// Run the scripted penetration-test session for `invariant` against a
@@ -93,37 +95,14 @@ pub fn probe_trace(
 
 /// [`probe_trace`] against a caller-provided store — the caller controls
 /// the store's fault configuration and can inspect its [`FaultStats`]
-/// after a failed probe.
+/// after a failed probe. The script is the endpoint registry's
+/// ([`record_shop_on`]), so the static audit records this same trace.
 pub fn probe_trace_on(
     app: &dyn ShopApp,
     db: &Arc<Database>,
     invariant: Invariant,
 ) -> AppResult<Vec<LogEntry>> {
-    let mut conn = db.connect();
-    match invariant {
-        Invariant::Voucher => {
-            conn.set_api("add_to_cart", 0);
-            observed_request(&mut conn, |c| app.add_to_cart(c, 1, PEN, 1))?;
-            conn.set_api("checkout", 0);
-            observed_request(&mut conn, |c| {
-                app.checkout(c, 1, &CheckoutRequest::with_voucher(VOUCHER_CODE))
-            })?;
-        }
-        Invariant::Inventory => {
-            conn.set_api("add_to_cart", 0);
-            observed_request(&mut conn, |c| app.add_to_cart(c, 1, LAPTOP, INVENTORY_QTY))?;
-            conn.set_api("checkout", 0);
-            observed_request(&mut conn, |c| app.checkout(c, 1, &CheckoutRequest::plain()))?;
-        }
-        Invariant::Cart => {
-            conn.set_api("add_to_cart", 0);
-            observed_request(&mut conn, |c| app.add_to_cart(c, 1, PEN, 1))?;
-            conn.set_api("checkout", 0);
-            observed_request(&mut conn, |c| app.checkout(c, 1, &CheckoutRequest::plain()))?;
-        }
-    }
-    drop(conn);
-    Ok(db.log_entries())
+    record_shop_on(app, db, &invariant.to_string())
 }
 
 /// Locate `seq` in the probe log: which API invocation it belongs to and
@@ -403,13 +382,7 @@ pub fn try_audit_cell(
         error: e.to_string(),
         fault_stats,
     })?;
-    let mut config = acidrain_core::RefinementConfig::at_isolation(isolation);
-    if app.session_locked() {
-        config = config.with_session_locking(
-            ["add_to_cart".to_string(), "checkout".to_string()],
-            ["cart_items".to_string()],
-        );
-    }
+    let config = refinement_at(isolation, app.session_locked());
     let report = analyzer.analyze_targeted(&config, &invariant.targets());
     let witnesses = report.findings.len();
 

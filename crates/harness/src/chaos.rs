@@ -19,8 +19,8 @@ use acidrain_apps::prelude::*;
 use acidrain_apps::{observed_request, AppError, RetryConfig, RetryConn, RetryPolicy, RetryStats};
 use acidrain_core::{Analyzer, RefinementConfig};
 use acidrain_db::{
-    Database, DbError, FaultConfig, FaultStats, IsolationLevel, MetricsReport, RecoveryInfo,
-    StmtOutcome, WalConfig,
+    Database, DbError, FaultConfig, FaultStats, IsolationLevel, LogEntry, MetricsReport,
+    RecoveryInfo, StmtOutcome, WalConfig,
 };
 use rand::prelude::*;
 
@@ -126,6 +126,34 @@ impl ChaosReport {
 pub(crate) enum Request {
     AddToCart { product: i64, qty: i64 },
     Checkout,
+}
+
+impl Request {
+    /// Issue the request for `cart` on `conn`, tagged as the invocation of
+    /// its API that `number` hands out for slot 0 (`add_to_cart`) or 1
+    /// (`checkout`). Invocation numbers are global per API name: lifting
+    /// groups log entries by `name#invocation` (not by session), so
+    /// per-session numbering would fuse different sessions' requests into
+    /// one node.
+    pub(crate) fn dispatch<C: SqlConn>(
+        self,
+        app: &dyn ShopApp,
+        conn: &mut C,
+        cart: i64,
+        number: impl FnOnce(usize) -> u64,
+    ) -> AppResult<()> {
+        match self {
+            Request::AddToCart { product, qty } => {
+                conn.set_api("add_to_cart", number(0));
+                observed_request(conn, |c| app.add_to_cart(c, cart, product, qty))
+            }
+            Request::Checkout => {
+                conn.set_api("checkout", number(1));
+                observed_request(conn, |c| app.checkout(c, cart, &CheckoutRequest::plain()))
+                    .map(|_| ())
+            }
+        }
+    }
 }
 
 /// The per-session request script: a cart add followed by a plain
@@ -250,9 +278,6 @@ fn run_chaos_core(
     let mut committed = 0;
     let mut rejected = 0;
     let mut failed = 0;
-    // Invocation numbers are global per API name: lifting groups log
-    // entries by `name#invocation` (not by session), so per-session
-    // numbering would fuse different sessions' requests into one node.
     let mut invocations = [0u64; 2];
     for s in order {
         // A dead WAL is the simulated kill -9: nothing runs after it.
@@ -260,21 +285,11 @@ fn run_chaos_core(
             break;
         }
         let request = scripts[s].next().expect("script length matches order");
-        let conn = &mut conns[s];
-        let cart = s as i64 + 1;
-        let result = match request {
-            Request::AddToCart { product, qty } => {
-                conn.set_api("add_to_cart", invocations[0]);
-                invocations[0] += 1;
-                observed_request(conn, |c| app.add_to_cart(c, cart, product, qty)).map(|_| ())
-            }
-            Request::Checkout => {
-                conn.set_api("checkout", invocations[1]);
-                invocations[1] += 1;
-                observed_request(conn, |c| app.checkout(c, cart, &CheckoutRequest::plain()))
-                    .map(|_| ())
-            }
-        };
+        let result = request.dispatch(app, &mut conns[s], s as i64 + 1, |slot| {
+            let number = invocations[slot];
+            invocations[slot] += 1;
+            number
+        });
         match result {
             Ok(()) => committed += 1,
             Err(AppError::Rejected(_)) => rejected += 1,
@@ -298,30 +313,8 @@ fn run_chaos_core(
         .iter()
         .filter(|e| e.outcome == StmtOutcome::Aborted)
         .count();
-    // The chaos log contains aborted and retried sequences; lifting must
-    // handle them (discarding aborted work) for the witness count to be
-    // meaningful.
-    // Targeted analysis (the paper's §4.2.3 filtered mode): restrict the
-    // cycle search to the invariants' columns. The unfiltered search is
-    // quadratic in the chaos trace's many distinct abort-shaped API
-    // patterns; the targeted one stays tractable and is the witness set
-    // that matters for the invariants the report carries.
-    let targets: Vec<_> = Invariant::ALL
-        .into_iter()
-        .flat_map(|inv| inv.targets())
-        .collect();
-    let witnesses = Analyzer::from_log(&log, &app.schema())
-        .map(|a| {
-            a.analyze_targeted(&RefinementConfig::at_isolation(config.isolation), &targets)
-                .finding_count()
-        })
-        .unwrap_or(0);
-
-    let invariant_results = Invariant::ALL
-        .into_iter()
-        .filter(|inv| inv.feature(app) == FeatureStatus::Supported)
-        .map(|inv| (inv, inv.check(&db, app).err()))
-        .collect();
+    let witnesses = targeted_witnesses(&log, app, config.isolation);
+    let invariant_results = supported_invariants(&db, app);
 
     let report = ChaosReport {
         committed,
@@ -336,6 +329,43 @@ fn run_chaos_core(
         crashed: db.wal_crashed(),
     };
     (report, db.metrics_report())
+}
+
+/// 2AD witnesses in a run's query log at `isolation`, by the targeted
+/// analysis (the paper's §4.2.3 filtered mode): the cycle search is
+/// restricted to the invariants' columns. The unfiltered search is
+/// quadratic in a chaos trace's many distinct abort-shaped API patterns;
+/// the targeted one stays tractable and is the witness set that matters
+/// for the invariants a report carries. The log contains aborted and
+/// retried sequences; lifting discards the aborted work. A log that does
+/// not lift counts no witnesses.
+pub(crate) fn targeted_witnesses(
+    log: &[LogEntry],
+    app: &dyn ShopApp,
+    isolation: IsolationLevel,
+) -> usize {
+    let targets: Vec<_> = Invariant::ALL
+        .into_iter()
+        .flat_map(|inv| inv.targets())
+        .collect();
+    Analyzer::from_log(log, &app.schema())
+        .map(|a| {
+            a.analyze_targeted(&RefinementConfig::at_isolation(isolation), &targets)
+                .finding_count()
+        })
+        .unwrap_or(0)
+}
+
+/// Each invariant `app` supports, checked over `db`'s committed state.
+pub(crate) fn supported_invariants(
+    db: &Arc<Database>,
+    app: &dyn ShopApp,
+) -> Vec<(Invariant, Option<Violation>)> {
+    Invariant::ALL
+        .into_iter()
+        .filter(|inv| inv.feature(app) == FeatureStatus::Supported)
+        .map(|inv| (inv, inv.check(db, app).err()))
+        .collect()
 }
 
 /// Rebuild `app`'s store (same schema, same seeded fixtures) and recover

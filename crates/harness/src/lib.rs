@@ -30,6 +30,6 @@ pub use chaos::{
 };
 pub use explore::{exhaustive, randomized, Exploration, Scenario};
 pub use netchaos::{flaky_client_campaign, run_net_chaos, NetChaosConfig, NetChaosReport};
-pub use replay::{execute_replay_plan, replay_all, replay_surface, ReplayCaches};
+pub use replay::{execute_replay_plan, replay_surface, ReplayCaches};
 pub use sched::{run_deterministic, run_deterministic_on, GatedConn, StepOutcome, Stepper};
 pub use stress::{run_concurrent, run_concurrent_watchdog, DelayConn, TaskOutcome};

@@ -17,13 +17,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use acidrain_apps::prelude::*;
-use acidrain_apps::{observed_request, AppError, RetryConfig, RetryConn, RetryPolicy};
-use acidrain_core::{Analyzer, RefinementConfig};
+use acidrain_apps::{AppError, RetryConfig, RetryConn, RetryPolicy};
 use acidrain_db::{DbError, FaultConfig, FaultStats, IsolationLevel, MetricsReport};
 use acidrain_net::{RemoteConn, Server, ServerConfig};
 
 use crate::attack::Invariant;
-use crate::chaos::{session_script, Request};
+use crate::chaos::{session_script, supported_invariants, targeted_witnesses};
 
 /// Configuration for one socket-driven chaos run.
 #[derive(Debug, Clone)]
@@ -135,8 +134,8 @@ pub fn run_net_chaos(app: &(dyn ShopApp + Sync), config: &NetChaosConfig) -> Net
     let handle = Server::start(Arc::clone(&db), config.server.clone()).expect("start chaos server");
     let addr = handle.addr();
 
-    // Invocation numbers are global per API name (lifting groups log
-    // entries by `name#invocation`), shared across the client threads.
+    // Invocation numbers are global per API name, shared across the
+    // client threads.
     let invocations: Arc<[AtomicU64; 2]> = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
 
     let results: Vec<[usize; 5]> = std::thread::scope(|scope| {
@@ -182,26 +181,9 @@ pub fn run_net_chaos(app: &(dyn ShopApp + Sync), config: &NetChaosConfig) -> Net
                         counts[3] += 1;
                         conn = connect();
                     }
-                    let result = match request {
-                        Request::AddToCart { product, qty } => {
-                            conn.set_api(
-                                "add_to_cart",
-                                invocations[0].fetch_add(1, Ordering::Relaxed),
-                            );
-                            observed_request(&mut conn, |c| app.add_to_cart(c, cart, product, qty))
-                                .map(|_| ())
-                        }
-                        Request::Checkout => {
-                            conn.set_api(
-                                "checkout",
-                                invocations[1].fetch_add(1, Ordering::Relaxed),
-                            );
-                            observed_request(&mut conn, |c| {
-                                app.checkout(c, cart, &CheckoutRequest::plain())
-                            })
-                            .map(|_| ())
-                        }
-                    };
+                    let result = request.dispatch(app, &mut conn, cart, |slot| {
+                        invocations[slot].fetch_add(1, Ordering::Relaxed)
+                    });
                     match result {
                         Ok(()) => counts[0] += 1,
                         Err(AppError::Rejected(_)) | Err(AppError::Unsupported(_)) => {
@@ -240,23 +222,6 @@ pub fn run_net_chaos(app: &(dyn ShopApp + Sync), config: &NetChaosConfig) -> Net
         }
     }
 
-    let log = db.log_entries();
-    let targets: Vec<_> = Invariant::ALL
-        .into_iter()
-        .flat_map(|inv| inv.targets())
-        .collect();
-    let witnesses = Analyzer::from_log(&log, &app.schema())
-        .map(|a| {
-            a.analyze_targeted(&RefinementConfig::at_isolation(config.isolation), &targets)
-                .finding_count()
-        })
-        .unwrap_or(0);
-    let invariant_results = Invariant::ALL
-        .into_iter()
-        .filter(|inv| inv.feature(app) == FeatureStatus::Supported)
-        .map(|inv| (inv, inv.check(&db, app).err()))
-        .collect();
-
     NetChaosReport {
         committed: totals[0],
         rejected: totals[1],
@@ -264,8 +229,8 @@ pub fn run_net_chaos(app: &(dyn ShopApp + Sync), config: &NetChaosConfig) -> Net
         injected_disconnects: totals[3],
         protocol_errors: totals[4],
         fault_stats: db.fault_stats(),
-        invariant_results,
-        witnesses,
+        invariant_results: supported_invariants(&db, app),
+        witnesses: targeted_witnesses(&db.log_entries(), app, config.isolation),
         leaked_transactions: db.active_transactions(),
         leaked_locks: db.locked_resources(),
         leaked_snapshot_pins: db.pinned_snapshots(),
@@ -273,10 +238,9 @@ pub fn run_net_chaos(app: &(dyn ShopApp + Sync), config: &NetChaosConfig) -> Net
     }
 }
 
-/// Convenience used by tests and examples: the store the run served,
-/// rebuilt for post-mortem queries, is not returned — the interesting
-/// state is all in the report. This helper just names the default flaky-
-/// client campaign.
+/// The default flaky-client campaign: [`run_net_chaos`] with every third
+/// request abandoning its socket mid-transaction and a 5 % injected
+/// deadlock rate.
 pub fn flaky_client_campaign(app: &(dyn ShopApp + Sync), seed: u64) -> NetChaosReport {
     run_net_chaos(
         app,

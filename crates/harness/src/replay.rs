@@ -34,12 +34,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use acidrain_apps::endpoints::{all_surfaces, AppSurface, Scenario};
+use acidrain_apps::endpoints::{AppSurface, Scenario};
 use acidrain_db::{Connection, Database, DbError, IsolationLevel, ResultSet};
 use acidrain_sql::schema::Schema;
 use acidrain_static::{
-    plan_scenario, AppReplay, AuditError, LevelReplay, ReplayOutcome, ReplayPlan, ReplayReport,
-    ScenarioReplay, Verdict,
+    sweep_surface, AppReplay, AuditError, LevelReplay, ReplayOutcome, ReplayPlan, ScenarioReplay,
+    Verdict,
 };
 
 use crate::sched::StepOutcome;
@@ -288,40 +288,15 @@ fn interleave(sessions: &mut [ScriptSession], plan: &ReplayPlan) -> Result<(), S
     Ok(())
 }
 
-/// Per-scenario-per-level execution caches. Findings overwhelmingly share
-/// plans (same seed split, same hop APIs), and distinct plans share serial
-/// baselines, so both layers are keyed by plan content (including any
-/// per-session isolation overrides).
-struct Caches {
+/// Execution caches for repeated plan replays, one per scenario × level
+/// (plans from different stores must not share entries). Findings
+/// overwhelmingly share plans (same seed split, same hop APIs), and
+/// distinct plans share serial baselines, so both layers are keyed by plan
+/// content (including any per-session isolation overrides).
+#[derive(Default)]
+pub struct ReplayCaches {
     verdicts: HashMap<String, Verdict>,
     serial: HashMap<String, Vec<Digest>>,
-}
-
-impl Caches {
-    fn new() -> Self {
-        Caches {
-            verdicts: HashMap::new(),
-            serial: HashMap::new(),
-        }
-    }
-}
-
-/// Opaque execution caches for repeated plan replays (one per
-/// scenario × level is the intended granularity — plans from different
-/// stores must not share entries).
-pub struct ReplayCaches(Caches);
-
-impl ReplayCaches {
-    /// Fresh, empty caches.
-    pub fn new() -> Self {
-        ReplayCaches(Caches::new())
-    }
-}
-
-impl Default for ReplayCaches {
-    fn default() -> Self {
-        ReplayCaches::new()
-    }
 }
 
 fn serial_key(plan: &ReplayPlan, session_levels: &[Option<IsolationLevel>]) -> String {
@@ -332,10 +307,11 @@ fn verdict_key(plan: &ReplayPlan, session_levels: &[Option<IsolationLevel>]) -> 
     format!("{}|{}", plan.seed_prefix, serial_key(plan, session_levels))
 }
 
-/// Execute one replay plan against a fresh store and classify the
-/// outcome. Public entry point for drivers beyond the witness replayer
-/// (the repair adviser replays *repaired* plans through the same oracle,
-/// with per-session isolation overrides).
+/// Execute one plan against a fresh store — the Lemma-4 interleaving (seed
+/// prefix, each hop in full, seed remainder) — and classify its digest
+/// against the serial oracle. The witness replayer runs plans as recorded;
+/// the repair adviser runs *repaired* plans through the same oracle, with
+/// per-session isolation overrides in `session_levels`.
 pub fn execute_replay_plan(
     scenario: &Scenario,
     level: IsolationLevel,
@@ -343,19 +319,6 @@ pub fn execute_replay_plan(
     schema: &Schema,
     session_levels: &[Option<IsolationLevel>],
     caches: &mut ReplayCaches,
-) -> Verdict {
-    execute_plan(scenario, level, plan, schema, session_levels, &mut caches.0)
-}
-
-/// Execute one plan: the Lemma-4 interleaving (seed prefix, each hop in
-/// full, seed remainder), digested and compared against the serial oracle.
-fn execute_plan(
-    scenario: &Scenario,
-    level: IsolationLevel,
-    plan: &ReplayPlan,
-    schema: &Schema,
-    session_levels: &[Option<IsolationLevel>],
-    caches: &mut Caches,
 ) -> Verdict {
     let n = plan.sessions.len();
     if n > MAX_SESSIONS {
@@ -420,57 +383,42 @@ pub fn replay_surface(
     surface: &AppSurface,
     levels: &[IsolationLevel],
 ) -> Result<AppReplay, AuditError> {
-    let mut level_replays = Vec::with_capacity(levels.len());
-    for &level in levels {
-        let mut scenarios = Vec::with_capacity(surface.scenarios.len());
-        for scenario in &surface.scenarios {
-            let plans = plan_scenario(surface, scenario, level)?;
-            let mut caches = Caches::new();
-            let outcomes = plans
-                .plans
-                .into_iter()
-                .map(|fp| {
-                    let verdict = match &fp.plan {
-                        Err(reason) => Verdict::Inconclusive(reason.clone()),
-                        Ok(plan) => {
-                            let no_overrides = vec![None; plan.sessions.len()];
-                            execute_plan(
-                                scenario,
-                                level,
-                                plan,
-                                &surface.schema,
-                                &no_overrides,
-                                &mut caches,
-                            )
-                        }
-                    };
-                    ReplayOutcome {
-                        finding: fp.finding,
-                        verdict,
-                    }
-                })
-                .collect();
-            scenarios.push(ScenarioReplay {
-                scenario: plans.scenario,
-                outcomes,
-            });
-        }
-        level_replays.push(LevelReplay { level, scenarios });
-    }
+    let levels = sweep_surface(surface, levels, |analysis| {
+        let plans = analysis.plans()?;
+        let mut caches = ReplayCaches::default();
+        let outcomes = plans
+            .plans
+            .into_iter()
+            .map(|fp| {
+                let verdict = match &fp.plan {
+                    Err(reason) => Verdict::Inconclusive(reason.clone()),
+                    Ok(plan) => execute_replay_plan(
+                        analysis.scenario(),
+                        analysis.level(),
+                        plan,
+                        &surface.schema,
+                        &vec![None; plan.sessions.len()],
+                        &mut caches,
+                    ),
+                };
+                ReplayOutcome {
+                    finding: fp.finding,
+                    verdict,
+                }
+            })
+            .collect();
+        Ok(ScenarioReplay {
+            scenario: plans.scenario,
+            outcomes,
+        })
+    })?
+    .into_iter()
+    .map(|(level, scenarios)| LevelReplay { level, scenarios })
+    .collect();
     Ok(AppReplay {
         app: surface.app.clone(),
-        levels: level_replays,
+        levels,
     })
-}
-
-/// Replay the whole registry (corpus, didactic apps, Flexcoin) at each of
-/// `levels`.
-pub fn replay_all(levels: &[IsolationLevel]) -> Result<ReplayReport, AuditError> {
-    let apps = all_surfaces()
-        .iter()
-        .map(|s| replay_surface(s, levels))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ReplayReport { apps })
 }
 
 #[cfg(test)]
@@ -479,12 +427,12 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Mutex;
 
-    use acidrain_apps::endpoints::flexcoin_surface;
+    use acidrain_apps::endpoints::{all_surfaces, flexcoin_surface};
     use acidrain_apps::SqlConn;
     use acidrain_core::AnomalyScope;
     use acidrain_db::Value;
     use acidrain_sql::schema::{ColumnDef, ColumnType, TableSchema};
-    use acidrain_static::{remediate_scenario, rewrite_plan};
+    use acidrain_static::{plan_scenario, remediate_scenario, rewrite_plan, ReplayReport};
 
     use crate::sched::{run_deterministic_on, Stepper};
 
@@ -606,7 +554,7 @@ mod tests {
 
     /// The executor as it was before in-thread stepping — one thread per
     /// session under [`crate::sched`], serial baselines on blocking
-    /// connections, no caches. The reference [`execute_plan`] is held to.
+    /// connections, no caches. The reference [`execute_replay_plan`] is held to.
     fn reference_execute_plan(
         scenario: &Scenario,
         level: IsolationLevel,
@@ -750,7 +698,7 @@ mod tests {
                     let plans = plan_scenario(&surface, scenario, level).unwrap();
                     let remedies = remediate_scenario(&surface, scenario, level).unwrap();
                     assert_eq!(plans.plans.len(), remedies.outcomes.len());
-                    let mut caches = Caches::new();
+                    let mut caches = ReplayCaches::default();
                     let mut seen: HashSet<String> = HashSet::new();
                     let mut check = |plan: &ReplayPlan, levels: &[Option<IsolationLevel>]| {
                         if !seen.insert(verdict_key(plan, levels)) {
@@ -758,7 +706,7 @@ mod tests {
                         }
                         let schema = &surface.schema;
                         let stepped =
-                            execute_plan(scenario, level, plan, schema, levels, &mut caches);
+                            execute_replay_plan(scenario, level, plan, schema, levels, &mut caches);
                         let scheduled =
                             reference_execute_plan(scenario, level, plan, schema, levels);
                         assert_eq!(

@@ -1,12 +1,18 @@
 //! The symbolic audit: record each scenario solo, lift it, symbolize it,
 //! and run the untargeted 2AD search per isolation level.
+//!
+//! [`ScenarioAnalysis`] is that front half, run once for one
+//! `(surface, scenario, level)`. The audit report, the replay planner and
+//! the repair adviser are views of it, so the finding lists the three
+//! print are one list by construction.
 
-use acidrain_apps::endpoints::{all_surfaces, AppSurface};
+use acidrain_apps::endpoints::{AppSurface, Scenario};
 use acidrain_core::{
     lift_trace, statement_fingerprint, Analyzer, AnomalyPattern, AnomalyScope, Finding,
     RefinementConfig,
 };
-use acidrain_db::IsolationLevel;
+use acidrain_db::{IsolationLevel, LogEntry};
+use acidrain_sql::schema::Schema;
 
 use crate::template::symbolize_trace;
 
@@ -128,22 +134,29 @@ impl StaticAuditReport {
     }
 }
 
-/// The refinement config the audit applies for `surface` at `level` —
-/// **identical** to the dynamic harness's (`try_audit_cell`), which is
-/// half of the superset argument: same trace, same refinements, wider
-/// (untargeted) search.
-pub fn refinement_for(surface: &AppSurface, level: IsolationLevel) -> RefinementConfig {
-    let mut config = RefinementConfig::at_isolation(level);
-    if surface.session_locked {
-        config = config.with_session_locking(
-            ["add_to_cart".to_string(), "checkout".to_string()],
-            ["cart_items".to_string()],
-        );
+/// The refinement config both detectors apply at `level`: the level's
+/// own refinements, plus session locking on `cart_items` for the apps that
+/// serialize same-session requests.
+pub fn refinement_at(level: IsolationLevel, session_locked: bool) -> RefinementConfig {
+    let config = RefinementConfig::at_isolation(level);
+    if !session_locked {
+        return config;
     }
-    config
+    config.with_session_locking(
+        ["add_to_cart".to_string(), "checkout".to_string()],
+        ["cart_items".to_string()],
+    )
 }
 
-pub(crate) fn static_finding(analyzer: &Analyzer, finding: &Finding) -> StaticFinding {
+/// The refinement config the audit applies for `surface` at `level` — the
+/// dynamic harness's (`try_audit_cell` calls [`refinement_at`] too), which
+/// is half of the superset argument: same trace, same refinements, wider
+/// (untargeted) search.
+pub fn refinement_for(surface: &AppSurface, level: IsolationLevel) -> RefinementConfig {
+    refinement_at(level, surface.session_locked)
+}
+
+fn static_finding(analyzer: &Analyzer, finding: &Finding) -> StaticFinding {
     let history = analyzer.history();
     let seed_ref = |node: usize| SeedRef {
         position: history.locs[node].position,
@@ -167,52 +180,150 @@ pub(crate) fn static_finding(analyzer: &Analyzer, finding: &Finding) -> StaticFi
     }
 }
 
-/// Audit one application surface at every isolation level.
-///
-/// Each scenario is recorded in a fresh solo pass per level (recording is
-/// deterministic and contention-free, so this is cheap), lifted with the
-/// surface's schema, symbolized to templates, and searched untargeted
-/// with the level's refinement config.
-pub fn audit_surface(surface: &AppSurface) -> Result<AppAudit, AuditError> {
-    let mut levels = Vec::with_capacity(IsolationLevel::ALL.len());
-    for level in IsolationLevel::ALL {
-        let mut scenarios = Vec::with_capacity(surface.scenarios.len());
-        for scenario in &surface.scenarios {
-            let log = scenario.record(level).map_err(|e| {
-                AuditError::Record(format!("{}/{}: {e}", surface.app, scenario.name))
-            })?;
-            let mut trace = lift_trace(&log, &surface.schema)
-                .map_err(|e| AuditError::Lift(format!("{}/{}: {e}", surface.app, scenario.name)))?;
-            symbolize_trace(&mut trace)
-                .map_err(|e| AuditError::Lift(format!("{}/{}: {e}", surface.app, scenario.name)))?;
-            let analyzer = Analyzer::from_trace(trace);
-            let report = analyzer.analyze(&refinement_for(surface, level));
-            scenarios.push(ScenarioAudit {
-                scenario: scenario.name.to_string(),
-                endpoints: scenario.endpoints.iter().map(|e| e.to_string()).collect(),
-                findings: report
-                    .findings
-                    .iter()
-                    .map(|f| static_finding(&analyzer, f))
-                    .collect(),
-            });
-        }
-        levels.push(LevelAudit { level, scenarios });
+/// What the symbolized search found in one log.
+pub(crate) struct AuditedLog {
+    /// The analyzer over the symbolized trace.
+    pub(crate) analyzer: Analyzer,
+    /// The detector's findings, in detector order.
+    pub(crate) findings: Vec<Finding>,
+    /// `findings` as the reports print them, index for index.
+    pub(crate) rendered: Vec<StaticFinding>,
+}
+
+/// Lift `log`, symbolize it and run the untargeted search under `config`:
+/// the one path from a recorded log to findings, taken by the recording of
+/// a scenario and by every repaired rewrite of it.
+pub(crate) fn audit_log(
+    log: &[LogEntry],
+    schema: &Schema,
+    config: &RefinementConfig,
+) -> Result<AuditedLog, String> {
+    let mut trace = lift_trace(log, schema).map_err(|e| e.to_string())?;
+    symbolize_trace(&mut trace).map_err(|e| e.to_string())?;
+    let analyzer = Analyzer::from_trace(trace);
+    let findings = analyzer.analyze(config).findings;
+    let rendered = findings
+        .iter()
+        .map(|f| static_finding(&analyzer, f))
+        .collect();
+    Ok(AuditedLog {
+        analyzer,
+        findings,
+        rendered,
+    })
+}
+
+/// `error`, prefixed with where in the registry it happened.
+fn located(surface: &AppSurface, scenario: &Scenario, error: impl std::fmt::Display) -> String {
+    format!("{}/{}: {error}", surface.app, scenario.name)
+}
+
+/// One scenario of one surface analyzed at one isolation level: its solo
+/// recording, the level's refinement config and what the symbolized search
+/// found in it. Built once; [`ScenarioAnalysis::findings`],
+/// [`ScenarioAnalysis::plans`] and [`ScenarioAnalysis::remedies`] read it.
+pub struct ScenarioAnalysis<'a> {
+    pub(crate) surface: &'a AppSurface,
+    pub(crate) scenario: &'a Scenario,
+    pub(crate) level: IsolationLevel,
+    pub(crate) log: Vec<LogEntry>,
+    pub(crate) config: RefinementConfig,
+    pub(crate) audited: AuditedLog,
+}
+
+impl<'a> ScenarioAnalysis<'a> {
+    /// Record `scenario` in a fresh solo pass at `level` (deterministic and
+    /// contention-free), lift it against the surface's schema, symbolize it
+    /// and search it untargeted under the level's refinement config.
+    pub fn new(
+        surface: &'a AppSurface,
+        scenario: &'a Scenario,
+        level: IsolationLevel,
+    ) -> Result<Self, AuditError> {
+        let log = scenario
+            .record(level)
+            .map_err(|e| AuditError::Record(located(surface, scenario, e)))?;
+        let config = refinement_for(surface, level);
+        let audited = audit_log(&log, &surface.schema, &config)
+            .map_err(|e| AuditError::Lift(located(surface, scenario, e)))?;
+        Ok(ScenarioAnalysis {
+            surface,
+            scenario,
+            level,
+            log,
+            config,
+            audited,
+        })
     }
+
+    /// The scenario analyzed.
+    pub fn scenario(&self) -> &'a Scenario {
+        self.scenario
+    }
+
+    /// The isolation level analyzed at.
+    pub fn level(&self) -> IsolationLevel {
+        self.level
+    }
+
+    /// The anomalies the level admits, in detector order.
+    pub fn findings(&self) -> &[StaticFinding] {
+        &self.audited.rendered
+    }
+
+    /// An analyzer over the recording as recorded, literals intact: its
+    /// operations carry `log_seq` provenance back into the log, which the
+    /// symbolized findings are re-bound through.
+    pub(crate) fn concrete(&self) -> Result<Analyzer, AuditError> {
+        lift_trace(&self.log, &self.surface.schema)
+            .map(Analyzer::from_trace)
+            .map_err(|e| AuditError::Lift(located(self.surface, self.scenario, e)))
+    }
+}
+
+/// Analyze every scenario of `surface` at each of `levels`, in that order,
+/// and keep what `view` makes of each analysis — the one sweep under the
+/// audit, replay and adviser reports. The first error ends it.
+pub fn sweep_surface<T>(
+    surface: &AppSurface,
+    levels: &[IsolationLevel],
+    mut view: impl FnMut(ScenarioAnalysis<'_>) -> Result<T, AuditError>,
+) -> Result<Vec<(IsolationLevel, Vec<T>)>, AuditError> {
+    levels
+        .iter()
+        .map(|&level| {
+            let scenarios = surface
+                .scenarios
+                .iter()
+                .map(|scenario| view(ScenarioAnalysis::new(surface, scenario, level)?))
+                .collect::<Result<_, _>>()?;
+            Ok((level, scenarios))
+        })
+        .collect()
+}
+
+/// Audit one application surface at every isolation level.
+pub fn audit_surface(surface: &AppSurface) -> Result<AppAudit, AuditError> {
+    let levels = sweep_surface(surface, &IsolationLevel::ALL, |analysis| {
+        Ok(ScenarioAudit {
+            scenario: analysis.scenario.name.to_string(),
+            endpoints: analysis
+                .scenario
+                .endpoints
+                .iter()
+                .map(|e| e.to_string())
+                .collect(),
+            findings: analysis.audited.rendered,
+        })
+    })?
+    .into_iter()
+    .map(|(level, scenarios)| LevelAudit { level, scenarios })
+    .collect();
     Ok(AppAudit {
         app: surface.app.clone(),
         session_locked: surface.session_locked,
         levels,
     })
-}
-
-/// Audit every registered surface (corpus, didactic, Flexcoin).
-pub fn audit_all() -> Result<StaticAuditReport, AuditError> {
-    let apps = all_surfaces()
-        .iter()
-        .map(audit_surface)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(StaticAuditReport { apps })
 }
 
 #[cfg(test)]

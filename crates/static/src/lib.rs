@@ -52,13 +52,13 @@ pub mod template;
 
 pub use acidrain_db::{json_escape, Json};
 pub use audit::{
-    audit_all, audit_surface, refinement_for, AppAudit, AuditError, LevelAudit, ScenarioAudit,
-    SeedRef, StaticAuditReport, StaticFinding,
+    audit_surface, refinement_at, refinement_for, sweep_surface, AppAudit, AuditError, LevelAudit,
+    ScenarioAnalysis, ScenarioAudit, SeedRef, StaticAuditReport, StaticFinding,
 };
 pub use remediate::{
-    apply_fixes_to_log, config_with_fixes, fix_set_label, remediate_all, remediate_scenario,
-    remediate_surface, render_remedy_json, render_remedy_text, rewrite_plan, AppRemedies, Fix,
-    LevelRemedies, RemedyOutcome, RemedyReport, ScenarioRemedies,
+    apply_fixes_to_log, config_with_fixes, fix_set_label, remediate_scenario, render_remedy_json,
+    render_remedy_text, rewrite_plan, AppRemedies, Fix, LevelRemedies, RemedyOutcome, RemedyReport,
+    ScenarioRemedies,
 };
 pub use replay::{
     plan_scenario, render_replay_json, render_replay_text, AppReplay, FindingPlan, LevelReplay,

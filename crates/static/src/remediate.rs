@@ -37,22 +37,19 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use acidrain_apps::endpoints::{all_surfaces, AppSurface, Scenario};
-use acidrain_apps::{is_transaction_control_sql, uses_transaction_control};
-use acidrain_core::{
-    lift_trace, statement_fingerprint, Analyzer, AnomalyPattern, AnomalyScope, RefinementConfig,
-};
+use acidrain_apps::endpoints::{AppSurface, Scenario};
+use acidrain_apps::is_transaction_control_sql;
+use acidrain_core::{statement_fingerprint, AnomalyPattern, AnomalyScope, RefinementConfig};
 use acidrain_db::{field, IsolationLevel, Json, LogEntry, StmtOutcome};
 use acidrain_sql::{
     parse_statement, promote_for_update, rwset::statement_accesses, schema::Schema,
     statement_template,
 };
 
-use crate::audit::{refinement_for, static_finding, AuditError, SeedRef, StaticFinding};
+use crate::audit::{audit_log, AuditError, ScenarioAnalysis, SeedRef, StaticFinding};
 use crate::replay::{ReplayPlan, Verdict};
 use crate::report::level_abbrev;
 use crate::serialize::document;
-use crate::template::symbolize_trace;
 
 // ---------------------------------------------------------------------------
 // Fixes.
@@ -130,11 +127,11 @@ fn synthetic(like: &LogEntry, sql: &str) -> LogEntry {
 /// `BEGIN` implicitly commits — the same gate as
 /// [`acidrain_apps::can_repair`], via the shared predicate).
 fn scope_log(log: &[LogEntry], api: &str) -> Result<Vec<LogEntry>, String> {
-    let mine: Vec<LogEntry> = log.iter().filter(|e| entry_is(e, api)).cloned().collect();
-    if mine.is_empty() {
+    let mut mine = log.iter().filter(|e| entry_is(e, api)).peekable();
+    if mine.peek().is_none() {
         return Err(format!("API {api} was not recorded"));
     }
-    if uses_transaction_control(&mine) {
+    if mine.any(|e| is_transaction_control_sql(&e.sql)) {
         return Err(format!("API {api} already uses transaction control"));
     }
     let invocation_of = |e: &LogEntry| e.api.as_ref().map(|t| t.invocation);
@@ -234,22 +231,6 @@ fn identity(f: &StaticFinding) -> Identity {
     )
 }
 
-fn audit_findings(
-    log: &[LogEntry],
-    schema: &Schema,
-    config: &RefinementConfig,
-) -> Result<Vec<StaticFinding>, String> {
-    let mut trace = lift_trace(log, schema).map_err(|e| e.to_string())?;
-    symbolize_trace(&mut trace).map_err(|e| e.to_string())?;
-    let analyzer = Analyzer::from_trace(trace);
-    let report = analyzer.analyze(config);
-    Ok(report
-        .findings
-        .iter()
-        .map(|f| static_finding(&analyzer, f))
-        .collect())
-}
-
 /// The finding identities the audit reports once `fixes` are applied, or
 /// `None` when the fix list cannot be applied or the repaired trace no
 /// longer lifts.
@@ -261,8 +242,8 @@ fn post_fix_identities(
 ) -> Option<BTreeSet<Identity>> {
     let rewritten = apply_fixes_to_log(log, fixes).ok()?;
     let config = config_with_fixes(base, fixes);
-    let post = audit_findings(&rewritten, schema, &config).ok()?;
-    Some(post.iter().map(identity).collect())
+    let post = audit_log(&rewritten, schema, &config).ok()?;
+    Some(post.rendered.iter().map(identity).collect())
 }
 
 /// The re-audits of one recorded scenario, one per distinct fix list.
@@ -273,7 +254,7 @@ fn post_fix_identities(
 /// drop-one trial of [`Reaudits::minimize`], that asks about the same
 /// list shares one audit. The key is the *ordered* list because
 /// [`apply_fixes_to_log`] applies fixes in order. Lives and dies inside
-/// one [`remediate_scenario`] call.
+/// one [`ScenarioAnalysis::remedies`] call.
 struct Reaudits<'a> {
     log: &'a [LogEntry],
     schema: &'a Schema,
@@ -284,17 +265,12 @@ struct Reaudits<'a> {
 }
 
 impl<'a> Reaudits<'a> {
-    fn new(
-        log: &'a [LogEntry],
-        schema: &'a Schema,
-        base: &'a RefinementConfig,
-        findings: &[StaticFinding],
-    ) -> Self {
+    fn new(analysis: &'a ScenarioAnalysis<'_>) -> Self {
         Reaudits {
-            log,
-            schema,
-            base,
-            pre: findings.iter().map(identity).collect(),
+            log: &analysis.log,
+            schema: &analysis.surface.schema,
+            base: &analysis.config,
+            pre: analysis.findings().iter().map(identity).collect(),
             memo: HashMap::new(),
         }
     }
@@ -353,6 +329,9 @@ struct StatementFacts {
     promotable: Option<String>,
     /// Tables the statement reads or writes (empty when it does not parse).
     tables: Vec<String>,
+    /// Whether the statement is transaction control, by the parser's
+    /// definition — what [`is_transaction_control_sql`] would answer.
+    transaction_control: bool,
 }
 
 fn statement_facts(log: &[LogEntry], schema: &Schema) -> Vec<StatementFacts> {
@@ -369,12 +348,13 @@ fn statement_facts(log: &[LogEntry], schema: &Schema) -> Vec<StatementFacts> {
                 .map(|t| t.text)
                 .unwrap_or_else(|_| e.sql.clone())
         });
-        let tables = parse_statement(&e.sql)
+        let (tables, transaction_control) = parse_statement(&e.sql)
             .map(|stmt| {
-                statement_accesses(&stmt, schema)
+                let tables = statement_accesses(&stmt, schema)
                     .into_iter()
                     .map(|a| a.table)
-                    .collect()
+                    .collect();
+                (tables, stmt.is_transaction_control())
             })
             .unwrap_or_default();
         facts.push(StatementFacts {
@@ -382,6 +362,7 @@ fn statement_facts(log: &[LogEntry], schema: &Schema) -> Vec<StatementFacts> {
             fingerprint,
             promotable,
             tables,
+            transaction_control,
         });
     }
     facts
@@ -427,7 +408,6 @@ fn widen_fixes<'a>(
 /// scoping gate fails on a scope-based finding).
 fn candidate_lattice(
     finding: &StaticFinding,
-    log: &[LogEntry],
     facts: &[StatementFacts],
     level: IsolationLevel,
 ) -> Result<Vec<Vec<Fix>>, String> {
@@ -466,12 +446,10 @@ fn candidate_lattice(
             Ok(candidates)
         }
         AnomalyScope::ScopeBased => {
-            let mine: Vec<LogEntry> = log
+            if facts
                 .iter()
-                .filter(|e| entry_is(e, &finding.api))
-                .cloned()
-                .collect();
-            if uses_transaction_control(&mine) {
+                .any(|s| s.api == finding.api && s.transaction_control)
+            {
                 return Err(
                     "endpoint already uses transaction control; statement-level re-scoping \
                      would nest transactions"
@@ -534,8 +512,7 @@ pub struct ScenarioRemedies {
     /// Scenario name.
     pub scenario: String,
     /// One entry per static finding, in detector order (positionally
-    /// aligned with `plan_scenario`'s plans — same recording, same
-    /// config).
+    /// aligned with the plans of the same [`ScenarioAnalysis`]).
     pub outcomes: Vec<RemedyOutcome>,
 }
 
@@ -623,89 +600,62 @@ impl RemedyReport {
 // ---------------------------------------------------------------------------
 // The adviser proper.
 
+impl ScenarioAnalysis<'_> {
+    /// Synthesize remedies for every finding, in [`Self::findings`] order.
+    pub fn remedies(&self) -> ScenarioRemedies {
+        let facts = statement_facts(&self.log, &self.surface.schema);
+        let mut reaudits = Reaudits::new(self);
+
+        let outcomes = self
+            .findings()
+            .iter()
+            .map(|finding| {
+                let target = identity(finding);
+                let (candidates, tried, residual) =
+                    match candidate_lattice(finding, &facts, self.level) {
+                        Err(residual) => (Vec::new(), 0, Some(residual)),
+                        Ok(lattice) => {
+                            let tried = lattice.len();
+                            let mut closing: Vec<Vec<Fix>> = Vec::new();
+                            for cand in lattice {
+                                if !reaudits.closes(&cand, &target) {
+                                    continue;
+                                }
+                                let minimal = reaudits.minimize(cand, &target);
+                                if !closing.contains(&minimal) {
+                                    closing.push(minimal);
+                                }
+                            }
+                            let residual = closing
+                                .is_empty()
+                                .then(|| "no lattice candidate closes the finding".to_string());
+                            (closing, tried, residual)
+                        }
+                    };
+                RemedyOutcome {
+                    finding: finding.clone(),
+                    candidates,
+                    tried,
+                    residual,
+                    chosen: None,
+                    verdict: None,
+                }
+            })
+            .collect();
+        ScenarioRemedies {
+            scenario: self.scenario.name.to_string(),
+            outcomes,
+        }
+    }
+}
+
 /// Synthesize remedies for every finding of `scenario` at `level`.
-///
-/// Recording and analysis mirror `audit_surface` exactly, so the finding
-/// list (and hence outcome order) is byte-identical to the audit's and
-/// to `plan_scenario`'s.
 pub fn remediate_scenario(
     surface: &AppSurface,
     scenario: &Scenario,
     level: IsolationLevel,
 ) -> Result<ScenarioRemedies, AuditError> {
-    let log = scenario
-        .record(level)
-        .map_err(|e| AuditError::Record(format!("{}/{}: {e}", surface.app, scenario.name)))?;
-    let base = refinement_for(surface, level);
-    let findings = audit_findings(&log, &surface.schema, &base)
-        .map_err(|e| AuditError::Lift(format!("{}/{}: {e}", surface.app, scenario.name)))?;
-    let facts = statement_facts(&log, &surface.schema);
-    let mut reaudits = Reaudits::new(&log, &surface.schema, &base, &findings);
-
-    let outcomes = findings
-        .iter()
-        .map(|finding| {
-            let target = identity(finding);
-            let (candidates, tried, residual) =
-                match candidate_lattice(finding, &log, &facts, level) {
-                    Err(residual) => (Vec::new(), 0, Some(residual)),
-                    Ok(lattice) => {
-                        let tried = lattice.len();
-                        let mut closing: Vec<Vec<Fix>> = Vec::new();
-                        for cand in lattice {
-                            if !reaudits.closes(&cand, &target) {
-                                continue;
-                            }
-                            let minimal = reaudits.minimize(cand, &target);
-                            if !closing.contains(&minimal) {
-                                closing.push(minimal);
-                            }
-                        }
-                        let residual = closing
-                            .is_empty()
-                            .then(|| "no lattice candidate closes the finding".to_string());
-                        (closing, tried, residual)
-                    }
-                };
-            RemedyOutcome {
-                finding: finding.clone(),
-                candidates,
-                tried,
-                residual,
-                chosen: None,
-                verdict: None,
-            }
-        })
-        .collect();
-    Ok(ScenarioRemedies {
-        scenario: scenario.name.to_string(),
-        outcomes,
-    })
-}
-
-/// Remediate one surface across every isolation level.
-pub fn remediate_surface(surface: &AppSurface) -> Result<AppRemedies, AuditError> {
-    let mut levels = Vec::with_capacity(IsolationLevel::ALL.len());
-    for level in IsolationLevel::ALL {
-        let mut scenarios = Vec::with_capacity(surface.scenarios.len());
-        for scenario in &surface.scenarios {
-            scenarios.push(remediate_scenario(surface, scenario, level)?);
-        }
-        levels.push(LevelRemedies { level, scenarios });
-    }
-    Ok(AppRemedies {
-        app: surface.app.clone(),
-        levels,
-    })
-}
-
-/// Remediate every registered surface.
-pub fn remediate_all() -> Result<RemedyReport, AuditError> {
-    let apps = all_surfaces()
-        .iter()
-        .map(remediate_surface)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(RemedyReport { apps })
+    Ok(ScenarioAnalysis::new(surface, scenario, level)?.remedies())
 }
 
 // ---------------------------------------------------------------------------
@@ -1006,7 +956,10 @@ pub fn render_remedy_text(report: &RemedyReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acidrain_apps::endpoints::{booking_surfaces, didactic_surfaces, flexcoin_surface};
+    use crate::audit::{refinement_for, sweep_surface};
+    use acidrain_apps::endpoints::{
+        all_surfaces, booking_surfaces, didactic_surfaces, flexcoin_surface,
+    };
 
     fn surface_named(name: &str) -> AppSurface {
         didactic_surfaces()
@@ -1014,6 +967,19 @@ mod tests {
             .chain(booking_surfaces())
             .find(|s| s.app == name)
             .unwrap()
+    }
+
+    /// Remediate one surface across every isolation level.
+    fn remediate_surface(surface: &AppSurface) -> AppRemedies {
+        let levels = sweep_surface(surface, &IsolationLevel::ALL, |a| Ok(a.remedies()))
+            .unwrap()
+            .into_iter()
+            .map(|(level, scenarios)| LevelRemedies { level, scenarios })
+            .collect();
+        AppRemedies {
+            app: surface.app.clone(),
+            levels,
+        }
     }
 
     #[test]
@@ -1078,11 +1044,9 @@ mod tests {
         let surface = surface_named("bank-transfer");
         let scenario = &surface.scenarios[0];
         let level = IsolationLevel::ReadCommitted;
-        let log = scenario.record(level).unwrap();
-        let base = refinement_for(&surface, level);
-        let findings = audit_findings(&log, &surface.schema, &base).unwrap();
-        let mut reaudits = Reaudits::new(&log, &surface.schema, &base, &findings);
-        let remedies = remediate_scenario(&surface, scenario, level).unwrap();
+        let analysis = ScenarioAnalysis::new(&surface, scenario, level).unwrap();
+        let mut reaudits = Reaudits::new(&analysis);
+        let remedies = analysis.remedies();
         for o in &remedies.outcomes {
             let target = identity(&o.finding);
             for cand in &o.candidates {
@@ -1155,7 +1119,7 @@ mod tests {
                     let schema = &surface.schema;
                     let log = scenario.record(level).unwrap();
                     let base = refinement_for(&surface, level);
-                    let findings = audit_findings(&log, schema, &base).unwrap();
+                    let findings = audit_log(&log, schema, &base).unwrap().rendered;
                     let pre: BTreeSet<Identity> = findings.iter().map(identity).collect();
                     let facts = statement_facts(&log, schema);
                     let remedies = remediate_scenario(&surface, scenario, level).unwrap();
@@ -1165,7 +1129,7 @@ mod tests {
                         assert_eq!(&o.finding, finding, "{at}");
                         let target = identity(finding);
                         let (closing, tried, residual) =
-                            match candidate_lattice(finding, &log, &facts, level) {
+                            match candidate_lattice(finding, &facts, level) {
                                 Err(residual) => (Vec::new(), 0, Some(residual)),
                                 Ok(lattice) => {
                                     let tried = lattice.len();
@@ -1223,8 +1187,7 @@ mod tests {
 
     #[test]
     fn phantom_findings_never_get_lock_promotions() {
-        let report = remediate_all().unwrap();
-        for app in &report.apps {
+        for app in all_surfaces().iter().map(remediate_surface) {
             for level in &app.levels {
                 for scenario in &level.scenarios {
                     for o in &scenario.outcomes {
@@ -1343,7 +1306,7 @@ mod tests {
     #[test]
     fn renderings_are_deterministic() {
         let surface = surface_named("bank-figure1b");
-        let remedies = remediate_surface(&surface).unwrap();
+        let remedies = remediate_surface(&surface);
         let report = RemedyReport {
             apps: vec![remedies],
         };

@@ -4,14 +4,15 @@
 //!
 //! The static audit reasons over *symbolized* traces (literals replaced by
 //! typed placeholders), so its witness schedules are not directly
-//! executable. This module re-binds them: the scenario is recorded again
-//! at the target level, lifted **without** symbolization, and analyzed
-//! under the same refinement config. Because symbolization preserves the
-//! finding set (pinned by `tests/static_superset.rs`), each symbolized
-//! finding has a concrete twin — located by [`SeedKey`], whose statement
-//! fingerprints are invariant under symbolization — whose operations carry
-//! `log_seq` provenance back into the recorded log. The log lines *are*
-//! the concrete values: replaying them verbatim is the re-binding.
+//! executable. [`ScenarioAnalysis::plans`] re-binds them: the analysis's
+//! own recording is lifted once more **without** symbolization and
+//! searched under the same refinement config. Because symbolization
+//! preserves the finding set (pinned by `tests/static_superset.rs`), each
+//! symbolized finding has a concrete twin — located by [`SeedKey`], whose
+//! statement fingerprints are invariant under symbolization — whose
+//! operations carry `log_seq` provenance back into the recorded log. The
+//! log lines *are* the concrete values: replaying them verbatim is the
+//! re-binding.
 //!
 //! A [`ReplayPlan`] is the canned-script form of the Lemma-4 schedule:
 //! one session per witness instance (the seed plus one per hop), each
@@ -24,13 +25,12 @@
 use std::collections::HashMap;
 
 use acidrain_apps::endpoints::{AppSurface, Scenario};
-use acidrain_core::{lift_trace, AbstractHistory, Analyzer, AnomalyScope, Finding, SeedKey};
+use acidrain_core::{AbstractHistory, AnomalyScope, Finding, SeedKey};
 use acidrain_db::{field, IsolationLevel, Json, LogEntry};
 
-use crate::audit::{refinement_for, static_finding, AuditError, StaticFinding};
+use crate::audit::{AuditError, ScenarioAnalysis, StaticFinding};
 use crate::report::level_abbrev;
 use crate::serialize::document;
-use crate::template::symbolize_trace;
 
 /// One session of a replay plan: an API instance's canned statements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,55 +74,50 @@ pub struct ScenarioPlans {
     pub plans: Vec<FindingPlan>,
 }
 
+impl ScenarioAnalysis<'_> {
+    /// Compile every finding into a replay plan, in [`Self::findings`]
+    /// order.
+    pub fn plans(&self) -> Result<ScenarioPlans, AuditError> {
+        let symbolized = &self.audited;
+        let concrete = self.concrete()?;
+        let concrete_findings = concrete.analyze(&self.config).findings;
+
+        // Each concrete finding's key, computed once (a key costs two SQL
+        // parses); on a shared key the first finding in detector order wins.
+        let mut concrete_by_seed: HashMap<SeedKey, &Finding> = HashMap::new();
+        for f in &concrete_findings {
+            concrete_by_seed
+                .entry(SeedKey::of(concrete.history(), &f.witness))
+                .or_insert(f);
+        }
+
+        let scripts = session_scripts(&self.log);
+        let plans = symbolized
+            .findings
+            .iter()
+            .zip(&symbolized.rendered)
+            .map(|(f, rendered)| FindingPlan {
+                finding: rendered.clone(),
+                plan: concrete_by_seed
+                    .get(&SeedKey::of(symbolized.analyzer.history(), &f.witness))
+                    .ok_or_else(|| "symbolized seed has no concrete counterpart".to_string())
+                    .and_then(|twin| build_plan(concrete.history(), twin, &self.log, &scripts)),
+            })
+            .collect();
+        Ok(ScenarioPlans {
+            scenario: self.scenario.name.to_string(),
+            plans,
+        })
+    }
+}
+
 /// Compile every finding of `scenario` at `level` into a replay plan.
-///
-/// Recording and analysis mirror `audit_surface` exactly (same solo pass,
-/// same refinement config), so the finding list here is byte-identical to
-/// the static report's.
 pub fn plan_scenario(
     surface: &AppSurface,
     scenario: &Scenario,
     level: IsolationLevel,
 ) -> Result<ScenarioPlans, AuditError> {
-    let log = scenario
-        .record(level)
-        .map_err(|e| AuditError::Record(format!("{}/{}: {e}", surface.app, scenario.name)))?;
-    let concrete = lift_trace(&log, &surface.schema)
-        .map_err(|e| AuditError::Lift(format!("{}/{}: {e}", surface.app, scenario.name)))?;
-    let mut symbolized = concrete.clone();
-    symbolize_trace(&mut symbolized)
-        .map_err(|e| AuditError::Lift(format!("{}/{}: {e}", surface.app, scenario.name)))?;
-
-    let config = refinement_for(surface, level);
-    let concrete_an = Analyzer::from_trace(concrete);
-    let symbolized_an = Analyzer::from_trace(symbolized);
-    let concrete_findings = concrete_an.analyze(&config).findings;
-    let symbolized_findings = symbolized_an.analyze(&config).findings;
-
-    // Each concrete finding's key, computed once (a key costs two SQL
-    // parses); on a shared key the first finding in detector order wins.
-    let mut concrete_by_seed: HashMap<SeedKey, &Finding> = HashMap::new();
-    for f in &concrete_findings {
-        concrete_by_seed
-            .entry(SeedKey::of(concrete_an.history(), &f.witness))
-            .or_insert(f);
-    }
-
-    let scripts = session_scripts(&log);
-    let plans = symbolized_findings
-        .iter()
-        .map(|f| FindingPlan {
-            finding: static_finding(&symbolized_an, f),
-            plan: concrete_by_seed
-                .get(&SeedKey::of(symbolized_an.history(), &f.witness))
-                .ok_or_else(|| "symbolized seed has no concrete counterpart".to_string())
-                .and_then(|twin| build_plan(concrete_an.history(), twin, &log, &scripts)),
-        })
-        .collect();
-    Ok(ScenarioPlans {
-        scenario: scenario.name.to_string(),
-        plans,
-    })
+    ScenarioAnalysis::new(surface, scenario, level)?.plans()
 }
 
 /// The recorded log grouped into per-API scripts, in first-seen order.
@@ -459,7 +454,7 @@ pub fn render_replay_json(report: &ReplayReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acidrain_apps::endpoints::{didactic_surfaces, flexcoin_surface};
+    use acidrain_apps::endpoints::{all_surfaces, didactic_surfaces, flexcoin_surface};
 
     fn surface_named(name: &str) -> AppSurface {
         didactic_surfaces()
@@ -513,16 +508,23 @@ mod tests {
 
     #[test]
     fn plans_line_up_with_the_audit_report() {
-        // plan_scenario's finding list must be byte-identical to the
-        // audit's — same recording, same symbolization, same config.
-        let surface = surface_named("payroll");
-        let audit = crate::audit::audit_surface(&surface).unwrap();
-        for level in IsolationLevel::ALL {
-            let plans = plan_scenario(&surface, &surface.scenarios[0], level).unwrap();
-            let audited = &audit.level(level).unwrap().scenarios[0];
-            assert_eq!(plans.plans.len(), audited.findings.len());
-            for (fp, f) in plans.plans.iter().zip(&audited.findings) {
-                assert_eq!(&fp.finding, f);
+        // The three entry points print one finding list: the audit's, the
+        // planner's and the adviser's agree element by element, for every
+        // scenario of every surface at every level.
+        for surface in all_surfaces() {
+            let audit = crate::audit::audit_surface(&surface).unwrap();
+            for level in IsolationLevel::ALL {
+                let audited = &audit.level(level).unwrap().scenarios;
+                for (scenario, audited) in surface.scenarios.iter().zip(audited) {
+                    let at = format!("{}/{} @ {level:?}", surface.app, scenario.name);
+                    let plans = plan_scenario(&surface, scenario, level).unwrap();
+                    let remedies =
+                        crate::remediate::remediate_scenario(&surface, scenario, level).unwrap();
+                    let planned: Vec<_> = plans.plans.iter().map(|fp| &fp.finding).collect();
+                    let advised: Vec<_> = remedies.outcomes.iter().map(|o| &o.finding).collect();
+                    assert_eq!(planned, audited.findings.iter().collect::<Vec<_>>(), "{at}");
+                    assert_eq!(advised, planned, "{at}");
+                }
             }
         }
     }
