@@ -18,7 +18,7 @@
 //! blocking flavour used by threaded stress tests.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,8 +68,8 @@ pub struct Database {
     /// Observability registry shared by every subsystem probe. Disabled by
     /// default: each probe then costs a single relaxed atomic load.
     pub(crate) obs: Obs,
-    /// Dense [`IsolationLevel`] code (index into `IsolationLevel::ALL`).
-    default_isolation: AtomicU8,
+    /// The isolation level handed to new connections.
+    default_isolation: IsolationLevel,
     next_session: AtomicU64,
     next_txn: AtomicU64,
     /// Sessions currently open (incremented on connect, decremented when a
@@ -83,10 +83,10 @@ pub struct Database {
     active_txns: AtomicUsize,
     /// Lock-wait timeout in nanoseconds.
     lock_wait_timeout_nanos: AtomicU64,
-    /// Whether statements may route predicates through the hash and
-    /// ordered indexes (on by default). The indexes are always
-    /// *maintained*; this flag only gates the read path, so it can be
-    /// toggled at any time — results are identical either way.
+    /// Whether statements may route predicates through the ordered
+    /// indexes (on by default). The indexes are always *maintained*; this
+    /// flag only gates the read path, so it can be toggled at any time —
+    /// results are identical either way.
     use_indexes: AtomicBool,
     /// GC pin registry: snapshot timestamp → number of active
     /// transaction-long snapshots (MySQL-RR, SI) pinned at it. The GC
@@ -137,7 +137,7 @@ impl Database {
             log: QueryLog::with_obs(obs.clone()),
             faults: FaultHandle::with_obs(obs.clone()),
             obs,
-            default_isolation: AtomicU8::new(default_isolation.code()),
+            default_isolation,
             next_session: AtomicU64::new(0),
             next_txn: AtomicU64::new(0),
             open_sessions: AtomicUsize::new(0),
@@ -169,11 +169,6 @@ impl Database {
     /// Snapshot of the fault injector's counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.stats()
-    }
-
-    /// Whether the injector's latency channel is configured.
-    pub fn latency_faults_enabled(&self) -> bool {
-        self.faults.latency_enabled()
     }
 
     /// The observability handle every engine probe reports into. Cheap to
@@ -248,14 +243,14 @@ impl Database {
 
     /// Enable or disable the index read path. The per-table indexes are
     /// always maintained; when on (the default) a statement routes each
-    /// table through an equality probe, else an ordered range probe, else
-    /// the full scan; when off every predicate takes the full scan — the
-    /// reference the invariance tests compare against. Because index
-    /// candidates are iterated in the same ascending slot order the full
-    /// scan uses — and every candidate still passes through normal
-    /// visibility and predicate evaluation — results, lock acquisition
-    /// order, abstract histories, and seeded chaos digests are identical in
-    /// both modes.
+    /// table through the probe of a point conjunct, else of a range
+    /// conjunct, else the full scan; when off every predicate takes the
+    /// full scan — the reference the invariance tests compare against.
+    /// Because index candidates are iterated in the same ascending slot
+    /// order the full scan uses — and every candidate still passes through
+    /// normal visibility and predicate evaluation — results, lock
+    /// acquisition order, abstract histories, and seeded chaos digests are
+    /// identical in both modes.
     pub fn set_use_indexes(&self, on: bool) {
         self.use_indexes.store(on, Ordering::Relaxed);
     }
@@ -342,15 +337,9 @@ impl Database {
         self.checkpoint_in_progress.store(false, Ordering::Release);
     }
 
-    /// Change the default isolation level handed to future connections.
-    pub fn set_default_isolation(&self, level: IsolationLevel) {
-        self.default_isolation
-            .store(level.code(), Ordering::Relaxed);
-    }
-
     /// The isolation level handed to new connections.
     pub fn default_isolation(&self) -> IsolationLevel {
-        IsolationLevel::from_code(self.default_isolation.load(Ordering::Relaxed))
+        self.default_isolation
     }
 
     /// Attach a write-ahead log: every subsequent writing commit appends

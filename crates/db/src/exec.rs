@@ -158,7 +158,7 @@ impl<'a> Scan<'a> {
     /// the frozen index state the scan will, and one probe then serves
     /// every pass of [`current_read`].
     ///
-    /// Because index buckets are visibility-agnostic supersets and probe
+    /// Because index entries are visibility-agnostic supersets and probe
     /// results come back sorted in slot order, routing through an index
     /// never changes which rows the scan yields or the order it yields them
     /// in — only how many slots it inspects. The hit/fallback counters fire
@@ -740,13 +740,13 @@ fn exec_insert(db: &Database, txn: &mut TxnState, i: &Insert) -> Result<ResultSe
                 return Err(duplicate());
             }
             // Unique columns are always index-backed, so the duplicate
-            // probe is a point lookup unless `set_use_indexes(false)` asks
-            // for the reference scan. Buckets are visibility-agnostic
-            // supersets: every stored version carrying a `sql_eq`-equal
-            // value is in the bucket.
+            // probe is the point `[v, v]` unless `set_use_indexes(false)`
+            // asks for the reference scan. The index is a visibility-
+            // agnostic superset: every stored version carrying a
+            // `sql_eq`-equal value has its slot among the candidates.
             let dup_candidates = db
                 .use_indexes()
-                .then(|| table.indexes.probe(col, v))
+                .then(|| table.indexes.probe(col, Some(v), Some(v)))
                 .flatten();
             db.obs.index_probe(txn.id.0, dup_candidates.is_some());
             // Against stored rows, as a current read: a committed-visible

@@ -1,63 +1,63 @@
-//! Per-table equality (hash) indexes over unique and declared-indexed
-//! columns.
+//! Per-table ordered indexes over unique and declared-indexed columns.
 //!
 //! An index lives inside its table's [`crate::storage::TableData`], so
 //! every maintenance step is naturally covered by the table write latch
-//! the mutating statement already holds. The structure is deliberately a
-//! **visibility-agnostic superset**: a slot appears in the bucket for key
-//! `k` whenever *any* version in its chain carries a value with key `k`
-//! for the indexed column — regardless of commit status or snapshot
-//! bounds. Probes therefore return candidate slots only; the caller runs
-//! the statement's normal visibility rule and predicate over them, which
-//! keeps every isolation level's read semantics byte-identical to the
-//! full-scan path.
+//! the mutating statement already holds. Each indexed column owns **one**
+//! ordered set of `(key, slot)` entries, and it is deliberately a
+//! **visibility-agnostic superset**: `(k, slot)` is present whenever *any*
+//! version in the slot's chain carries a value with key `k` for the
+//! column — regardless of commit status or snapshot bounds. Probes
+//! therefore return candidate slots only; the caller runs the statement's
+//! normal visibility rule and predicate over them, which keeps every
+//! isolation level's read semantics byte-identical to the full-scan path.
 //!
 //! Maintenance points:
 //!
 //! * version **create** (INSERT new slot, UPDATE appending a version) —
-//!   the slot is added under the new values' keys;
+//!   the slot is inserted under the new values' keys (a set: re-inserting
+//!   an entry an older version already made is a no-op);
 //! * version **end** (DELETE / the superseded half of UPDATE) — nothing:
 //!   the ended version stays in the chain, so its index entries stay too
 //!   (superset invariant);
 //! * **rollback** of a `Created` undo record — the removed version's
-//!   entries are unwound, unless another version of the same slot still
+//!   entries are removed, unless another version of the same slot still
 //!   carries the key.
 //!
-//! Probes return slots in **ascending slot order** (buckets are sorted on
-//! lookup). That makes row-lock acquisition order, result order, and
-//! therefore abstract histories and seeded chaos digests identical to the
-//! full-scan path, which iterates slots in the same order.
+//! There is one probe, over an *inclusive* interval `[lower, upper]` with
+//! either side optional; `col = k` is the interval `[k, k]`. Callers widen
+//! exclusive bounds to inclusive (a superset) and re-verify candidates
+//! against the exact predicate. Keys order numerics before strings
+//! ([`IndexKey`]), and [`Value::compare`] never orders a string against a
+//! numeric, so a missing bound is the edge of the *present* bound's
+//! keyspace: `qty > 5` stops before the first string key, `s <= 'm'`
+//! starts at the empty string. Bounds from different keyspaces match
+//! nothing.
 //!
-//! Alongside the hash buckets, each indexed column also maintains two
-//! **ordered** maps — one over numeric keys, one over strings — that
-//! serve range probes (`col < k`, `BETWEEN`, …). The keyspaces are
-//! disjoint on purpose: [`Value::compare`] never orders a string against
-//! a numeric, so a range probe resolves entirely within one keyspace and
-//! a bound of the other type matches nothing. Range probes take
-//! *inclusive* bounds only; callers widen exclusive bounds to inclusive
-//! (a superset) and re-verify candidates against the exact predicate,
-//! the same re-verification contract equality probes already have.
+//! Probes return slots in **ascending slot order**, deduplicated. That
+//! makes row-lock acquisition order, result order, and therefore abstract
+//! histories and seeded chaos digests identical to the full-scan path,
+//! which iterates slots in the same order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeSet;
 use std::ops::Bound;
 
 use crate::value::Value;
 
-/// A hashable, equality-compatible rendering of a [`Value`].
+/// An orderable, equality-compatible rendering of a [`Value`].
 ///
-/// Two values that compare SQL-equal must map to the same key; distinct
-/// values *may* collide (the caller re-verifies candidates against the
+/// Two values that compare SQL-equal must map to the same key, and the
+/// mapping must be monotone in [`Value::compare`] order; distinct values
+/// *may* collide (the caller re-verifies candidates against the
 /// predicate), but SQL-equal values must never map apart. Numerics
 /// (`Int`, `Float`, `Bool`) compare through `f64` coercion in
-/// [`Value::compare`], so they all key on the canonical `f64` bit
-/// pattern; strings key on themselves. `NULL` and `NaN` have no key —
-/// they are equal to nothing, so an equality probe on them matches no
-/// rows, exactly like the scan path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// [`Value::compare`], so they all key on their `f64` rendering; strings
+/// key on themselves. `NULL` and `NaN` have no key — they compare to
+/// nothing, so a probe bounded by one matches no rows, exactly like the
+/// scan path. The derived order puts every `Num` before every `Str`.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum IndexKey {
-    /// Canonical bit pattern of the value's `f64` rendering (`-0.0`
-    /// normalized to `0.0`).
-    Num(u64),
+    /// The value's `f64` rendering.
+    Num(NumKey),
     /// A string value, keyed exactly.
     Str(String),
 }
@@ -74,15 +74,12 @@ pub fn index_key(v: &Value) -> Option<IndexKey> {
     if f.is_nan() {
         return None;
     }
-    let f = if f == 0.0 { 0.0 } else { f };
-    Some(IndexKey::Num(f.to_bits()))
+    Some(IndexKey::Num(NumKey(if f == 0.0 { 0.0 } else { f })))
 }
 
-/// An orderable numeric key for the range maps: the value's `f64`
-/// rendering (`-0.0` normalized to `0.0`, `NaN` never keyed), totally
-/// ordered via [`f64::total_cmp`]. Because [`Value::compare`] coerces
-/// every numeric (`Int`, `Float`, `Bool`) through `f64`, BTreeMap order
-/// over `NumKey` *is* SQL comparison order for keyed values.
+/// A numeric key: an `f64` (`-0.0` normalized to `0.0`, `NaN` never
+/// keyed), totally ordered via [`f64::total_cmp`] — which on such values
+/// *is* SQL comparison order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NumKey(f64);
 
@@ -100,22 +97,13 @@ impl PartialOrd for NumKey {
     }
 }
 
-/// The equality indexes of one table: one bucket map per indexed column.
+/// The indexes of one table: one ordered set per indexed column.
 #[derive(Debug, Clone, Default)]
 pub struct TableIndexes {
     /// Indexed column positions, ascending.
     columns: Vec<usize>,
-    /// Bucket maps, parallel to `columns`. Buckets hold slot indices in
-    /// insertion order and may contain duplicates (a slot re-indexed
-    /// under the same key by a later version); probes sort and dedup.
-    maps: Vec<HashMap<IndexKey, Vec<usize>>>,
-    /// Ordered numeric maps, parallel to `columns`, serving range probes
-    /// over `Int` / `Float` / `Bool` values. Same bucket discipline as
-    /// `maps`.
-    nums: Vec<BTreeMap<NumKey, Vec<usize>>>,
-    /// Ordered string maps, parallel to `columns`, serving range probes
-    /// over `Str` values. Same bucket discipline as `maps`.
-    strs: Vec<BTreeMap<String, Vec<usize>>>,
+    /// `(key, slot)` entries, parallel to `columns`.
+    entries: Vec<BTreeSet<(IndexKey, usize)>>,
 }
 
 impl TableIndexes {
@@ -123,15 +111,8 @@ impl TableIndexes {
     pub fn new(mut columns: Vec<usize>) -> Self {
         columns.sort_unstable();
         columns.dedup();
-        let maps = columns.iter().map(|_| HashMap::new()).collect();
-        let nums = columns.iter().map(|_| BTreeMap::new()).collect();
-        let strs = columns.iter().map(|_| BTreeMap::new()).collect();
-        TableIndexes {
-            columns,
-            maps,
-            nums,
-            strs,
-        }
+        let entries = columns.iter().map(|_| BTreeSet::new()).collect();
+        TableIndexes { columns, entries }
     }
 
     /// Whether `column` is index-backed.
@@ -147,28 +128,9 @@ impl TableIndexes {
 
     /// Record that `slot` now has a version carrying `values`.
     pub fn add(&mut self, slot: usize, values: &[Value]) {
-        for (pos, &col) in self.columns.iter().enumerate() {
+        for (entries, &col) in self.entries.iter_mut().zip(&self.columns) {
             if let Some(key) = values.get(col).and_then(index_key) {
-                match &key {
-                    IndexKey::Num(bits) => {
-                        let bucket = self.nums[pos]
-                            .entry(NumKey(f64::from_bits(*bits)))
-                            .or_default();
-                        if bucket.last() != Some(&slot) {
-                            bucket.push(slot);
-                        }
-                    }
-                    IndexKey::Str(s) => {
-                        let bucket = self.strs[pos].entry(s.clone()).or_default();
-                        if bucket.last() != Some(&slot) {
-                            bucket.push(slot);
-                        }
-                    }
-                }
-                let bucket = self.maps[pos].entry(key).or_default();
-                if bucket.last() != Some(&slot) {
-                    bucket.push(slot);
-                }
+                entries.insert((key, slot));
             }
         }
     }
@@ -183,136 +145,68 @@ impl TableIndexes {
         removed: &[Value],
         remaining: impl Iterator<Item = &'a [Value]> + Clone,
     ) {
-        for (pos, &col) in self.columns.iter().enumerate() {
+        for (entries, &col) in self.entries.iter_mut().zip(&self.columns) {
             let Some(key) = removed.get(col).and_then(index_key) else {
                 continue;
             };
             let still_carried = remaining
                 .clone()
-                .any(|values| values.get(col).and_then(index_key) == Some(key.clone()));
-            if still_carried {
-                continue;
-            }
-            match &key {
-                IndexKey::Num(bits) => {
-                    let nkey = NumKey(f64::from_bits(*bits));
-                    if let Some(bucket) = self.nums[pos].get_mut(&nkey) {
-                        bucket.retain(|&s| s != slot);
-                        if bucket.is_empty() {
-                            self.nums[pos].remove(&nkey);
-                        }
-                    }
-                }
-                IndexKey::Str(s) => {
-                    if let Some(bucket) = self.strs[pos].get_mut(s) {
-                        bucket.retain(|&x| x != slot);
-                        if bucket.is_empty() {
-                            self.strs[pos].remove(s);
-                        }
-                    }
-                }
-            }
-            if let Some(bucket) = self.maps[pos].get_mut(&key) {
-                bucket.retain(|&s| s != slot);
-                if bucket.is_empty() {
-                    self.maps[pos].remove(&key);
-                }
+                .any(|values| values.get(col).and_then(index_key).as_ref() == Some(&key));
+            if !still_carried {
+                entries.remove(&(key, slot));
             }
         }
     }
 
-    /// Candidate slots whose chains may carry `value` in `column`, in
-    /// ascending slot order. `None` when the column is not indexed (the
-    /// caller must fall back to a full scan); `Some(vec![])` when the
-    /// column is indexed and no slot can match.
-    pub fn probe(&self, column: usize, value: &Value) -> Option<Vec<usize>> {
-        let pos = self.columns.binary_search(&column).ok()?;
-        let Some(key) = index_key(value) else {
-            // NULL / NaN probes: equality is never true, so the (indexed)
-            // answer is the empty candidate set.
-            return Some(Vec::new());
-        };
-        let mut slots = self.maps[pos].get(&key).cloned().unwrap_or_default();
-        slots.sort_unstable();
-        slots.dedup();
-        Some(slots)
-    }
-
     /// Candidate slots whose chains may carry a value in the *inclusive*
-    /// range `[lower, upper]` for `column`, in ascending slot order
-    /// (missing bounds are unbounded on that side). `None` when the
-    /// column is not indexed or both bounds are absent — the caller must
-    /// fall back to a full scan. `Some(vec![])` when the range can match
-    /// nothing: a `NULL` / `NaN` bound (comparisons with them are never
-    /// true) or bounds from different keyspaces (a string never orders
-    /// against a numeric).
-    pub fn probe_range(
+    /// interval `[lower, upper]` for `column`, in ascending slot order; a
+    /// missing bound is the edge of the other bound's keyspace, and
+    /// `lower == upper` is the point lookup. `None` when the column is not
+    /// indexed or both bounds are absent — the caller must fall back to a
+    /// full scan. `Some(vec![])` when the interval can match nothing: a
+    /// `NULL` / `NaN` bound (comparisons with them are never true), bounds
+    /// from different keyspaces (a string never orders against a numeric)
+    /// or an inverted range.
+    pub fn probe(
         &self,
         column: usize,
         lower: Option<&Value>,
         upper: Option<&Value>,
     ) -> Option<Vec<usize>> {
-        let pos = self.columns.binary_search(&column).ok()?;
-        if lower.is_none() && upper.is_none() {
-            return None;
-        }
-        // Classify each present bound into a keyspace; a bound with no
-        // key (NULL / NaN) poisons the whole range.
-        enum Space {
-            Num(NumKey),
-            Str(String),
-        }
-        let classify = |v: &Value| -> Result<Space, ()> {
-            match index_key(v) {
-                Some(IndexKey::Num(bits)) => Ok(Space::Num(NumKey(f64::from_bits(bits)))),
-                Some(IndexKey::Str(s)) => Ok(Space::Str(s)),
-                None => Err(()),
+        use Bound::{Excluded, Included, Unbounded};
+        let entries = &self.entries[self.columns.binary_search(&column).ok()?];
+        let (lo, hi) = match (lower.map(index_key), upper.map(index_key)) {
+            (None, None) => return None,
+            (Some(None), _) | (_, Some(None)) => return Some(Vec::new()),
+            (lo, hi) => (lo.flatten(), hi.flatten()),
+        };
+        let numeric = |k: &IndexKey| matches!(k, IndexKey::Num(_));
+        if let (Some(lo), Some(hi)) = (&lo, &hi) {
+            // An inverted range would also panic `BTreeSet::range`.
+            if numeric(lo) != numeric(hi) || lo > hi {
+                return Some(Vec::new());
             }
+        }
+        let point = lo == hi;
+        let in_nums = lo.as_ref().or(hi.as_ref()).is_some_and(numeric);
+        let least_str = || (IndexKey::Str(String::new()), 0);
+        let start = match lo {
+            Some(key) => Included((key, 0)),
+            None if in_nums => Unbounded,
+            None => Included(least_str()),
         };
-        let lo = match lower.map(classify) {
-            Some(Ok(s)) => Some(s),
-            Some(Err(())) => return Some(Vec::new()),
-            None => None,
+        let end = match hi {
+            Some(key) => Included((key, usize::MAX)),
+            None if in_nums => Excluded(least_str()),
+            None => Unbounded,
         };
-        let hi = match upper.map(classify) {
-            Some(Ok(s)) => Some(s),
-            Some(Err(())) => return Some(Vec::new()),
-            None => None,
-        };
-        let mut slots: Vec<usize> = match (lo, hi) {
-            // Inverted ranges (lower > upper) match nothing — and would
-            // panic `BTreeMap::range` — so they short-circuit to empty.
-            (Some(Space::Num(a)), Some(Space::Num(b))) if a > b => Vec::new(),
-            (Some(Space::Str(a)), Some(Space::Str(b))) if a > b => Vec::new(),
-            (Some(Space::Num(a)), Some(Space::Num(b))) => self.nums[pos]
-                .range((Bound::Included(a), Bound::Included(b)))
-                .flat_map(|(_, b)| b.iter().copied())
-                .collect(),
-            (Some(Space::Num(a)), None) => self.nums[pos]
-                .range((Bound::Included(a), Bound::Unbounded))
-                .flat_map(|(_, b)| b.iter().copied())
-                .collect(),
-            (None, Some(Space::Num(b))) => self.nums[pos]
-                .range((Bound::Unbounded, Bound::Included(b)))
-                .flat_map(|(_, b)| b.iter().copied())
-                .collect(),
-            (Some(Space::Str(a)), Some(Space::Str(b))) => self.strs[pos]
-                .range::<str, _>((Bound::Included(a.as_str()), Bound::Included(b.as_str())))
-                .flat_map(|(_, b)| b.iter().copied())
-                .collect(),
-            (Some(Space::Str(a)), None) => self.strs[pos]
-                .range::<str, _>((Bound::Included(a.as_str()), Bound::Unbounded))
-                .flat_map(|(_, b)| b.iter().copied())
-                .collect(),
-            (None, Some(Space::Str(b))) => self.strs[pos]
-                .range::<str, _>((Bound::Unbounded, Bound::Included(b.as_str())))
-                .flat_map(|(_, b)| b.iter().copied())
-                .collect(),
-            // Mixed keyspaces: no value satisfies both bounds.
-            _ => Vec::new(),
-        };
-        slots.sort_unstable();
-        slots.dedup();
+        let mut slots: Vec<usize> = entries.range((start, end)).map(|&(_, slot)| slot).collect();
+        // One key's entries are already ascending by slot and distinct;
+        // across keys a slot recurs once per key its chain carries.
+        if !point {
+            slots.sort_unstable();
+            slots.dedup();
+        }
         Some(slots)
     }
 }
@@ -340,17 +234,26 @@ mod tests {
         assert_eq!(index_key(&Value::Float(f64::NAN)), None);
     }
 
+    /// `column = value`: the interval `[value, value]`.
+    fn point(idx: &TableIndexes, column: usize, value: Value) -> Option<Vec<usize>> {
+        idx.probe(column, Some(&value), Some(&value))
+    }
+
+    fn s(text: &str) -> Value {
+        Value::Str(text.into())
+    }
+
     #[test]
     fn add_probe_roundtrip_in_ascending_order() {
         let mut idx = TableIndexes::new(vec![0]);
         idx.add(7, &[Value::Int(5)]);
         idx.add(3, &[Value::Int(5)]);
         idx.add(4, &[Value::Int(6)]);
-        assert_eq!(idx.probe(0, &Value::Int(5)), Some(vec![3, 7]));
-        assert_eq!(idx.probe(0, &Value::Float(5.0)), Some(vec![3, 7]));
-        assert_eq!(idx.probe(0, &Value::Int(9)), Some(vec![]));
-        assert_eq!(idx.probe(0, &Value::Null), Some(vec![]));
-        assert_eq!(idx.probe(1, &Value::Int(5)), None, "unindexed column");
+        assert_eq!(point(&idx, 0, Value::Int(5)), Some(vec![3, 7]));
+        assert_eq!(point(&idx, 0, Value::Float(5.0)), Some(vec![3, 7]));
+        assert_eq!(point(&idx, 0, Value::Int(9)), Some(vec![]));
+        assert_eq!(point(&idx, 0, Value::Null), Some(vec![]));
+        assert_eq!(point(&idx, 1, Value::Int(5)), None, "unindexed column");
     }
 
     #[test]
@@ -360,36 +263,37 @@ mod tests {
         idx.add(1, &[Value::Int(20)]);
         idx.add(2, &[Value::Float(15.5)]);
         idx.add(3, &[Value::Int(30)]);
-        idx.add(4, &[Value::Str("20".into())]);
+        idx.add(4, &[s("20")]);
         // Inclusive both-bounds range; the string "20" is a different
         // keyspace and never matches a numeric range.
         assert_eq!(
-            idx.probe_range(0, Some(&Value::Int(10)), Some(&Value::Int(20))),
+            idx.probe(0, Some(&Value::Int(10)), Some(&Value::Int(20))),
             Some(vec![0, 1, 2])
         );
         // Half-open ranges.
+        assert_eq!(idx.probe(0, Some(&Value::Int(16)), None), Some(vec![1, 3]));
         assert_eq!(
-            idx.probe_range(0, Some(&Value::Int(16)), None),
-            Some(vec![1, 3])
-        );
-        assert_eq!(
-            idx.probe_range(0, None, Some(&Value::Float(15.5))),
+            idx.probe(0, None, Some(&Value::Float(15.5))),
             Some(vec![0, 2])
         );
         // Unindexed column and no bounds at all: fall back to the scan.
-        assert_eq!(idx.probe_range(1, Some(&Value::Int(0)), None), None);
-        assert_eq!(idx.probe_range(0, None, None), None);
+        assert_eq!(idx.probe(1, Some(&Value::Int(0)), None), None);
+        assert_eq!(idx.probe(0, None, None), None);
         // NULL bound, mixed keyspaces, inverted range: provably empty.
         assert_eq!(
-            idx.probe_range(0, Some(&Value::Null), Some(&Value::Int(20))),
+            idx.probe(0, Some(&Value::Null), Some(&Value::Int(20))),
             Some(vec![])
         );
         assert_eq!(
-            idx.probe_range(0, Some(&Value::Int(0)), Some(&Value::Str("z".into()))),
+            idx.probe(0, Some(&Value::Int(0)), Some(&s("z"))),
             Some(vec![])
         );
         assert_eq!(
-            idx.probe_range(0, Some(&Value::Int(20)), Some(&Value::Int(10))),
+            idx.probe(0, Some(&s("a")), Some(&Value::Int(99))),
+            Some(vec![])
+        );
+        assert_eq!(
+            idx.probe(0, Some(&Value::Int(20)), Some(&Value::Int(10))),
             Some(vec![])
         );
     }
@@ -397,21 +301,49 @@ mod tests {
     #[test]
     fn range_probe_spans_string_keyspace() {
         let mut idx = TableIndexes::new(vec![0]);
-        idx.add(0, &[Value::Str("apple".into())]);
-        idx.add(1, &[Value::Str("mango".into())]);
-        idx.add(2, &[Value::Str("zebra".into())]);
+        idx.add(0, &[s("apple")]);
+        idx.add(1, &[s("mango")]);
+        idx.add(2, &[s("zebra")]);
         idx.add(3, &[Value::Int(5)]);
         assert_eq!(
-            idx.probe_range(
-                0,
-                Some(&Value::Str("apple".into())),
-                Some(&Value::Str("mango".into()))
-            ),
+            idx.probe(0, Some(&s("apple")), Some(&s("mango"))),
             Some(vec![0, 1])
         );
+        assert_eq!(idx.probe(0, Some(&s("n")), None), Some(vec![2]));
+        assert_eq!(idx.probe(0, Some(&s("n")), Some(&s("b"))), Some(vec![]));
+    }
+
+    #[test]
+    fn a_missing_bound_is_the_edge_of_the_present_bounds_keyspace() {
+        let mut idx = TableIndexes::new(vec![0]);
+        idx.add(0, &[Value::Int(3)]);
+        idx.add(1, &[Value::Float(f64::INFINITY)]);
+        idx.add(2, &[s("")]);
+        idx.add(3, &[s("abc")]);
+        idx.add(4, &[s("zebra")]);
+        idx.add(5, &[Value::Float(f64::NEG_INFINITY)]);
+        // `qty > 5` stops before the first string key ...
+        assert_eq!(idx.probe(0, Some(&Value::Int(5)), None), Some(vec![1]));
+        // ... `qty < 5` starts at the least numeric ...
+        assert_eq!(idx.probe(0, None, Some(&Value::Int(5))), Some(vec![0, 5]));
+        // ... `s >= ''` and `s <= 'm'` include the empty string ...
+        assert_eq!(idx.probe(0, Some(&s("")), None), Some(vec![2, 3, 4]));
+        assert_eq!(idx.probe(0, None, Some(&s("m"))), Some(vec![2, 3]));
+        // ... and neither returns a numeric-keyed slot.
+        assert_eq!(idx.probe(0, None, Some(&s(""))), Some(vec![2]));
+    }
+
+    #[test]
+    fn a_slot_keyed_twice_in_a_range_comes_back_once_in_slot_order() {
+        let mut idx = TableIndexes::new(vec![0]);
+        // Slot 9 carries 1 then 4 (an UPDATE appended a version); slot 2
+        // sits between them in key order.
+        idx.add(9, &[Value::Int(1)]);
+        idx.add(2, &[Value::Int(3)]);
+        idx.add(9, &[Value::Int(4)]);
         assert_eq!(
-            idx.probe_range(0, Some(&Value::Str("n".into())), None),
-            Some(vec![2])
+            idx.probe(0, Some(&Value::Int(0)), Some(&Value::Int(5))),
+            Some(vec![2, 9])
         );
     }
 
@@ -421,12 +353,12 @@ mod tests {
         let vals = vec![Value::Int(7)];
         idx.add(1, &vals);
         assert_eq!(
-            idx.probe_range(0, Some(&Value::Int(0)), Some(&Value::Int(10))),
+            idx.probe(0, Some(&Value::Int(0)), Some(&Value::Int(10))),
             Some(vec![1])
         );
         idx.unwind(1, &vals, std::iter::empty());
         assert_eq!(
-            idx.probe_range(0, Some(&Value::Int(0)), Some(&Value::Int(10))),
+            idx.probe(0, Some(&Value::Int(0)), Some(&Value::Int(10))),
             Some(vec![])
         );
     }
@@ -440,9 +372,9 @@ mod tests {
         idx.add(2, &new);
         // Rolling back the new version: the old one still carries key 5.
         idx.unwind(2, &new, std::iter::once(old.as_slice()));
-        assert_eq!(idx.probe(0, &Value::Int(5)), Some(vec![2]));
+        assert_eq!(point(&idx, 0, Value::Int(5)), Some(vec![2]));
         // Rolling back the old one too: the entry goes away.
         idx.unwind(2, &old, std::iter::empty());
-        assert_eq!(idx.probe(0, &Value::Int(5)), Some(vec![]));
+        assert_eq!(point(&idx, 0, Value::Int(5)), Some(vec![]));
     }
 }

@@ -52,11 +52,6 @@ impl IsolationLevel {
             .expect("level in ALL") as u8
     }
 
-    /// Inverse of [`IsolationLevel::code`].
-    pub(crate) fn from_code(code: u8) -> IsolationLevel {
-        IsolationLevel::ALL[code as usize]
-    }
-
     /// Parse a level from any spelling the tools and the wire accept,
     /// case-insensitively: the short codes (`RU`, `RC`, `MRR` /
     /// `MYSQL-RR` / `default`, `RR`, `SI` / `snapshot`, `S` / `SER`), the

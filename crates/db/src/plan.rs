@@ -1,22 +1,24 @@
-//! Predicate analysis for the index read paths.
+//! Predicate analysis for the index read path.
 //!
-//! The executor asks two narrow questions before scanning a table: *does
-//! the statement's WHERE/ON tree prove `col = literal`* — served by an
-//! equality (hash) probe — *or, failing that, a one-column range like
-//! `col < literal`* — served by an ordered-index range probe — *for some
-//! index-backed column of this table?* If so, the table's candidate rows
-//! come from an index probe instead of a full slot walk. The analysis is
-//! purely sufficient, never necessary: a conjunct it cannot extract just
-//! means a full scan, and every candidate an index supplies is still run
-//! through the ordinary predicate evaluation — so a false negative costs
-//! time, never correctness.
+//! The executor asks one narrow question before scanning a table: *does
+//! the statement's WHERE/ON tree confine some index-backed column of this
+//! table to an interval of literals?* `col = literal` is the interval
+//! `[literal, literal]`; `col < literal`, `literal <= col`, `BETWEEN` are
+//! the open-ended ones. If so, the table's candidate rows come from one
+//! ordered-index probe ([`crate::index::TableIndexes::probe`]) instead of
+//! a full slot walk. The analysis is purely sufficient, never necessary:
+//! a conjunct it cannot extract just means a full scan, and every
+//! candidate an index supplies is still run through the ordinary
+//! predicate evaluation — so a false negative costs time, never
+//! correctness.
 //!
 //! Extraction rules:
 //!
 //! * only **top-level AND conjuncts** are inspected (`a = 1 AND rest`);
 //!   anything under `OR`, `NOT`, arithmetic, `IN`, or `CASE` is opaque;
-//! * a conjunct must be `column = literal` or `literal = column` with a
-//!   bare column reference and a bare literal — computed values fall back;
+//! * a conjunct must compare a bare column reference with a bare literal,
+//!   in either order, by `=`, `<`, `<=`, `>` or `>=` — computed values
+//!   fall back;
 //! * column references resolve exactly as [`crate::expr::EvalScope`]
 //!   resolves them (qualifier → effective table name; unqualified → first
 //!   table in scope order carrying the name);
@@ -30,25 +32,14 @@ use acidrain_sql::ast::{BinOp, ColumnRef, Expr};
 use crate::storage::TableData;
 use crate::value::Value;
 
-/// A `col = literal` equality that holds for every row combination the
-/// analyzed clauses accept.
+/// A one-column interval that holds for every row combination the
+/// analyzed clauses accept: `lower <= col <= upper` with either side
+/// optional. `col = k` is the point `[k, k]`. Exclusive bounds are
+/// **widened to inclusive** (`col < 10` contributes upper `10`) — the
+/// candidate set is a superset and the exact predicate re-verifies every
+/// candidate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EqConstraint {
-    /// Position of the owning table in the statement's scope (join order).
-    pub table: usize,
-    /// Storage position of the column within that table.
-    pub column: usize,
-    /// The literal the column must equal.
-    pub value: Value,
-}
-
-/// A one-column range that holds for every row combination the analyzed
-/// clauses accept: `lower <= col <= upper` with either side optional.
-/// Bounds are **widened to inclusive** (`col < 10` contributes upper
-/// `10`) — the candidate set is a superset and the exact predicate
-/// re-verifies every candidate, same as the equality path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RangeConstraint {
+pub struct Constraint {
     /// Position of the owning table in the statement's scope (join order).
     pub table: usize,
     /// Storage position of the column within that table.
@@ -57,6 +48,13 @@ pub struct RangeConstraint {
     pub lower: Option<Value>,
     /// Inclusive upper bound, if any conjunct proved one.
     pub upper: Option<Value>,
+}
+
+impl Constraint {
+    /// Whether the interval is a single value.
+    fn is_point(&self) -> bool {
+        self.lower.is_some() && self.lower == self.upper
+    }
 }
 
 /// One table's name bindings during analysis, mirroring
@@ -97,14 +95,19 @@ fn all_resolve(clauses: &[&Expr], tables: &[PlanTable<'_>]) -> bool {
     ok
 }
 
-/// Collect the `col = literal` constraints proven by the top-level AND
-/// conjuncts of every clause in `clauses`. Returns `None` — demanding a
-/// full-scan fallback — when any column reference in any clause fails to
-/// resolve.
-pub fn equality_constraints(
-    clauses: &[&Expr],
-    tables: &[PlanTable<'_>],
-) -> Option<Vec<EqConstraint>> {
+/// Collect the constraints proven by the top-level AND conjuncts of every
+/// clause in `clauses`, in conjunct order. Each `col = lit` is its own
+/// point. The inequalities on one column (`col < lit`, `lit <= col`, …;
+/// `BETWEEN` desugars to such conjuncts in the parser) merge into one
+/// interval: the first lower and first upper seen win (later, possibly
+/// tighter bounds only shrink a set the predicate re-verifies anyway). An
+/// `=` is never merged into that interval, so `qty > 3 AND qty = 5` keeps
+/// the point `[5, 5]` beside the open `[3, ..]` (an interval its own
+/// conjuncts close to a point, `qty >= 5 AND qty <= 5`, is a point like
+/// any other from then on). Returns `None` —
+/// demanding a full-scan fallback — when any column reference in any
+/// clause fails to resolve.
+pub fn constraints(clauses: &[&Expr], tables: &[PlanTable<'_>]) -> Option<Vec<Constraint>> {
     all_resolve(clauses, tables).then(|| {
         let mut out = Vec::new();
         for clause in clauses {
@@ -114,29 +117,9 @@ pub fn equality_constraints(
     })
 }
 
-/// Collect the one-column range constraints proven by the top-level AND
-/// conjuncts of every clause in `clauses` — `col < lit`, `lit <= col`,
-/// and friends (`BETWEEN` desugars to such conjuncts in the parser).
-/// Bounds merge per column: the first lower and first upper seen win
-/// (later, possibly tighter bounds only shrink a set the predicate
-/// re-verifies anyway). Returns `None` under exactly the same
-/// unresolvable-column rule as [`equality_constraints`].
-pub fn range_constraints(
-    clauses: &[&Expr],
-    tables: &[PlanTable<'_>],
-) -> Option<Vec<RangeConstraint>> {
-    all_resolve(clauses, tables).then(|| {
-        let mut out = Vec::new();
-        for clause in clauses {
-            collect_range_conjuncts(clause, tables, &mut out);
-        }
-        out
-    })
-}
-
 /// The one routing decision every statement shares. Per scope table
 /// (`data` is aligned with `tables`): the candidate slots of the first
-/// equality conjunct an index can serve, else of the first range conjunct
+/// point conjunct an index can serve, else of the first range conjunct
 /// one can (`qty < k`, `BETWEEN`), else `None` — a full slot walk, which
 /// is also what every table gets when a column fails to resolve.
 pub fn index_routes(
@@ -145,32 +128,27 @@ pub fn index_routes(
     data: &[&TableData],
 ) -> Vec<Option<Vec<usize>>> {
     let mut routes = vec![None; tables.len()];
-    for c in equality_constraints(clauses, tables).iter().flatten() {
-        if routes[c.table].is_none() {
-            routes[c.table] = data[c.table].indexes.probe(c.column, &c.value);
-        }
-    }
-    if routes.iter().all(Option::is_some) {
-        return routes;
-    }
-    for r in range_constraints(clauses, tables).iter().flatten() {
-        if routes[r.table].is_none() {
-            routes[r.table] =
-                data[r.table]
-                    .indexes
-                    .probe_range(r.column, r.lower.as_ref(), r.upper.as_ref());
+    let found = constraints(clauses, tables).unwrap_or_default();
+    for points in [true, false] {
+        for c in found.iter().filter(|c| c.is_point() == points) {
+            if routes[c.table].is_none() {
+                routes[c.table] =
+                    data[c.table]
+                        .indexes
+                        .probe(c.column, c.lower.as_ref(), c.upper.as_ref());
+            }
         }
     }
     routes
 }
 
-fn collect_range_conjuncts(expr: &Expr, tables: &[PlanTable<'_>], out: &mut Vec<RangeConstraint>) {
+fn collect_conjuncts(expr: &Expr, tables: &[PlanTable<'_>], out: &mut Vec<Constraint>) {
     let Expr::Binary { left, op, right } = expr else {
         return;
     };
     if *op == BinOp::And {
-        collect_range_conjuncts(left, tables, out);
-        collect_range_conjuncts(right, tables, out);
+        collect_conjuncts(left, tables, out);
+        collect_conjuncts(right, tables, out);
         return;
     }
     // Orient each comparison as `col OP lit`: `lit < col` is `col > lit`.
@@ -180,6 +158,7 @@ fn collect_range_conjuncts(expr: &Expr, tables: &[PlanTable<'_>], out: &mut Vec<
         (Expr::Literal(l), Expr::Column(c), BinOp::LtEq) => (c, l, BinOp::GtEq),
         (Expr::Literal(l), Expr::Column(c), BinOp::Gt) => (c, l, BinOp::Lt),
         (Expr::Literal(l), Expr::Column(c), BinOp::GtEq) => (c, l, BinOp::LtEq),
+        (Expr::Literal(l), Expr::Column(c), BinOp::Eq) => (c, l, BinOp::Eq),
         _ => return,
     };
     let Some((table, column)) = resolve(tables, c) else {
@@ -187,23 +166,22 @@ fn collect_range_conjuncts(expr: &Expr, tables: &[PlanTable<'_>], out: &mut Vec<
     };
     let value = Value::from_literal(lit);
     let (lower, upper) = match op {
+        BinOp::Eq => (Some(value.clone()), Some(value)),
         BinOp::Lt | BinOp::LtEq => (None, Some(value)),
         BinOp::Gt | BinOp::GtEq => (Some(value), None),
         _ => return,
     };
-    if let Some(existing) = out
-        .iter_mut()
-        .find(|r| r.table == table && r.column == column)
-    {
-        if existing.lower.is_none() {
-            existing.lower = lower.clone();
+    if op != BinOp::Eq {
+        let open = out
+            .iter_mut()
+            .find(|r| r.table == table && r.column == column && !r.is_point());
+        if let Some(open) = open {
+            open.lower = open.lower.take().or(lower);
+            open.upper = open.upper.take().or(upper);
+            return;
         }
-        if existing.upper.is_none() {
-            existing.upper = upper.clone();
-        }
-        return;
     }
-    out.push(RangeConstraint {
+    out.push(Constraint {
         table,
         column,
         lower,
@@ -211,44 +189,10 @@ fn collect_range_conjuncts(expr: &Expr, tables: &[PlanTable<'_>], out: &mut Vec<
     });
 }
 
-fn collect_conjuncts(expr: &Expr, tables: &[PlanTable<'_>], out: &mut Vec<EqConstraint>) {
-    match expr {
-        Expr::Binary {
-            left,
-            op: BinOp::And,
-            right,
-        } => {
-            collect_conjuncts(left, tables, out);
-            collect_conjuncts(right, tables, out);
-        }
-        Expr::Binary {
-            left,
-            op: BinOp::Eq,
-            right,
-        } => {
-            let col_lit = match (&**left, &**right) {
-                (Expr::Column(c), Expr::Literal(l)) | (Expr::Literal(l), Expr::Column(c)) => {
-                    Some((c, l))
-                }
-                _ => None,
-            };
-            if let Some((c, lit)) = col_lit {
-                if let Some((table, column)) = resolve(tables, c) {
-                    out.push(EqConstraint {
-                        table,
-                        column,
-                        value: Value::from_literal(lit),
-                    });
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::RowVersion;
     use acidrain_sql::{parse_statement, Statement};
 
     fn where_expr(sql: &str) -> Expr {
@@ -262,31 +206,43 @@ mod tests {
         cols.iter().map(|s| s.to_string()).collect()
     }
 
-    fn analyze(sql: &str, cols: &[&str]) -> Option<Vec<EqConstraint>> {
+    fn analyze(sql: &str, cols: &[&str]) -> Option<Vec<Constraint>> {
         let columns = single_scope(cols);
         let tables = [PlanTable {
             effective_name: "t",
             columns: &columns,
         }];
-        equality_constraints(&[&where_expr(sql)], &tables)
+        constraints(&[&where_expr(sql)], &tables)
+    }
+
+    /// `[lower, upper]` on `column` of the scope's first table.
+    fn interval(column: usize, lower: Option<i64>, upper: Option<i64>) -> Constraint {
+        Constraint {
+            table: 0,
+            column,
+            lower: lower.map(Value::Int),
+            upper: upper.map(Value::Int),
+        }
+    }
+
+    fn point(column: usize, value: i64) -> Constraint {
+        interval(column, Some(value), Some(value))
     }
 
     #[test]
     fn extracts_top_level_equality_conjuncts() {
         let cs = analyze("id = 5", &["id", "v"]).unwrap();
+        assert_eq!(cs, vec![point(0, 5)]);
+        assert!(cs[0].is_point());
+        // Reversed operands and AND chains both extract, in conjunct
+        // order, each `=` its own point.
+        let cs = analyze("7 = v AND id = 1 AND v > 0", &["id", "v"]).unwrap();
         assert_eq!(
             cs,
-            vec![EqConstraint {
-                table: 0,
-                column: 0,
-                value: Value::Int(5)
-            }]
+            vec![point(1, 7), point(0, 1), interval(1, Some(0), None)]
         );
-        // Reversed operands and AND chains both extract.
-        let cs = analyze("7 = v AND id = 1 AND v > 0", &["id", "v"]).unwrap();
-        assert_eq!(cs.len(), 2);
-        assert_eq!(cs[0].column, 1);
-        assert_eq!(cs[1].column, 0);
+        let cs = analyze("id = 1 AND id = 2", &["id", "v"]).unwrap();
+        assert_eq!(cs, vec![point(0, 1), point(0, 2)]);
     }
 
     #[test]
@@ -301,66 +257,73 @@ mod tests {
     #[test]
     fn unresolvable_column_forces_fallback() {
         assert_eq!(analyze("nope = 1", &["id", "v"]), None);
-        // ... even when buried in a non-conjunct position.
+        // ... even when buried in a non-conjunct position, or beside
+        // conjuncts of both shapes: one walk reports it for all of them.
         assert_eq!(
             analyze("id = 1 AND (nope > 2 OR v = 3)", &["id", "v"]),
             None
         );
-    }
-
-    fn analyze_range(sql: &str, cols: &[&str]) -> Option<Vec<RangeConstraint>> {
-        let columns = single_scope(cols);
-        let tables = [PlanTable {
-            effective_name: "t",
-            columns: &columns,
-        }];
-        range_constraints(&[&where_expr(sql)], &tables)
+        assert_eq!(analyze("id = 1 AND v < 9 AND nope = v", &["id", "v"]), None);
     }
 
     #[test]
     fn extracts_and_merges_range_conjuncts() {
-        let rs = analyze_range("qty < 10", &["id", "qty"]).unwrap();
-        assert_eq!(
-            rs,
-            vec![RangeConstraint {
-                table: 0,
-                column: 1,
-                lower: None,
-                upper: Some(Value::Int(10)),
-            }]
-        );
+        let rs = analyze("qty < 10", &["id", "qty"]).unwrap();
+        assert_eq!(rs, vec![interval(1, None, Some(10))]);
+        assert!(!rs[0].is_point());
         // Both sides merge onto one constraint; reversed operands orient.
-        let rs = analyze_range("qty >= 2 AND 10 > qty", &["id", "qty"]).unwrap();
-        assert_eq!(
-            rs,
-            vec![RangeConstraint {
-                table: 0,
-                column: 1,
-                lower: Some(Value::Int(2)),
-                upper: Some(Value::Int(10)),
-            }]
-        );
+        let rs = analyze("qty >= 2 AND 10 > qty", &["id", "qty"]).unwrap();
+        assert_eq!(rs, vec![interval(1, Some(2), Some(10))]);
         // BETWEEN desugars in the parser to the same conjunct shape.
-        let rs = analyze_range("qty BETWEEN 3 AND 7", &["id", "qty"]).unwrap();
-        assert_eq!(rs[0].lower, Some(Value::Int(3)));
-        assert_eq!(rs[0].upper, Some(Value::Int(7)));
+        let rs = analyze("qty BETWEEN 3 AND 7", &["id", "qty"]).unwrap();
+        assert_eq!(rs, vec![interval(1, Some(3), Some(7))]);
         // First bound per side wins; extra bounds only widen the superset.
-        let rs = analyze_range("qty > 5 AND qty > 8", &["id", "qty"]).unwrap();
-        assert_eq!(rs[0].lower, Some(Value::Int(5)));
-        assert_eq!(rs[0].upper, None);
+        let rs = analyze("qty > 5 AND qty > 8", &["id", "qty"]).unwrap();
+        assert_eq!(rs, vec![interval(1, Some(5), None)]);
+        // An inverted pair stays as written: the probe answers it empty.
+        let rs = analyze("qty < 3 AND qty > 7", &["id", "qty"]).unwrap();
+        assert_eq!(rs, vec![interval(1, Some(7), Some(3))]);
+        // An `=` is never merged into the column's open range: it stays
+        // its own point, and the range still merges around it.
+        let cs = analyze("qty > 3 AND qty = 5 AND qty < 9", &["id", "qty"]).unwrap();
+        assert_eq!(cs, vec![interval(1, Some(3), Some(9)), point(1, 5)]);
     }
 
     #[test]
     fn range_opaque_shapes_and_fallback() {
         assert_eq!(
-            analyze_range("qty < 1 OR qty > 5", &["id", "qty"]).unwrap(),
+            analyze("qty < 1 OR qty > 5", &["id", "qty"]).unwrap(),
             vec![]
         );
-        assert_eq!(
-            analyze_range("qty + 1 < 10", &["id", "qty"]).unwrap(),
-            vec![]
-        );
-        assert_eq!(analyze_range("nope < 1", &["id", "qty"]), None);
+        assert_eq!(analyze("qty + 1 < 10", &["id", "qty"]).unwrap(), vec![]);
+        assert_eq!(analyze("nope < 1", &["id", "qty"]), None);
+    }
+
+    #[test]
+    fn routes_the_point_before_the_range() {
+        let columns = single_scope(&["id", "qty"]);
+        let tables = [PlanTable {
+            effective_name: "t",
+            columns: &columns,
+        }];
+        let mut data = TableData::new("t", vec![1]);
+        for qty in [4, 5, 6, 5] {
+            data.push_row(RowVersion::committed(
+                vec![Value::Int(0), Value::Int(qty)],
+                1,
+            ));
+        }
+        let route = |sql: &str| index_routes(&[&where_expr(sql)], &tables, &[&data]);
+        // `qty > 3` alone would supply all four slots; the point wins
+        // wherever it stands in the conjunction.
+        assert_eq!(route("qty > 3"), vec![Some(vec![0, 1, 2, 3])]);
+        assert_eq!(route("qty > 3 AND qty = 5"), vec![Some(vec![1, 3])]);
+        assert_eq!(route("qty = 5 AND qty > 3"), vec![Some(vec![1, 3])]);
+        // A point no index serves (`id`) leaves the range to route.
+        assert_eq!(route("id = 0 AND qty >= 6"), vec![Some(vec![2])]);
+        // No servable conjunct, or an unresolvable column: the full walk.
+        assert_eq!(route("id = 0"), vec![None]);
+        assert_eq!(route("qty = 5 AND nope = 1"), vec![None]);
     }
 
     #[test]
@@ -378,24 +341,16 @@ mod tests {
             },
         ];
         let e = where_expr("b.y = 3 AND shared = 1");
-        let cs = equality_constraints(&[&e], &tables).unwrap();
+        let cs = constraints(&[&e], &tables).unwrap();
         assert_eq!(
             cs[0],
-            EqConstraint {
+            Constraint {
                 table: 1,
-                column: 0,
-                value: Value::Int(3)
+                ..point(0, 3)
             }
         );
         // Unqualified `shared` resolves to the FIRST scope table, exactly
         // as EvalScope::lookup does.
-        assert_eq!(
-            cs[1],
-            EqConstraint {
-                table: 0,
-                column: 1,
-                value: Value::Int(1)
-            }
-        );
+        assert_eq!(cs[1], point(1, 1));
     }
 }

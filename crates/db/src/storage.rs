@@ -190,10 +190,10 @@ pub struct TableData {
     pub name: String,
     /// Row slots; a slot's index is the row's stable identity.
     pub rows: Vec<RowSlot>,
-    /// Equality and ordered indexes over the table's unique and
-    /// declared-indexed columns. Maintained under this table's write latch
-    /// at version create time and unwound on rollback; see [`crate::index`]
-    /// for the visibility-agnostic superset contract.
+    /// One ordered index per unique or declared-indexed column. Maintained
+    /// under this table's write latch at version create time and unwound
+    /// on rollback; see [`crate::index`] for the visibility-agnostic
+    /// superset contract.
     pub indexes: TableIndexes,
     /// Next value handed out for auto-increment columns.
     pub auto_counter: i64,
@@ -628,6 +628,12 @@ mod tests {
         vec![Value::Int(vals)]
     }
 
+    /// The slots column 0's index holds under `key`.
+    fn keyed(t: &TableData, key: i64) -> Option<Vec<usize>> {
+        let key = Value::Int(key);
+        t.indexes.probe(0, Some(&key), Some(&key))
+    }
+
     #[test]
     fn snapshot_sees_committed_at_or_before() {
         let version = RowVersion::committed(v(1), 5);
@@ -769,12 +775,12 @@ mod tests {
     fn push_row_and_push_version_maintain_indexes() {
         let mut t = TableData::new("t", vec![0]);
         let slot = t.push_row(RowVersion::committed(v(5), 1));
-        assert_eq!(t.indexes.probe(0, &Value::Int(5)), Some(vec![slot]));
+        assert_eq!(keyed(&t, 5), Some(vec![slot]));
         // An updating version re-indexes the slot under its new value and
         // keeps the old entry (superset over the whole chain).
         t.push_version(slot, RowVersion::uncommitted(v(6), TxnId(2)));
-        assert_eq!(t.indexes.probe(0, &Value::Int(5)), Some(vec![slot]));
-        assert_eq!(t.indexes.probe(0, &Value::Int(6)), Some(vec![slot]));
+        assert_eq!(keyed(&t, 5), Some(vec![slot]));
+        assert_eq!(keyed(&t, 6), Some(vec![slot]));
     }
 
     #[test]
@@ -801,9 +807,9 @@ mod tests {
             assert_eq!(t.rows[0].versions.len(), 2);
             assert_eq!(t.rows[0].versions[0].values, v(2));
             // The pruned version's index entry is gone; survivors remain.
-            assert_eq!(t.indexes.probe(0, &Value::Int(1)), Some(vec![]));
-            assert_eq!(t.indexes.probe(0, &Value::Int(2)), Some(vec![0]));
-            assert_eq!(t.indexes.probe(0, &Value::Int(3)), Some(vec![0]));
+            assert_eq!(keyed(&t, 1), Some(vec![]));
+            assert_eq!(keyed(&t, 2), Some(vec![0]));
+            assert_eq!(keyed(&t, 3), Some(vec![0]));
         }
         // A later pass at 3 collapses the chain to the live version.
         let stats = storage.prune(3);

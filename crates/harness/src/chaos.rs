@@ -52,8 +52,8 @@ pub struct ChaosConfig {
     /// run produces a bit-for-bit identical [`ChaosReport`] whether this
     /// is on or off (the observability test suite pins this down).
     pub metrics: bool,
-    /// Route predicates through the store's hash and ordered indexes (the
-    /// engine default) rather than the reference full scan. Indexes are
+    /// Route predicates through the store's ordered indexes (the engine
+    /// default) rather than the reference full scan. Indexes are
     /// maintained either way; this gates only the read path, and index
     /// candidates are probed in the same ascending slot order a full scan
     /// visits — so a seeded run produces a bit-for-bit identical

@@ -255,12 +255,6 @@ impl Stepper {
             }
         }
     }
-
-    /// Alternate sessions statement-by-statement (lockstep) until all
-    /// finish.
-    pub fn lockstep(&mut self) {
-        self.drain();
-    }
 }
 
 /// Run `tasks` concurrently with the interleaving dictated by `schedule`.

@@ -104,11 +104,6 @@ pub enum TaskOutcome<T> {
 }
 
 impl<T> TaskOutcome<T> {
-    /// Whether the task ran to completion.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, TaskOutcome::Completed(_))
-    }
-
     /// Whether the watchdog clamp fired.
     pub fn is_timed_out(&self) -> bool {
         matches!(self, TaskOutcome::TimedOut { .. })

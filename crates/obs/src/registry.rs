@@ -265,11 +265,6 @@ impl Obs {
         self.registry.tracing.store(on, Ordering::Release);
     }
 
-    /// Whether span tracing is on (does not check the master flag).
-    pub fn tracing_enabled(&self) -> bool {
-        self.registry.tracing.load(Ordering::Relaxed)
-    }
-
     #[inline]
     fn shard(&self, session: u64) -> &Shard {
         &self.registry.shards[session as usize % SHARDS]
@@ -489,7 +484,7 @@ impl Obs {
     }
 
     /// A predicated table scan picked its candidate set: `hit` when an
-    /// equality index supplied it, `false` when the scan fell back to the
+    /// index probe supplied it, `false` when the scan fell back to the
     /// full slot walk. Fired *after* the executor has committed to the
     /// candidate set, so the probe never influences the route taken.
     #[inline]

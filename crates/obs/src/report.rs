@@ -35,8 +35,8 @@ pub struct Counters {
     pub blocked_attempts: u64,
     /// Query-log entries appended.
     pub log_appends: u64,
-    /// Table scans routed through an equality index (candidate set came
-    /// from an index probe instead of a full slot walk).
+    /// Table scans routed through an index (candidate set came from an
+    /// index probe instead of a full slot walk).
     pub index_hits: u64,
     /// Predicated table scans that fell back to the full slot walk (no
     /// usable `col = literal` conjunct, column not index-backed, or the

@@ -103,7 +103,7 @@ impl TableSchema {
         self.column(name).is_some_and(|c| c.unique)
     }
 
-    /// Indices of columns the engine maintains an equality index over:
+    /// Indices of columns the engine maintains an index over:
     /// every unique column (primary/unique keys) plus declared-indexed
     /// non-unique columns.
     pub fn index_backed_columns(&self) -> Vec<usize> {

@@ -229,7 +229,7 @@ fn seeded_chaos_reports_match_pre_refactor_baseline() {
     }
 }
 
-/// The index read path (equality probe, else range probe) is a pure
+/// The index read path (point probe, else range probe) is a pure
 /// routing change: forcing it off (the reference full scan everywhere)
 /// must reproduce field-for-field identical chaos reports — request
 /// outcomes, fault counters, 2AD witnesses, and the state digest — for the
