@@ -54,7 +54,7 @@ pub use lift::{lift_trace, LiftError};
 pub use refine::{AnomalyPattern, AnomalyScope, RefinementConfig};
 pub use report::{AnalysisReport, Analyzer};
 pub use trace::{ApiCall, Op, OpKind, Trace, TraceBuilder, Txn};
-pub use witness::{statement_fingerprint, SeedKey, WitnessStep, WitnessTrace};
+pub use witness::{statement_fingerprint, WitnessStep, WitnessTrace};
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -64,5 +64,5 @@ pub mod prelude {
     pub use crate::refine::{AnomalyPattern, AnomalyScope, RefinementConfig};
     pub use crate::report::{AnalysisReport, Analyzer};
     pub use crate::trace::{ops, Trace, TraceBuilder};
-    pub use crate::witness::{statement_fingerprint, SeedKey, WitnessTrace};
+    pub use crate::witness::{statement_fingerprint, WitnessTrace};
 }

@@ -29,43 +29,6 @@ pub fn statement_fingerprint(sql: &str) -> u64 {
         .unwrap_or_else(|_| fnv1a(sql.as_bytes()))
 }
 
-/// Identity of a finding's seed pair: the seed API's name plus, for each
-/// seed operation, its position within the API instance and its statement
-/// fingerprint.
-///
-/// Matching findings to witnesses by raw SQL text breaks once literals are
-/// symbolized away — two endpoints sharing a statement shape with different
-/// literals render identically, and the same endpoint's concrete and
-/// symbolized analyses render differently. Position pins *which* occurrence
-/// of a shape is meant; the fingerprint pins the shape itself.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SeedKey {
-    /// Name of the seed API endpoint.
-    pub api: String,
-    /// `(position within the instance, statement fingerprint)` of o₁.
-    pub o1: (usize, u64),
-    /// `(position within the instance, statement fingerprint)` of o₂.
-    pub o2: (usize, u64),
-}
-
-impl SeedKey {
-    /// The key of `witness`'s seed pair in `history`.
-    pub fn of(history: &AbstractHistory, witness: &CycleWitness) -> SeedKey {
-        let api = history.locs[witness.o1].api;
-        SeedKey {
-            api: history.trace.api_calls[api].name.clone(),
-            o1: (
-                history.locs[witness.o1].position,
-                statement_fingerprint(&history.op(witness.o1).sql),
-            ),
-            o2: (
-                history.locs[witness.o2].position,
-                statement_fingerprint(&history.op(witness.o2).sql),
-            ),
-        }
-    }
-}
-
 /// One line of a witness schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitnessStep {
@@ -237,10 +200,7 @@ mod tests {
         let f = findings
             .into_iter()
             .find(|f| {
-                let key = SeedKey::of(&h, &f.witness);
-                key.api == api
-                    && key.o1.1 == statement_fingerprint(o1_sql)
-                    && key.o2.1 == statement_fingerprint(o2_sql)
+                f.api == api && h.op(f.witness.o1).sql == o1_sql && h.op(f.witness.o2).sql == o2_sql
             })
             .expect("expected finding");
         (h, f)
@@ -311,73 +271,6 @@ mod tests {
             .map(|s| s.api.as_str())
             .collect();
         assert!(a2_api.iter().all(|a| *a == "add_employee"));
-    }
-
-    /// Two endpoints that differ only in literals, concretely or with the
-    /// literals symbolized away (as the static audit does after PR 5).
-    fn literal_twins(symbolized: bool) -> Trace {
-        let mut b = TraceBuilder::new();
-        for (api, id, amount) in [("pay_alice", 1, 60), ("pay_bob", 2, 70)] {
-            let mut r = read_key("accounts", &["balance"]);
-            r.sql = format!("SELECT balance FROM accounts WHERE id = {id}");
-            let mut w = write("accounts", &["balance"]);
-            w.sql = format!("UPDATE accounts SET balance = {amount} WHERE id = {id}");
-            if symbolized {
-                for op in [&mut r, &mut w] {
-                    op.sql = acidrain_sql::statement_template(&op.sql).unwrap().text;
-                }
-            }
-            b = b.api(api, vec![auto(r), auto(w)]);
-        }
-        b.build()
-    }
-
-    /// Regression for the raw-SQL finding↔witness matcher: endpoints
-    /// sharing a statement shape with different literals render
-    /// *differently* before symbolization and *identically* after, so text
-    /// comparison either misses the match or cannot tell the endpoints
-    /// apart. [`SeedKey`] survives both: the fingerprint is invariant
-    /// under symbolization and the API name + position disambiguate twins.
-    #[test]
-    fn seed_key_survives_symbolization_and_distinguishes_literal_twins() {
-        let concrete = AbstractHistory::build(literal_twins(false));
-        let symbolized = AbstractHistory::build(literal_twins(true));
-        let config = RefinementConfig::none();
-        let concrete_findings = Detector::new(&concrete, &config).find_all();
-        let sym_findings = Detector::new(&symbolized, &config).find_all();
-        assert!(!concrete_findings.is_empty());
-        assert_eq!(concrete_findings.len(), sym_findings.len());
-
-        for f in &concrete_findings {
-            let key = SeedKey::of(&concrete, &f.witness);
-            let hit = sym_findings
-                .iter()
-                .find(|s| SeedKey::of(&symbolized, &s.witness) == key)
-                .unwrap_or_else(|| panic!("key {key:?} unmatched on symbolized side"));
-            assert_eq!(hit.api, f.api, "key routed to the wrong endpoint");
-            assert_ne!(
-                concrete.op(f.witness.o1).sql,
-                symbolized.op(hit.witness.o1).sql,
-                "literals were symbolized away, so raw text cannot match"
-            );
-        }
-
-        // Symbolized, the twins' statements render identically: their keys
-        // share positions and fingerprints and differ only in API name.
-        let keys: Vec<SeedKey> = sym_findings
-            .iter()
-            .map(|f| SeedKey::of(&symbolized, &f.witness))
-            .collect();
-        let alice: Vec<&SeedKey> = keys.iter().filter(|k| k.api == "pay_alice").collect();
-        let bob: Vec<&SeedKey> = keys.iter().filter(|k| k.api == "pay_bob").collect();
-        assert!(!alice.is_empty() && !bob.is_empty());
-        assert!(
-            alice
-                .iter()
-                .any(|a| bob.iter().any(|b| a.o1 == b.o1 && a.o2 == b.o2)),
-            "twin endpoints collide on positions + fingerprints; only the \
-             API name separates them"
-        );
     }
 
     #[test]

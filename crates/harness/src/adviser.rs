@@ -64,7 +64,7 @@ pub fn advise_surface(
     let levels = sweep_surface(surface, levels, |analysis| {
         let (scenario, level) = (analysis.scenario(), analysis.level());
         let mut remedies = analysis.remedies();
-        let plans = analysis.plans()?;
+        let plans = analysis.plans();
         check_paired(&surface.app, &remedies, &plans)?;
         let mut caches = ReplayCaches::default();
         for (outcome, fp) in remedies.outcomes.iter_mut().zip(&plans.plans) {

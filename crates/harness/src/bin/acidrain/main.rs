@@ -300,9 +300,14 @@ impl Args {
             .unwrap_or_else(|| self.usage_error(format!("unknown isolation level {text:?}")))
     }
 
-    /// Every `--level` given, or all six.
+    /// Every distinct `--level` given, in first-given order, or all six.
     fn levels(&self) -> Vec<IsolationLevel> {
-        let levels: Vec<_> = self.values("--level").map(|l| self.level(l)).collect();
+        let mut levels: Vec<IsolationLevel> = Vec::new();
+        for level in self.values("--level").map(|l| self.level(l)) {
+            if !levels.contains(&level) {
+                levels.push(level);
+            }
+        }
         if levels.is_empty() {
             IsolationLevel::ALL.to_vec()
         } else {
@@ -310,15 +315,21 @@ impl Args {
         }
     }
 
-    /// The registry's surfaces, narrowed to the `--app` names if any.
+    /// The registry's surfaces, narrowed to the `--app` names if any; an
+    /// `--app` that names no surface is a usage error.
     fn surfaces(&self) -> Vec<AppSurface> {
         let apps: Vec<&str> = self.values("--app").collect();
         let mut surfaces = all_surfaces();
+        let unknown: Vec<&str> = apps
+            .iter()
+            .copied()
+            .filter(|app| !surfaces.iter().any(|s| s.app == *app))
+            .collect();
+        if !unknown.is_empty() {
+            self.usage_error(format!("no surface matches {unknown:?}"));
+        }
         if !apps.is_empty() {
             surfaces.retain(|s| apps.contains(&s.app.as_str()));
-            if surfaces.is_empty() {
-                self.usage_error(format!("no surface matches {apps:?}"));
-            }
         }
         surfaces
     }

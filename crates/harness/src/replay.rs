@@ -13,9 +13,10 @@
 //! - **Blocked** — the engine refused the schedule at this level: a
 //!   session's statement hit a lock wait at its scheduled slot, or a
 //!   transaction was aborted (deadlock victim, first-committer-wins).
-//! - **Inconclusive** — the schedule was not realizable (no concrete
-//!   counterpart, too many instances to baseline) or it executed cleanly
-//!   but produced a serially-equivalent outcome.
+//! - **Inconclusive** — the schedule was not realizable (a witness API or
+//!   seed statement missing from the recorded scripts, too many instances
+//!   to baseline) or it executed cleanly but produced a
+//!   serially-equivalent outcome.
 //!
 //! Blocked is *not* refuted: the abstract witness quantifies over every
 //! expansion of the trace, and the replayer executes exactly one. The
@@ -384,7 +385,7 @@ pub fn replay_surface(
     levels: &[IsolationLevel],
 ) -> Result<AppReplay, AuditError> {
     let levels = sweep_surface(surface, levels, |analysis| {
-        let plans = analysis.plans()?;
+        let plans = analysis.plans();
         let mut caches = ReplayCaches::default();
         let outcomes = plans
             .plans

@@ -12,7 +12,6 @@ use acidrain_core::{
     RefinementConfig,
 };
 use acidrain_db::{IsolationLevel, LogEntry};
-use acidrain_sql::schema::Schema;
 
 use crate::template::symbolize_trace;
 
@@ -156,7 +155,9 @@ pub fn refinement_for(surface: &AppSurface, level: IsolationLevel) -> Refinement
     refinement_at(level, surface.session_locked)
 }
 
-fn static_finding(analyzer: &Analyzer, finding: &Finding) -> StaticFinding {
+/// `finding` as the reports print it: seed templates and fingerprints, and
+/// the Lemma-4 witness rendered over the symbolized history.
+pub(crate) fn static_finding(analyzer: &Analyzer, finding: &Finding) -> StaticFinding {
     let history = analyzer.history();
     let seed_ref = |node: usize| SeedRef {
         position: history.locs[node].position,
@@ -180,39 +181,6 @@ fn static_finding(analyzer: &Analyzer, finding: &Finding) -> StaticFinding {
     }
 }
 
-/// What the symbolized search found in one log.
-pub(crate) struct AuditedLog {
-    /// The analyzer over the symbolized trace.
-    pub(crate) analyzer: Analyzer,
-    /// The detector's findings, in detector order.
-    pub(crate) findings: Vec<Finding>,
-    /// `findings` as the reports print them, index for index.
-    pub(crate) rendered: Vec<StaticFinding>,
-}
-
-/// Lift `log`, symbolize it and run the untargeted search under `config`:
-/// the one path from a recorded log to findings, taken by the recording of
-/// a scenario and by every repaired rewrite of it.
-pub(crate) fn audit_log(
-    log: &[LogEntry],
-    schema: &Schema,
-    config: &RefinementConfig,
-) -> Result<AuditedLog, String> {
-    let mut trace = lift_trace(log, schema).map_err(|e| e.to_string())?;
-    symbolize_trace(&mut trace).map_err(|e| e.to_string())?;
-    let analyzer = Analyzer::from_trace(trace);
-    let findings = analyzer.analyze(config).findings;
-    let rendered = findings
-        .iter()
-        .map(|f| static_finding(&analyzer, f))
-        .collect();
-    Ok(AuditedLog {
-        analyzer,
-        findings,
-        rendered,
-    })
-}
-
 /// `error`, prefixed with where in the registry it happened.
 fn located(surface: &AppSurface, scenario: &Scenario, error: impl std::fmt::Display) -> String {
     format!("{}/{}: {error}", surface.app, scenario.name)
@@ -228,13 +196,22 @@ pub struct ScenarioAnalysis<'a> {
     pub(crate) level: IsolationLevel,
     pub(crate) log: Vec<LogEntry>,
     pub(crate) config: RefinementConfig,
-    pub(crate) audited: AuditedLog,
+    /// The analyzer over the symbolized trace. Symbolization rewrites only
+    /// `Op.sql`, so this history is the concrete one node for node, with
+    /// `log_seq` provenance back into `log`.
+    pub(crate) analyzer: Analyzer,
+    /// The detector's findings, in detector order.
+    pub(crate) detected: Vec<Finding>,
+    /// `detected` as the reports print them, index for index.
+    pub(crate) rendered: Vec<StaticFinding>,
 }
 
 impl<'a> ScenarioAnalysis<'a> {
     /// Record `scenario` in a fresh solo pass at `level` (deterministic and
-    /// contention-free), lift it against the surface's schema, symbolize it
-    /// and search it untargeted under the level's refinement config.
+    /// contention-free), lift it against the surface's schema, symbolize it,
+    /// search it untargeted under the level's refinement config and render
+    /// what the search found: the one place a scenario is symbolized and
+    /// rendered.
     pub fn new(
         surface: &'a AppSurface,
         scenario: &'a Scenario,
@@ -243,16 +220,25 @@ impl<'a> ScenarioAnalysis<'a> {
         let log = scenario
             .record(level)
             .map_err(|e| AuditError::Record(located(surface, scenario, e)))?;
-        let config = refinement_for(surface, level);
-        let audited = audit_log(&log, &surface.schema, &config)
+        let mut trace = lift_trace(&log, &surface.schema)
             .map_err(|e| AuditError::Lift(located(surface, scenario, e)))?;
+        symbolize_trace(&mut trace).map_err(|e| AuditError::Lift(located(surface, scenario, e)))?;
+        let analyzer = Analyzer::from_trace(trace);
+        let config = refinement_for(surface, level);
+        let detected = analyzer.analyze(&config).findings;
+        let rendered = detected
+            .iter()
+            .map(|f| static_finding(&analyzer, f))
+            .collect();
         Ok(ScenarioAnalysis {
             surface,
             scenario,
             level,
             log,
             config,
-            audited,
+            analyzer,
+            detected,
+            rendered,
         })
     }
 
@@ -268,16 +254,7 @@ impl<'a> ScenarioAnalysis<'a> {
 
     /// The anomalies the level admits, in detector order.
     pub fn findings(&self) -> &[StaticFinding] {
-        &self.audited.rendered
-    }
-
-    /// An analyzer over the recording as recorded, literals intact: its
-    /// operations carry `log_seq` provenance back into the log, which the
-    /// symbolized findings are re-bound through.
-    pub(crate) fn concrete(&self) -> Result<Analyzer, AuditError> {
-        lift_trace(&self.log, &self.surface.schema)
-            .map(Analyzer::from_trace)
-            .map_err(|e| AuditError::Lift(located(self.surface, self.scenario, e)))
+        &self.rendered
     }
 }
 
@@ -313,7 +290,7 @@ pub fn audit_surface(surface: &AppSurface) -> Result<AppAudit, AuditError> {
                 .iter()
                 .map(|e| e.to_string())
                 .collect(),
-            findings: analysis.audited.rendered,
+            findings: analysis.rendered,
         })
     })?
     .into_iter()

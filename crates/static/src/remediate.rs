@@ -39,14 +39,16 @@ use std::collections::{BTreeSet, HashMap};
 
 use acidrain_apps::endpoints::{AppSurface, Scenario};
 use acidrain_apps::is_transaction_control_sql;
-use acidrain_core::{statement_fingerprint, AnomalyPattern, AnomalyScope, RefinementConfig};
+use acidrain_core::{
+    statement_fingerprint, Analyzer, AnomalyPattern, AnomalyScope, Finding, RefinementConfig,
+};
 use acidrain_db::{field, IsolationLevel, Json, LogEntry, StmtOutcome};
 use acidrain_sql::{
     parse_statement, promote_for_update, rwset::statement_accesses, schema::Schema,
     statement_template,
 };
 
-use crate::audit::{audit_log, AuditError, ScenarioAnalysis, SeedRef, StaticFinding};
+use crate::audit::{AuditError, ScenarioAnalysis, SeedRef, StaticFinding};
 use crate::replay::{ReplayPlan, Verdict};
 use crate::report::level_abbrev;
 use crate::serialize::document;
@@ -222,7 +224,7 @@ pub fn config_with_fixes(base: &RefinementConfig, fixes: &[Fix]) -> RefinementCo
 /// anomaly *is*).
 type Identity = (String, String, String, String);
 
-fn identity(f: &StaticFinding) -> Identity {
+fn identity(f: &Finding) -> Identity {
     (
         f.api.clone(),
         f.scope.to_string(),
@@ -231,9 +233,10 @@ fn identity(f: &StaticFinding) -> Identity {
     )
 }
 
-/// The finding identities the audit reports once `fixes` are applied, or
+/// The finding identities the search reports once `fixes` are applied, or
 /// `None` when the fix list cannot be applied or the repaired trace no
-/// longer lifts.
+/// longer lifts. An identity needs neither templates nor a rendered
+/// witness, so the repaired log is lifted and searched, nothing more.
 fn post_fix_identities(
     log: &[LogEntry],
     schema: &Schema,
@@ -242,8 +245,10 @@ fn post_fix_identities(
 ) -> Option<BTreeSet<Identity>> {
     let rewritten = apply_fixes_to_log(log, fixes).ok()?;
     let config = config_with_fixes(base, fixes);
-    let post = audit_log(&rewritten, schema, &config).ok()?;
-    Some(post.rendered.iter().map(identity).collect())
+    let post = Analyzer::from_log(&rewritten, schema)
+        .ok()?
+        .analyze(&config);
+    Some(post.findings.iter().map(identity).collect())
 }
 
 /// The re-audits of one recorded scenario, one per distinct fix list.
@@ -270,7 +275,7 @@ impl<'a> Reaudits<'a> {
             log: &analysis.log,
             schema: &analysis.surface.schema,
             base: &analysis.config,
-            pre: analysis.findings().iter().map(identity).collect(),
+            pre: analysis.detected.iter().map(identity).collect(),
             memo: HashMap::new(),
         }
     }
@@ -607,10 +612,11 @@ impl ScenarioAnalysis<'_> {
         let mut reaudits = Reaudits::new(self);
 
         let outcomes = self
-            .findings()
+            .detected
             .iter()
-            .map(|finding| {
-                let target = identity(finding);
+            .zip(self.findings())
+            .map(|(detected, finding)| {
+                let target = identity(detected);
                 let (candidates, tried, residual) =
                     match candidate_lattice(finding, &facts, self.level) {
                         Err(residual) => (Vec::new(), 0, Some(residual)),
@@ -956,10 +962,12 @@ pub fn render_remedy_text(report: &RemedyReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{refinement_for, sweep_surface};
+    use crate::audit::{refinement_for, static_finding, sweep_surface};
+    use crate::template::symbolize_trace;
     use acidrain_apps::endpoints::{
         all_surfaces, booking_surfaces, didactic_surfaces, flexcoin_surface,
     };
+    use acidrain_core::lift_trace;
 
     fn surface_named(name: &str) -> AppSurface {
         didactic_surfaces()
@@ -1047,8 +1055,8 @@ mod tests {
         let analysis = ScenarioAnalysis::new(&surface, scenario, level).unwrap();
         let mut reaudits = Reaudits::new(&analysis);
         let remedies = analysis.remedies();
-        for o in &remedies.outcomes {
-            let target = identity(&o.finding);
+        for (detected, o) in analysis.detected.iter().zip(&remedies.outcomes) {
+            let target = identity(detected);
             for cand in &o.candidates {
                 assert!(reaudits.closes(cand, &target));
                 for i in 0..cand.len() {
@@ -1065,8 +1073,50 @@ mod tests {
         }
     }
 
-    /// `closes` as it was before the memo: one re-audit per call, nothing
-    /// remembered. The reference the memoised search is held to.
+    /// The re-audit as it was before identities were read off the search:
+    /// lift, symbolize, search, render every finding, then project the
+    /// rendering. The reference the identity-only re-audit is held to.
+    fn audit_log(
+        log: &[LogEntry],
+        schema: &Schema,
+        config: &RefinementConfig,
+    ) -> Option<Vec<StaticFinding>> {
+        let mut trace = lift_trace(log, schema).ok()?;
+        symbolize_trace(&mut trace).ok()?;
+        let analyzer = Analyzer::from_trace(trace);
+        let findings = analyzer.analyze(config).findings;
+        Some(
+            findings
+                .iter()
+                .map(|f| static_finding(&analyzer, f))
+                .collect(),
+        )
+    }
+
+    fn rendered_identity(f: &StaticFinding) -> Identity {
+        (
+            f.api.clone(),
+            f.scope.to_string(),
+            f.pattern.to_string(),
+            f.table.clone(),
+        )
+    }
+
+    /// `post_fix_identities` over [`audit_log`].
+    fn reference_identities(
+        log: &[LogEntry],
+        schema: &Schema,
+        base: &RefinementConfig,
+        fixes: &[Fix],
+    ) -> Option<BTreeSet<Identity>> {
+        let rewritten = apply_fixes_to_log(log, fixes).ok()?;
+        let config = config_with_fixes(base, fixes);
+        let post = audit_log(&rewritten, schema, &config)?;
+        Some(post.iter().map(rendered_identity).collect())
+    }
+
+    /// `closes` without the memo and over the rendering re-audit: one
+    /// [`reference_identities`] per call, nothing remembered.
     fn reference_closes(
         log: &[LogEntry],
         schema: &Schema,
@@ -1075,7 +1125,7 @@ mod tests {
         target: &Identity,
         pre: &BTreeSet<Identity>,
     ) -> bool {
-        post_fix_identities(log, schema, base, fixes)
+        reference_identities(log, schema, base, fixes)
             .is_some_and(|post| !post.contains(target) && post.is_subset(pre))
     }
 
@@ -1104,30 +1154,41 @@ mod tests {
 
     #[test]
     fn memoised_search_equals_the_unmemoised_reference() {
-        // One re-audit per distinct fix list must answer every question
-        // the per-call re-audit answered: same closing candidates, same
-        // minimal forms, same `tried`, same residual — for every finding
-        // of every scenario at the three levels `audit_corpus` sweeps.
+        // One identity-only re-audit per distinct fix list must answer
+        // every question the per-call rendering re-audit answered: same
+        // closing candidates, same minimal forms, same `tried`, same
+        // residual — for every finding of every scenario at the three
+        // levels `audit_corpus` sweeps. At all six levels, re-auditing
+        // the unrepaired log gives back exactly the pre-fix identities.
         let mut findings_checked = 0;
         for surface in all_surfaces() {
             for scenario in &surface.scenarios {
-                for level in [
-                    IsolationLevel::ReadCommitted,
-                    IsolationLevel::MySqlRepeatableRead,
-                    IsolationLevel::Serializable,
-                ] {
+                for level in IsolationLevel::ALL {
                     let schema = &surface.schema;
                     let log = scenario.record(level).unwrap();
                     let base = refinement_for(&surface, level);
-                    let findings = audit_log(&log, schema, &base).unwrap().rendered;
-                    let pre: BTreeSet<Identity> = findings.iter().map(identity).collect();
+                    let findings = audit_log(&log, schema, &base).unwrap();
+                    let pre: BTreeSet<Identity> = findings.iter().map(rendered_identity).collect();
+                    let at = format!("{}/{} @ {level:?}", surface.app, scenario.name);
+                    assert_eq!(
+                        post_fix_identities(&log, schema, &base, &[]).as_ref(),
+                        Some(&pre),
+                        "{at}"
+                    );
+                    if !matches!(
+                        level,
+                        IsolationLevel::ReadCommitted
+                            | IsolationLevel::MySqlRepeatableRead
+                            | IsolationLevel::Serializable
+                    ) {
+                        continue;
+                    }
                     let facts = statement_facts(&log, schema);
                     let remedies = remediate_scenario(&surface, scenario, level).unwrap();
                     assert_eq!(remedies.outcomes.len(), findings.len());
                     for (finding, o) in findings.iter().zip(&remedies.outcomes) {
-                        let at = format!("{}/{} @ {level:?}", surface.app, scenario.name);
                         assert_eq!(&o.finding, finding, "{at}");
-                        let target = identity(finding);
+                        let target = rendered_identity(finding);
                         let (closing, tried, residual) =
                             match candidate_lattice(finding, &facts, level) {
                                 Err(residual) => (Vec::new(), 0, Some(residual)),

@@ -2,17 +2,14 @@
 //! into a concrete scripted interleaving over the scenario's recorded log,
 //! plus the verdict/report types the harness driver fills in.
 //!
-//! The static audit reasons over *symbolized* traces (literals replaced by
-//! typed placeholders), so its witness schedules are not directly
-//! executable. [`ScenarioAnalysis::plans`] re-binds them: the analysis's
-//! own recording is lifted once more **without** symbolization and
-//! searched under the same refinement config. Because symbolization
-//! preserves the finding set (pinned by `tests/static_superset.rs`), each
-//! symbolized finding has a concrete twin — located by [`SeedKey`], whose
-//! statement fingerprints are invariant under symbolization — whose
-//! operations carry `log_seq` provenance back into the recorded log. The
-//! log lines *are* the concrete values: replaying them verbatim is the
-//! re-binding.
+//! The static audit renders its witness schedules over *symbolized*
+//! statements (literals replaced by typed placeholders), which are not
+//! executable — but a plan needs none of that text. Symbolization rewrites
+//! only each operation's SQL, after lifting, so the analysis's history
+//! keeps every operation's `log_seq` provenance back into the recorded
+//! log, and [`ScenarioAnalysis::plans`] lowers each finding over that one
+//! history. The log lines *are* the concrete values: replaying them
+//! verbatim is the execution of the witness.
 //!
 //! A [`ReplayPlan`] is the canned-script form of the Lemma-4 schedule:
 //! one session per witness instance (the seed plus one per hop), each
@@ -22,10 +19,8 @@
 //! interleaving — and classifies the outcome as confirmed, blocked, or
 //! inconclusive ([`Verdict`]).
 
-use std::collections::HashMap;
-
 use acidrain_apps::endpoints::{AppSurface, Scenario};
-use acidrain_core::{AbstractHistory, AnomalyScope, Finding, SeedKey};
+use acidrain_core::{AbstractHistory, AnomalyScope, Finding};
 use acidrain_db::{field, IsolationLevel, Json, LogEntry};
 
 use crate::audit::{AuditError, ScenarioAnalysis, StaticFinding};
@@ -77,37 +72,21 @@ pub struct ScenarioPlans {
 impl ScenarioAnalysis<'_> {
     /// Compile every finding into a replay plan, in [`Self::findings`]
     /// order.
-    pub fn plans(&self) -> Result<ScenarioPlans, AuditError> {
-        let symbolized = &self.audited;
-        let concrete = self.concrete()?;
-        let concrete_findings = concrete.analyze(&self.config).findings;
-
-        // Each concrete finding's key, computed once (a key costs two SQL
-        // parses); on a shared key the first finding in detector order wins.
-        let mut concrete_by_seed: HashMap<SeedKey, &Finding> = HashMap::new();
-        for f in &concrete_findings {
-            concrete_by_seed
-                .entry(SeedKey::of(concrete.history(), &f.witness))
-                .or_insert(f);
-        }
-
+    pub fn plans(&self) -> ScenarioPlans {
         let scripts = session_scripts(&self.log);
-        let plans = symbolized
-            .findings
+        let plans = self
+            .detected
             .iter()
-            .zip(&symbolized.rendered)
-            .map(|(f, rendered)| FindingPlan {
+            .zip(&self.rendered)
+            .map(|(finding, rendered)| FindingPlan {
                 finding: rendered.clone(),
-                plan: concrete_by_seed
-                    .get(&SeedKey::of(symbolized.analyzer.history(), &f.witness))
-                    .ok_or_else(|| "symbolized seed has no concrete counterpart".to_string())
-                    .and_then(|twin| build_plan(concrete.history(), twin, &self.log, &scripts)),
+                plan: build_plan(self.analyzer.history(), finding, &self.log, &scripts),
             })
             .collect();
-        Ok(ScenarioPlans {
+        ScenarioPlans {
             scenario: self.scenario.name.to_string(),
             plans,
-        })
+        }
     }
 }
 
@@ -117,7 +96,7 @@ pub fn plan_scenario(
     scenario: &Scenario,
     level: IsolationLevel,
 ) -> Result<ScenarioPlans, AuditError> {
-    ScenarioAnalysis::new(surface, scenario, level)?.plans()
+    Ok(ScenarioAnalysis::new(surface, scenario, level)?.plans())
 }
 
 /// The recorded log grouped into per-API scripts, in first-seen order.
@@ -135,7 +114,8 @@ fn session_scripts(log: &[LogEntry]) -> Vec<(String, Vec<&LogEntry>)> {
     scripts
 }
 
-/// Lower the concrete finding's Lemma-4 witness onto the recorded scripts.
+/// Lower `finding`'s Lemma-4 witness onto the recorded scripts. Reads the
+/// history's API names, op positions and `log_seq`, never its SQL text.
 fn build_plan(
     history: &AbstractHistory,
     finding: &Finding,
@@ -454,7 +434,11 @@ pub fn render_replay_json(report: &ReplayReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::symbolize_trace;
     use acidrain_apps::endpoints::{all_surfaces, didactic_surfaces, flexcoin_surface};
+    use acidrain_core::{lift_trace, Analyzer, RefinementConfig};
+    use acidrain_db::{ApiTag, StmtOutcome};
+    use acidrain_sql::{statement_template, ColumnDef, ColumnType, Schema, TableSchema};
 
     fn surface_named(name: &str) -> AppSurface {
         didactic_surfaces()
@@ -525,6 +509,123 @@ mod tests {
                     assert_eq!(planned, audited.findings.iter().collect::<Vec<_>>(), "{at}");
                     assert_eq!(advised, planned, "{at}");
                 }
+            }
+        }
+    }
+
+    /// Hold `plans`, lowered over a symbolized history of `log`, to
+    /// [`build_plan`] over an independently lifted *concrete* history of
+    /// the same log, finding *i* to finding *i*. Returns the concrete
+    /// findings.
+    fn assert_plans_match_concrete(
+        at: &str,
+        log: &[LogEntry],
+        schema: &Schema,
+        config: &RefinementConfig,
+        plans: &[Result<ReplayPlan, String>],
+    ) -> Vec<Finding> {
+        let concrete = Analyzer::from_log(log, schema).unwrap();
+        let findings = concrete.analyze(config).findings;
+        let scripts = session_scripts(log);
+        assert_eq!(plans.len(), findings.len(), "{at}");
+        for (i, (plan, finding)) in plans.iter().zip(&findings).enumerate() {
+            let twin = build_plan(concrete.history(), finding, log, &scripts);
+            assert_eq!(plan, &twin, "{at}: finding {i}");
+        }
+        findings
+    }
+
+    /// Two endpoints that differ only in literals: after symbolization
+    /// their statements render identically.
+    fn literal_twins() -> (Vec<LogEntry>, Schema) {
+        let schema = Schema::new().with_table(TableSchema::new(
+            "accounts",
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new("balance", ColumnType::Int),
+            ],
+        ));
+        let mut log = Vec::new();
+        for (api, id, amount) in [("pay_alice", 1, 60), ("pay_bob", 2, 70)] {
+            for sql in [
+                format!("SELECT balance FROM accounts WHERE id = {id}"),
+                format!("UPDATE accounts SET balance = {amount} WHERE id = {id}"),
+            ] {
+                log.push(LogEntry {
+                    seq: log.len() as u64,
+                    session: 1,
+                    api: Some(ApiTag {
+                        name: api.to_string(),
+                        invocation: 0,
+                    }),
+                    sql,
+                    outcome: StmtOutcome::Ok,
+                });
+            }
+        }
+        (log, schema)
+    }
+
+    #[test]
+    fn plans_equal_the_concrete_lowering() {
+        // Symbolization rewrites only `Op.sql`, so lowering a finding over
+        // the analysis's own history gives the plan a concrete history of
+        // the same recording would: every scenario of every surface at
+        // every level.
+        let mut compared = 0;
+        for surface in all_surfaces() {
+            for scenario in &surface.scenarios {
+                for level in IsolationLevel::ALL {
+                    let at = format!("{}/{} @ {level:?}", surface.app, scenario.name);
+                    let analysis = ScenarioAnalysis::new(&surface, scenario, level).unwrap();
+                    let plans: Vec<_> = analysis
+                        .plans()
+                        .plans
+                        .into_iter()
+                        .map(|fp| fp.plan)
+                        .collect();
+                    compared += assert_plans_match_concrete(
+                        &at,
+                        &analysis.log,
+                        &surface.schema,
+                        &analysis.config,
+                        &plans,
+                    )
+                    .len();
+                }
+            }
+        }
+        assert!(compared > 4000, "{compared}");
+
+        // Literal twins: the symbolized side cannot tell the endpoints'
+        // statements apart, yet each twin's plan replays its own script.
+        let (log, schema) = literal_twins();
+        assert_eq!(
+            statement_template(&log[0].sql).unwrap(),
+            statement_template(&log[2].sql).unwrap()
+        );
+        let mut trace = lift_trace(&log, &schema).unwrap();
+        symbolize_trace(&mut trace).unwrap();
+        let symbolized = Analyzer::from_trace(trace);
+        let config = RefinementConfig::none();
+        let scripts = session_scripts(&log);
+        let plans: Vec<_> = symbolized
+            .analyze(&config)
+            .findings
+            .iter()
+            .map(|f| build_plan(symbolized.history(), f, &log, &scripts))
+            .collect();
+        let findings = assert_plans_match_concrete("literal twins", &log, &schema, &config, &plans);
+        for api in ["pay_alice", "pay_bob"] {
+            assert!(findings.iter().any(|f| f.api == api), "{api}: {findings:?}");
+        }
+        for (finding, plan) in findings.iter().zip(&plans) {
+            let plan = plan.as_ref().unwrap();
+            assert_eq!(plan.sessions[0].api, finding.api);
+            for session in &plan.sessions {
+                let (_, own) = scripts.iter().find(|(api, _)| *api == session.api).unwrap();
+                let own: Vec<_> = own.iter().map(|e| e.sql.clone()).collect();
+                assert_eq!(session.statements, own, "{finding:?}");
             }
         }
     }

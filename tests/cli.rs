@@ -173,3 +173,43 @@ fn every_spelling_of_a_level_gives_the_same_bytes() {
         assert_eq!(replay(level), reference, "{level}");
     }
 }
+
+#[test]
+fn a_repeated_level_runs_once() {
+    let replay = |levels: &[&str]| {
+        let mut args = vec!["replay", "--app", "bank-figure1a"];
+        for level in levels {
+            args.extend(["--level", level]);
+        }
+        args.extend(["--json", "-", "--quiet"]);
+        let (stdout, stderr, code) = run_acidrain(&args);
+        assert_eq!(code, 0, "{levels:?}: {stderr}");
+        stdout
+    };
+    let once = replay(&["RC"]);
+    assert_eq!(once.matches("\"level\": \"READ COMMITTED\"").count(), 1);
+    assert_eq!(replay(&["RC", "rc"]), once);
+    assert_eq!(
+        replay(&["RC", "SER", "read-committed"]),
+        replay(&["RC", "SER"])
+    );
+}
+
+#[test]
+fn every_unknown_app_is_a_usage_error() {
+    let (stdout, stderr, code) = run_acidrain(&[
+        "replay",
+        "--app",
+        "bank-figure1a",
+        "--app",
+        "bank-figure1aa",
+        "--level",
+        "RC",
+    ]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("no surface matches [\"bank-figure1aa\"]"),
+        "{stderr}"
+    );
+}

@@ -16,8 +16,8 @@
 //!   form a real WW cycle whose every interleaving matches a serial
 //!   order). What a dynamic finding must **never** be is unrealizable:
 //!   the dynamic harness derived it from a live trace, so a plan that
-//!   cannot even be attempted is a lowering or re-binding bug in the
-//!   replayer, not an engine property.
+//!   cannot even be attempted is a lowering bug in the replayer, not an
+//!   engine property.
 //! - at Read Uncommitted — the one level with no isolation-side defense
 //!   left — wherever the dynamic detector reports *any* finding, at least
 //!   one replay outcome for that scenario must be confirmed: the

@@ -10,8 +10,9 @@
 //!    *untargeted* search, so every finding the dynamic targeted analysis
 //!    reports maps into the static report.
 //! 3. **Symbolization loses nothing** — template abstraction rewrites
-//!    only the rendered SQL; the findings over the symbolized trace are
-//!    identical to those over the concrete trace, for every registered
+//!    only the rendered SQL; the abstract history over the symbolized
+//!    trace equals the concrete one in everything but that text, and its
+//!    findings (witnesses included) are identical, for every registered
 //!    surface (corpus, didactic, and Flexcoin) at every level.
 //!
 //! Plus the Serializable column: the static report admits no level-based
@@ -20,7 +21,7 @@
 
 use acidrain_apps::endpoints::{all_surfaces, corpus_surfaces};
 use acidrain_apps::prelude::*;
-use acidrain_core::{lift_trace, Analyzer, AnomalyScope};
+use acidrain_core::{lift_trace, Analyzer, AnomalyScope, Op};
 use acidrain_db::{IsolationLevel, LogEntry};
 use acidrain_harness::attack::{probe_trace, Invariant};
 use acidrain_static::{audit_surface, refinement_for, symbolize_trace, AppAudit, StaticFinding};
@@ -175,41 +176,44 @@ fn static_report_is_a_superset_of_dynamic_findings() {
 #[test]
 fn symbolization_preserves_findings_for_every_surface() {
     // Leg 3: template abstraction changes only the rendered SQL, so the
-    // concrete and symbolized traces yield identical finding sets — for
-    // every registered surface (corpus, didactic, Flexcoin) at every
-    // level. This extends the cross-validation to the apps the dynamic
-    // harness has no probe script for.
+    // concrete and symbolized traces build the same abstract history —
+    // every operation equal but for `sql` (`log_seq` included), the same
+    // locations and edges — and yield the same findings, witnesses
+    // included, for every registered surface (corpus, didactic, Flexcoin)
+    // at every level. This extends the cross-validation to the apps the
+    // dynamic harness has no probe script for, and it is what lets one
+    // analysis serve both the printed templates and the replayed log.
+    let sql_blind = |op: &Op| Op {
+        sql: String::new(),
+        ..op.clone()
+    };
     for surface in all_surfaces() {
         for scenario in &surface.scenarios {
             for level in IsolationLevel::ALL {
+                let at = format!("{}/{} at {}", surface.app, scenario.name, level.name());
                 let log = scenario.record(level).unwrap();
                 let config = refinement_for(&surface, level);
 
                 let concrete = Analyzer::from_log(&log, &surface.schema).unwrap();
-                let concrete_keys: Vec<Key> = concrete
-                    .analyze(&config)
-                    .findings
-                    .iter()
-                    .map(Key::of_dynamic)
-                    .collect();
-
                 let mut trace = lift_trace(&log, &surface.schema).unwrap();
                 symbolize_trace(&mut trace).unwrap();
                 let symbolic = Analyzer::from_trace(trace);
-                let symbolic_keys: Vec<Key> = symbolic
-                    .analyze(&config)
-                    .findings
-                    .iter()
-                    .map(Key::of_dynamic)
-                    .collect();
 
+                let (c, s) = (concrete.history(), symbolic.history());
+                assert_eq!(c.locs, s.locs, "{at}: operation locations differ");
+                assert_eq!(c.edge_count(), s.edge_count(), "{at}: edge count differs");
+                assert_eq!(c.edges, s.edges, "{at}: conflict edges differ");
+                for node in 0..c.node_count() {
+                    assert_eq!(
+                        sql_blind(c.op(node)),
+                        sql_blind(s.op(node)),
+                        "{at}: operation {node} differs beyond its SQL"
+                    );
+                }
                 assert_eq!(
-                    concrete_keys,
-                    symbolic_keys,
-                    "{}/{} at {}: symbolization changed the finding set",
-                    surface.app,
-                    scenario.name,
-                    level.name()
+                    concrete.analyze(&config).findings,
+                    symbolic.analyze(&config).findings,
+                    "{at}: symbolization changed the findings"
                 );
             }
         }
