@@ -50,7 +50,7 @@ pub mod witness;
 pub use detect::{ColumnTarget, CycleWitness, Detector, Finding};
 pub use dot::to_dot;
 pub use history::{AbstractHistory, EdgeKind, GraphStats};
-pub use lift::{lift_trace, LiftError};
+pub use lift::{lift_trace, lift_trace_with, LiftError};
 pub use refine::{AnomalyPattern, AnomalyScope, RefinementConfig};
 pub use report::{AnalysisReport, Analyzer};
 pub use trace::{ApiCall, Op, OpKind, Trace, TraceBuilder, Txn};

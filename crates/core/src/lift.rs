@@ -9,7 +9,7 @@ use acidrain_db::{LogEntry, StmtOutcome};
 use acidrain_sql::ast::Statement;
 use acidrain_sql::rwset::statement_accesses;
 use acidrain_sql::schema::Schema;
-use acidrain_sql::{parse_statement, ParseError};
+use acidrain_sql::{ParseError, ParseMemo};
 
 use crate::trace::{ApiCall, Op, OpKind, Trace, Txn};
 
@@ -113,6 +113,17 @@ impl std::error::Error for LiftError {}
 /// Entries without an API tag are grouped per session under the synthetic
 /// endpoint name `session-<id>`, so ad-hoc logs remain analyzable.
 pub fn lift_trace(log: &[LogEntry], schema: &Schema) -> Result<Trace, LiftError> {
+    lift_trace_with(log, schema, &ParseMemo::new())
+}
+
+/// [`lift_trace`], parsing each statement text through `memo`: a text the
+/// memo already holds is not parsed again, and a text it does not hold is
+/// parsed once and kept for the memo's next reader.
+pub fn lift_trace_with(
+    log: &[LogEntry],
+    schema: &Schema,
+    memo: &ParseMemo,
+) -> Result<Trace, LiftError> {
     // Group entries by API invocation, preserving first-seen order.
     let mut groups: Vec<(String, Vec<&LogEntry>)> = Vec::new();
     for entry in log {
@@ -132,7 +143,7 @@ pub fn lift_trace(log: &[LogEntry], schema: &Schema) -> Result<Trace, LiftError>
             Some(tag) => tag.name.clone(),
             None => format!("session-{}", entries[0].session),
         };
-        calls.push(lift_invocation(&name, &entries, schema)?);
+        calls.push(lift_invocation(&name, &entries, schema, memo)?);
     }
     Ok(Trace::collapse(calls))
 }
@@ -142,6 +153,7 @@ fn lift_invocation(
     name: &str,
     entries: &[&LogEntry],
     schema: &Schema,
+    memo: &ParseMemo,
 ) -> Result<ApiCall, LiftError> {
     let mut txns: Vec<Txn> = Vec::new();
     // The explicit transaction currently being accumulated, if any.
@@ -168,12 +180,12 @@ fn lift_invocation(
             StmtOutcome::Failed => continue,
             StmtOutcome::Ok => {}
         }
-        let stmt = parse_statement(&entry.sql).map_err(|error| LiftError::Parse {
+        let stmt = memo.parse(&entry.sql).map_err(|error| LiftError::Parse {
             seq: entry.seq,
             sql: entry.sql.clone(),
             error,
         })?;
-        match stmt {
+        match &*stmt {
             Statement::Begin => {
                 if let Some(t) = open.take() {
                     push_nonempty(&mut txns, t);
@@ -204,7 +216,7 @@ fn lift_invocation(
                 }
             }
             data_stmt => {
-                let ops = statement_ops(&data_stmt, &entry.sql, entry.seq, schema);
+                let ops = statement_ops(data_stmt, &entry.sql, entry.seq, schema);
                 match &mut open {
                     Some(t) => t.ops.extend(ops),
                     None => {

@@ -8,26 +8,10 @@
 
 use std::fmt;
 
-use acidrain_sql::{fnv1a, statement_template};
+pub use acidrain_sql::statement_fingerprint;
 
 use crate::detect::CycleWitness;
 use crate::history::AbstractHistory;
-
-/// Fingerprint of one statement's *shape*: the [`StatementTemplate`] hash
-/// when the text parses, otherwise FNV-1a of the raw text.
-///
-/// The fallback is what makes fingerprints agree across the concrete and
-/// symbolized sides of an analysis. A symbolized statement (`id = :int`)
-/// does not round-trip through the parser, but its template hash *is*
-/// FNV-1a of the template text — so hashing the unparseable text raw yields
-/// the same value the concrete statement's template produced.
-///
-/// [`StatementTemplate`]: acidrain_sql::StatementTemplate
-pub fn statement_fingerprint(sql: &str) -> u64 {
-    statement_template(sql)
-        .map(|t| t.hash)
-        .unwrap_or_else(|_| fnv1a(sql.as_bytes()))
-}
 
 /// One line of a witness schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -750,14 +750,19 @@ impl Connection {
     /// transaction back and surfaces as [`DbError::LockTimeout`], so a
     /// stalled session can never wedge others by holding its locks.
     pub fn execute(&mut self, sql: &str) -> Result<ResultSet, DbError> {
-        let stmt = parse_statement(sql)?;
+        self.execute_parsed(&parse_statement(sql)?, sql)
+    }
+
+    /// [`Connection::execute`] of an already-parsed statement. `sql` is the
+    /// text `stmt` was parsed from: it is what the query log records.
+    pub fn execute_parsed(&mut self, stmt: &Statement, sql: &str) -> Result<ResultSet, DbError> {
         // One deadline for the whole statement, set at the first block:
         // a statement repeatedly woken and re-blocked (its lock claimed
         // by another session each time) shares the budget across parks
         // instead of restarting the clock, so the total wait is bounded.
         let mut deadline: Option<Instant> = None;
         loop {
-            match self.apply(&stmt, sql) {
+            match self.apply(stmt, sql) {
                 Err(DbError::WouldBlock { .. }) => {
                     let txn_id = self
                         .current_txn()
@@ -784,8 +789,17 @@ impl Connection {
     /// Execute a statement without waiting: lock conflicts surface as
     /// [`DbError::WouldBlock`] and the statement can be retried verbatim.
     pub fn try_execute(&mut self, sql: &str) -> Result<ResultSet, DbError> {
-        let stmt = parse_statement(sql)?;
-        self.apply(&stmt, sql)
+        self.try_execute_parsed(&parse_statement(sql)?, sql)
+    }
+
+    /// [`Connection::try_execute`] of an already-parsed statement. `sql` is
+    /// the text `stmt` was parsed from: it is what the query log records.
+    pub fn try_execute_parsed(
+        &mut self,
+        stmt: &Statement,
+        sql: &str,
+    ) -> Result<ResultSet, DbError> {
+        self.apply(stmt, sql)
     }
 
     /// Convenience: execute and return the first value of the first row.

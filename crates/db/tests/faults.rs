@@ -9,6 +9,7 @@ use std::sync::Arc;
 use acidrain_apps::{RetryConfig, RetryConn, RetryPolicy, SqlConn};
 use acidrain_core::lift_trace;
 use acidrain_db::{Database, DbError, FaultConfig, IsolationLevel, StmtOutcome, Value};
+use acidrain_sql::parse_statement;
 use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
 
 fn schema() -> Schema {
@@ -179,4 +180,54 @@ fn fixed_seed_fault_sequences_are_reproducible() {
     };
     assert_eq!(run(5), run(5));
     assert_ne!(run(5).0, run(6).0, "different seeds diverge");
+}
+
+#[test]
+fn a_parsed_statement_executes_exactly_as_its_text() {
+    // `try_execute_parsed(&parse(sql)?, sql)` is `try_execute(sql)`: the
+    // same results, the same query log and the same fault draws, under a
+    // fault channel that fires. A statement that does not parse fails
+    // before the engine sees it on both paths: no log line, no fault draw.
+    let script = [
+        "BEGIN",
+        "UPDATE accounts SET balance = balance - 10 WHERE id = 1",
+        "SELECT balance FROM accounts WHERE id = 1",
+        "SELEC balance FROM accounts",
+        "UPDATE accounts SET balance = balance + 10 WHERE id = 2",
+        "COMMIT",
+        "INSERT INTO accounts (id, balance) VALUES (3, 5)",
+        "SELECT SUM(balance) FROM accounts",
+        "UPDATE accounts SET balance = 0 WHERE id = 3",
+    ];
+    let run = |parsed: bool| {
+        let db = bank();
+        db.enable_faults(FaultConfig::seeded(3).with_deadlock(0.3));
+        let mut conn = db.connect();
+        conn.set_api("transfer", 0);
+        let results: Vec<_> = (0..3)
+            .flat_map(|_| script)
+            .map(|sql| {
+                if parsed {
+                    parse_statement(sql)
+                        .map_err(DbError::from)
+                        .and_then(|stmt| conn.try_execute_parsed(&stmt, sql))
+                } else {
+                    conn.try_execute(sql)
+                }
+            })
+            .collect();
+        let log = db.take_log();
+        (results, log, db.fault_stats(), db.table_rows("accounts"))
+    };
+    let (text, parsed) = (run(false), run(true));
+    assert_eq!(text, parsed);
+    let (results, log, stats, _) = text;
+    assert!(stats.injected_deadlocks > 0, "no fault fired: {stats:?}");
+    let broken = results
+        .iter()
+        .filter(|r| matches!(r, Err(DbError::Parse(_))))
+        .count();
+    assert_eq!(broken, 3);
+    assert_eq!(stats.statements_seen as usize, results.len() - broken);
+    assert!(log.iter().all(|e| !e.sql.starts_with("SELEC ")), "{log:?}");
 }

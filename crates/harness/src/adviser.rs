@@ -4,8 +4,8 @@
 //! the re-audited trace admits no anomaly. This module adds the dynamic
 //! half of the proof: for every finding with a closing fix, the original
 //! Lemma-4 witness is lowered onto the *repaired* scenario
-//! ([`acidrain_static::rewrite_plan`]) and executed through the witness
-//! replayer. Candidates are tried in cost order and the first whose
+//! ([`acidrain_static::rewrite_plan_with`], through the scenario's parse
+//! memo) and executed through the witness replayer. Candidates are tried in cost order and the first whose
 //! replay does **not** confirm the anomaly is recommended
 //! ([`acidrain_static::RemedyOutcome::chosen`]); a fix that still confirms is a
 //! static/dynamic disagreement the report surfaces (and
@@ -20,8 +20,8 @@
 use acidrain_apps::endpoints::{all_surfaces, AppSurface};
 use acidrain_db::{IsolationLevel, Obs};
 use acidrain_static::{
-    rewrite_plan, sweep_surface, AppRemedies, AuditError, LevelRemedies, RemedyReport,
-    ScenarioPlans, ScenarioRemedies, Verdict,
+    rewrite_plan_with, sweep_surface, AppRemedies, AuditError, LevelRemedies, RemedyReport,
+    ScenarioAnalysis, ScenarioPlans, ScenarioRemedies, Verdict,
 };
 
 use crate::replay::{execute_replay_plan, ReplayCaches};
@@ -53,84 +53,92 @@ fn check_paired(
     )))
 }
 
-/// Remediate `surface` at each of `levels`, replaying every closing
+/// Remediate every finding of one analysis, replaying every closing
 /// candidate until one survives the witness. Adviser-level counters
 /// (candidates, closures, replays) are recorded on `obs`.
+pub fn advise_scenario(
+    analysis: &ScenarioAnalysis<'_>,
+    obs: &Obs,
+) -> Result<ScenarioRemedies, AuditError> {
+    let (surface, scenario, level) = (analysis.surface(), analysis.scenario(), analysis.level());
+    let mut remedies = analysis.remedies();
+    let plans = analysis.plans();
+    check_paired(&surface.app, &remedies, &plans)?;
+    let mut caches = ReplayCaches::new(analysis.memo());
+    for (outcome, fp) in remedies.outcomes.iter_mut().zip(&plans.plans) {
+        obs.repair_candidates(outcome.tried as u64);
+        obs.repair_closures(outcome.candidates.len() as u64);
+        if outcome.candidates.is_empty() {
+            continue;
+        }
+        let plan = match &fp.plan {
+            Ok(plan) => plan,
+            Err(reason) => {
+                // No executable witness to disprove: recommend the
+                // cheapest static closure, flagged as unreplayed.
+                outcome.chosen = Some(0);
+                outcome.verdict = Some(Verdict::Inconclusive(format!(
+                    "witness not replayable: {reason}"
+                )));
+                continue;
+            }
+        };
+        let mut fallback: Option<(usize, Verdict)> = None;
+        for (ci, candidate) in outcome.candidates.iter().enumerate() {
+            let (repaired, session_levels) =
+                match rewrite_plan_with(plan, candidate, analysis.memo()) {
+                    Ok(r) => r,
+                    Err(_) => continue,
+                };
+            obs.repair_replay();
+            let verdict = execute_replay_plan(
+                scenario,
+                level,
+                &repaired,
+                &surface.schema,
+                &session_levels,
+                &mut caches,
+            );
+            if verdict != Verdict::Confirmed {
+                outcome.chosen = Some(ci);
+                outcome.verdict = Some(verdict);
+                break;
+            }
+            if fallback.is_none() {
+                fallback = Some((ci, verdict));
+            }
+        }
+        if outcome.chosen.is_none() {
+            match fallback {
+                // Every lowerable candidate still confirmed: report
+                // the cheapest one so the disagreement is visible.
+                Some((ci, verdict)) => {
+                    outcome.chosen = Some(ci);
+                    outcome.verdict = Some(verdict);
+                }
+                None => {
+                    outcome.chosen = Some(0);
+                    outcome.verdict = Some(Verdict::Inconclusive(
+                        "no candidate could be lowered onto the witness plan".to_string(),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(remedies)
+}
+
+/// [`advise_scenario`] for every scenario of `surface` at each of
+/// `levels`.
 pub fn advise_surface(
     surface: &AppSurface,
     levels: &[IsolationLevel],
     obs: &Obs,
 ) -> Result<AppRemedies, AuditError> {
-    let levels = sweep_surface(surface, levels, |analysis| {
-        let (scenario, level) = (analysis.scenario(), analysis.level());
-        let mut remedies = analysis.remedies();
-        let plans = analysis.plans();
-        check_paired(&surface.app, &remedies, &plans)?;
-        let mut caches = ReplayCaches::default();
-        for (outcome, fp) in remedies.outcomes.iter_mut().zip(&plans.plans) {
-            obs.repair_candidates(outcome.tried as u64);
-            obs.repair_closures(outcome.candidates.len() as u64);
-            if outcome.candidates.is_empty() {
-                continue;
-            }
-            let plan = match &fp.plan {
-                Ok(plan) => plan,
-                Err(reason) => {
-                    // No executable witness to disprove: recommend the
-                    // cheapest static closure, flagged as unreplayed.
-                    outcome.chosen = Some(0);
-                    outcome.verdict = Some(Verdict::Inconclusive(format!(
-                        "witness not replayable: {reason}"
-                    )));
-                    continue;
-                }
-            };
-            let mut fallback: Option<(usize, Verdict)> = None;
-            for (ci, candidate) in outcome.candidates.iter().enumerate() {
-                let (repaired, session_levels) = match rewrite_plan(plan, candidate) {
-                    Ok(r) => r,
-                    Err(_) => continue,
-                };
-                obs.repair_replay();
-                let verdict = execute_replay_plan(
-                    scenario,
-                    level,
-                    &repaired,
-                    &surface.schema,
-                    &session_levels,
-                    &mut caches,
-                );
-                if verdict != Verdict::Confirmed {
-                    outcome.chosen = Some(ci);
-                    outcome.verdict = Some(verdict);
-                    break;
-                }
-                if fallback.is_none() {
-                    fallback = Some((ci, verdict));
-                }
-            }
-            if outcome.chosen.is_none() {
-                match fallback {
-                    // Every lowerable candidate still confirmed: report
-                    // the cheapest one so the disagreement is visible.
-                    Some((ci, verdict)) => {
-                        outcome.chosen = Some(ci);
-                        outcome.verdict = Some(verdict);
-                    }
-                    None => {
-                        outcome.chosen = Some(0);
-                        outcome.verdict = Some(Verdict::Inconclusive(
-                            "no candidate could be lowered onto the witness plan".to_string(),
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(remedies)
-    })?
-    .into_iter()
-    .map(|(level, scenarios)| LevelRemedies { level, scenarios })
-    .collect();
+    let levels = sweep_surface(surface, levels, |analysis| advise_scenario(&analysis, obs))?
+        .into_iter()
+        .map(|(level, scenarios)| LevelRemedies { level, scenarios })
+        .collect();
     Ok(AppRemedies {
         app: surface.app.clone(),
         levels,

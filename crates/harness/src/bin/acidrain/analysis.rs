@@ -37,7 +37,7 @@ pub fn audit(args: &Args) {
     let report = StaticAuditReport { apps };
 
     args.write_json(|| render_json(&report));
-    if !args.has("--quiet") {
+    if args.text_report() {
         print!("{}", render_text(&report));
         println!(
             "\n{} surfaces, {} findings, audited in {:.2?} (no concurrent execution)",
@@ -54,7 +54,7 @@ pub fn replay(args: &Args) {
     let report = ReplayReport { apps };
 
     args.write_json(|| render_replay_json(&report));
-    if !args.has("--quiet") {
+    if args.text_report() {
         print!("{}", render_replay_text(&report));
         println!(
             "\n{} surfaces, {} confirmed / {} blocked / {} inconclusive, replayed in {:.2?}",
@@ -92,7 +92,7 @@ pub fn advise(args: &Args) {
     let report = RemedyReport { apps };
 
     args.write_json(|| render_remedy_json(&report));
-    if !args.has("--quiet") {
+    if args.text_report() {
         print!("{}", render_remedy_text(&report));
         let counters = obs.counters();
         println!(

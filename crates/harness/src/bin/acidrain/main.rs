@@ -69,7 +69,7 @@ const JSON: Flag = Flag {
     name: "--json",
     metavar: "FILE",
     kind: Kind::Value,
-    help: "also write the report as JSON to FILE (\"-\" = stdout)",
+    help: "also write the report as JSON to FILE (\"-\" = stdout, instead of the text report)",
 };
 const QUIET: Flag = Flag {
     name: "--quiet",
@@ -332,6 +332,12 @@ impl Args {
             surfaces.retain(|s| apps.contains(&s.app.as_str()));
         }
         surfaces
+    }
+
+    /// Whether the text report goes to stdout: not under `--quiet`, and
+    /// not when `--json -` has stdout for the JSON document alone.
+    fn text_report(&self) -> bool {
+        !self.has("--quiet") && self.value("--json") != Some("-")
     }
 
     /// Honour `--json FILE|-`; the report is only rendered when asked for.

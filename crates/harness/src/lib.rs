@@ -19,7 +19,7 @@ pub mod sched;
 pub mod stress;
 pub mod texttable;
 
-pub use adviser::{advise_all, advise_surface};
+pub use adviser::{advise_all, advise_scenario, advise_surface};
 pub use attack::{
     audit_cell, probe_trace, probe_trace_on, run_attack, run_serial_control, statement_index,
     try_audit_cell, AttackOutcome, AuditDegraded, AuditStage, CellReport, Invariant,
@@ -30,6 +30,6 @@ pub use chaos::{
 };
 pub use explore::{exhaustive, randomized, Exploration, Scenario};
 pub use netchaos::{flaky_client_campaign, run_net_chaos, NetChaosConfig, NetChaosReport};
-pub use replay::{execute_replay_plan, replay_surface, ReplayCaches};
+pub use replay::{execute_replay_plan, replay_scenario, replay_surface, ReplayCaches};
 pub use sched::{run_deterministic, run_deterministic_on, GatedConn, StepOutcome, Stepper};
 pub use stress::{run_concurrent, run_concurrent_watchdog, DelayConn, TaskOutcome};

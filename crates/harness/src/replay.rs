@@ -26,11 +26,16 @@
 //!
 //! A plan's sessions are statement lists, not application code, so they
 //! need no stack of their own: `ScriptSession` holds a connection and a
-//! cursor, and the driver calls [`Connection::try_execute`] itself. That
-//! is the [`crate::sched`] protocol — a lock conflict is
+//! cursor, and the driver calls [`Connection::try_execute_parsed`] itself.
+//! That is the [`crate::sched`] protocol — a lock conflict is
 //! [`StepOutcome::Blocked`] with nothing consumed — without the thread per
 //! session and the two condvar hand-offs per statement that `sched` pays
 //! to park application closures mid-call.
+//!
+//! Every schedule of a scenario runs on a fresh store, but all of them
+//! execute the same few dozen statement texts, so statements are parsed
+//! through the scenario's [`ParseMemo`] (carried by [`ReplayCaches`]): once
+//! per scenario, not once per execution.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,9 +43,10 @@ use std::sync::Arc;
 use acidrain_apps::endpoints::{AppSurface, Scenario};
 use acidrain_db::{Connection, Database, DbError, IsolationLevel, ResultSet};
 use acidrain_sql::schema::Schema;
+use acidrain_sql::ParseMemo;
 use acidrain_static::{
-    sweep_surface, AppReplay, AuditError, LevelReplay, ReplayOutcome, ReplayPlan, ScenarioReplay,
-    Verdict,
+    sweep_surface, AppReplay, AuditError, LevelReplay, ReplayOutcome, ReplayPlan, ScenarioAnalysis,
+    ScenarioReplay, SessionScript, Verdict,
 };
 
 use crate::sched::StepOutcome;
@@ -102,10 +108,11 @@ fn error_class(e: &DbError) -> &'static str {
 }
 
 /// One plan session mid-execution: its connection, its canned statements
-/// and how far it got.
+/// (parsed through `memo`) and how far it got.
 struct ScriptSession<'a> {
     conn: Connection,
     statements: &'a [String],
+    memo: &'a ParseMemo,
     next: usize,
     run: ScriptRun,
 }
@@ -113,7 +120,12 @@ struct ScriptSession<'a> {
 impl<'a> ScriptSession<'a> {
     /// Open a session on `db`, at `level` when the plan overrides the
     /// store default for it.
-    fn open(db: &Arc<Database>, level: Option<IsolationLevel>, statements: &'a [String]) -> Self {
+    fn open(
+        db: &Arc<Database>,
+        level: Option<IsolationLevel>,
+        statements: &'a [String],
+        memo: &'a ParseMemo,
+    ) -> Self {
         let mut conn = db.connect();
         if let Some(level) = level {
             conn.set_isolation(level);
@@ -121,6 +133,7 @@ impl<'a> ScriptSession<'a> {
         ScriptSession {
             conn,
             statements,
+            memo,
             next: 0,
             run: ScriptRun {
                 lines: Vec::with_capacity(statements.len()),
@@ -141,7 +154,13 @@ impl<'a> ScriptSession<'a> {
         let Some(sql) = self.statements.get(self.next) else {
             return StepOutcome::Finished;
         };
-        let result = self.conn.try_execute(sql);
+        // An unparsable statement fails as `try_execute` fails it: before
+        // the engine sees it, so it logs nothing and draws no fault.
+        let result = self
+            .memo
+            .parse(sql)
+            .map_err(DbError::from)
+            .and_then(|stmt| self.conn.try_execute_parsed(&stmt, sql));
         if matches!(result, Err(DbError::WouldBlock { .. })) {
             return StepOutcome::Blocked;
         }
@@ -181,10 +200,12 @@ struct LockWait;
 /// Replay the setup statements on a plain connection. Recorded failures
 /// (statement-level errors the endpoint itself provoked) repeat
 /// deterministically, so errors are not distinguished from the recording.
-fn run_setup(db: &Arc<Database>, setup: &[String]) {
+fn run_setup(db: &Arc<Database>, setup: &[String], memo: &ParseMemo) {
     let mut conn = db.connect();
     for sql in setup {
-        let _ = conn.execute(sql);
+        if let Ok(stmt) = memo.parse(sql) {
+            let _ = conn.execute_parsed(&stmt, sql);
+        }
     }
 }
 
@@ -235,18 +256,20 @@ fn serial_digests(
     plan: &ReplayPlan,
     schema: &Schema,
     session_levels: &[Option<IsolationLevel>],
+    memo: &ParseMemo,
 ) -> Vec<Digest> {
     let n = plan.sessions.len();
     let mut digests: Vec<Digest> = Vec::new();
     for perm in permutations(n) {
         let db = scenario.make_store(level);
-        run_setup(&db, &plan.setup);
+        run_setup(&db, &plan.setup, memo);
         let mut sessions = vec![Vec::new(); n];
         for &i in &perm {
             let mut session = ScriptSession::open(
                 &db,
                 session_levels.get(i).copied().flatten(),
                 &plan.sessions[i].statements,
+                memo,
             );
             session
                 .run_to_end()
@@ -293,19 +316,43 @@ fn interleave(sessions: &mut [ScriptSession], plan: &ReplayPlan) -> Result<(), S
 /// (plans from different stores must not share entries). Findings
 /// overwhelmingly share plans (same seed split, same hop APIs), and
 /// distinct plans share serial baselines, so both layers are keyed by plan
-/// content (including any per-session isolation overrides).
-#[derive(Default)]
-pub struct ReplayCaches {
-    verdicts: HashMap<String, Verdict>,
-    serial: HashMap<String, Vec<Digest>>,
+/// content (including any per-session isolation overrides). The scenario's
+/// parse memo rides along: every schedule parses through it.
+pub struct ReplayCaches<'a> {
+    memo: &'a ParseMemo,
+    verdicts: HashMap<VerdictKey, Verdict>,
+    serial: HashMap<SerialKey, Vec<Digest>>,
 }
 
-fn serial_key(plan: &ReplayPlan, session_levels: &[Option<IsolationLevel>]) -> String {
-    format!("{session_levels:?}|{:?}|{:?}", plan.setup, plan.sessions)
+impl<'a> ReplayCaches<'a> {
+    /// Empty caches for one scenario × level, parsing through `memo` (the
+    /// scenario's, so the texts its lift parsed are not parsed again).
+    pub fn new(memo: &'a ParseMemo) -> Self {
+        ReplayCaches {
+            memo,
+            verdicts: HashMap::new(),
+            serial: HashMap::new(),
+        }
+    }
 }
 
-fn verdict_key(plan: &ReplayPlan, session_levels: &[Option<IsolationLevel>]) -> String {
-    format!("{}|{}", plan.seed_prefix, serial_key(plan, session_levels))
+/// What a serial baseline depends on: the per-session isolation
+/// overrides, the setup and the session scripts.
+type SerialKey = (Vec<Option<IsolationLevel>>, Vec<String>, Vec<SessionScript>);
+
+/// What a verdict depends on: the serial baseline's key plus where the
+/// seed session splits.
+type VerdictKey = (usize, SerialKey);
+
+fn verdict_key(plan: &ReplayPlan, session_levels: &[Option<IsolationLevel>]) -> VerdictKey {
+    (
+        plan.seed_prefix,
+        (
+            session_levels.to_vec(),
+            plan.setup.clone(),
+            plan.sessions.clone(),
+        ),
+    )
 }
 
 /// Execute one plan against a fresh store — the Lemma-4 interleaving (seed
@@ -319,7 +366,7 @@ pub fn execute_replay_plan(
     plan: &ReplayPlan,
     schema: &Schema,
     session_levels: &[Option<IsolationLevel>],
-    caches: &mut ReplayCaches,
+    caches: &mut ReplayCaches<'_>,
 ) -> Verdict {
     let n = plan.sessions.len();
     if n > MAX_SESSIONS {
@@ -332,15 +379,17 @@ pub fn execute_replay_plan(
         return v.clone();
     }
 
+    let memo = caches.memo;
     let db = scenario.make_store(level);
-    run_setup(&db, &plan.setup);
+    run_setup(&db, &plan.setup, memo);
 
     let mut sessions: Vec<ScriptSession> = plan
         .sessions
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            ScriptSession::open(&db, session_levels.get(i).copied().flatten(), &s.statements)
+            let level = session_levels.get(i).copied().flatten();
+            ScriptSession::open(&db, level, &s.statements, memo)
         })
         .collect();
     let schedule = interleave(&mut sessions, plan);
@@ -364,11 +413,10 @@ pub fn execute_replay_plan(
             sessions: runs.into_iter().map(|r| r.lines).collect(),
             tables: table_digest(&db, schema),
         };
-        let skey = serial_key(plan, session_levels);
         let serial = caches
             .serial
-            .entry(skey)
-            .or_insert_with(|| serial_digests(scenario, level, plan, schema, session_levels));
+            .entry(vkey.1.clone())
+            .or_insert_with(|| serial_digests(scenario, level, plan, schema, session_levels, memo));
         if serial.contains(&digest) {
             Verdict::Inconclusive("executed cleanly; outcome serially equivalent".to_string())
         } else {
@@ -379,43 +427,47 @@ pub fn execute_replay_plan(
     verdict
 }
 
+/// Replay every finding of one analysis, in [`ScenarioAnalysis::findings`]
+/// order, parsing through the analysis's memo.
+pub fn replay_scenario(analysis: &ScenarioAnalysis<'_>) -> ScenarioReplay {
+    let plans = analysis.plans();
+    let mut caches = ReplayCaches::new(analysis.memo());
+    let outcomes = plans
+        .plans
+        .into_iter()
+        .map(|fp| {
+            let verdict = match &fp.plan {
+                Err(reason) => Verdict::Inconclusive(reason.clone()),
+                Ok(plan) => execute_replay_plan(
+                    analysis.scenario(),
+                    analysis.level(),
+                    plan,
+                    &analysis.surface().schema,
+                    &vec![None; plan.sessions.len()],
+                    &mut caches,
+                ),
+            };
+            ReplayOutcome {
+                finding: fp.finding,
+                verdict,
+            }
+        })
+        .collect();
+    ScenarioReplay {
+        scenario: plans.scenario,
+        outcomes,
+    }
+}
+
 /// Replay every static finding of `surface` at each of `levels`.
 pub fn replay_surface(
     surface: &AppSurface,
     levels: &[IsolationLevel],
 ) -> Result<AppReplay, AuditError> {
-    let levels = sweep_surface(surface, levels, |analysis| {
-        let plans = analysis.plans();
-        let mut caches = ReplayCaches::default();
-        let outcomes = plans
-            .plans
-            .into_iter()
-            .map(|fp| {
-                let verdict = match &fp.plan {
-                    Err(reason) => Verdict::Inconclusive(reason.clone()),
-                    Ok(plan) => execute_replay_plan(
-                        analysis.scenario(),
-                        analysis.level(),
-                        plan,
-                        &surface.schema,
-                        &vec![None; plan.sessions.len()],
-                        &mut caches,
-                    ),
-                };
-                ReplayOutcome {
-                    finding: fp.finding,
-                    verdict,
-                }
-            })
-            .collect();
-        Ok(ScenarioReplay {
-            scenario: plans.scenario,
-            outcomes,
-        })
-    })?
-    .into_iter()
-    .map(|(level, scenarios)| LevelReplay { level, scenarios })
-    .collect();
+    let levels = sweep_surface(surface, levels, |analysis| Ok(replay_scenario(&analysis)))?
+        .into_iter()
+        .map(|(level, scenarios)| LevelReplay { level, scenarios })
+        .collect();
     Ok(AppReplay {
         app: surface.app.clone(),
         levels,
@@ -425,16 +477,18 @@ pub fn replay_surface(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{BTreeSet, HashSet};
     use std::sync::Mutex;
 
     use acidrain_apps::endpoints::{all_surfaces, flexcoin_surface};
     use acidrain_apps::SqlConn;
     use acidrain_core::AnomalyScope;
-    use acidrain_db::Value;
+    use acidrain_db::{FaultConfig, Obs, StmtOutcome, Value};
+    use acidrain_sql::promote_for_update;
     use acidrain_sql::schema::{ColumnDef, ColumnType, TableSchema};
-    use acidrain_static::{plan_scenario, remediate_scenario, rewrite_plan, ReplayReport};
+    use acidrain_static::{rewrite_plan_with, ReplayReport};
 
+    use crate::adviser::advise_scenario;
     use crate::sched::{run_deterministic_on, Stepper};
 
     fn surface_named(name: &str) -> AppSurface {
@@ -474,8 +528,9 @@ mod tests {
             "UPDATE counter SET n = n + 10 WHERE id = 1",
             "COMMIT",
         ]);
-        let mut a = ScriptSession::open(&db, None, &bump);
-        let mut b = ScriptSession::open(&db, None, &bump);
+        let memo = ParseMemo::new();
+        let mut a = ScriptSession::open(&db, None, &bump, &memo);
+        let mut b = ScriptSession::open(&db, None, &bump, &memo);
         assert_eq!(a.step(), StepOutcome::Executed); // BEGIN
         assert_eq!(a.step(), StepOutcome::Executed); // UPDATE: holds the row lock
         assert_eq!(b.step(), StepOutcome::Executed); // BEGIN
@@ -514,8 +569,9 @@ mod tests {
             "UPDATE counter SET n = n + 5 WHERE id = 1",
             "COMMIT",
         ]);
-        let mut a = ScriptSession::open(&db, None, &one_then_two);
-        let mut b = ScriptSession::open(&db, None, &two_then_one);
+        let memo = ParseMemo::new();
+        let mut a = ScriptSession::open(&db, None, &one_then_two, &memo);
+        let mut b = ScriptSession::open(&db, None, &two_then_one, &memo);
         assert_eq!(a.step(), StepOutcome::Executed);
         assert_eq!(a.step(), StepOutcome::Executed);
         assert_eq!(b.step(), StepOutcome::Executed);
@@ -532,6 +588,84 @@ mod tests {
         assert_eq!(a.close().aborted, None);
         let rows = db.table_rows("counter").unwrap();
         assert_eq!((&rows[0][1], &rows[1][1]), (&Value::Int(1), &Value::Int(1)));
+    }
+
+    #[test]
+    fn an_unparsable_statement_fails_before_the_engine_sees_it() {
+        // It renders as `err parse`, as `try_execute` would fail it: no
+        // query-log line, no fault draw, and the script goes on.
+        let db = counters();
+        db.enable_faults(FaultConfig::seeded(1).with_deadlock(1e-12));
+        let memo = ParseMemo::new();
+        let statements = script(&[
+            "UPDATE counter SET n = n + 1 WHERE id = 1",
+            "UPDAT counter SET n = 7",
+            "UPDATE counter SET n = n + 1 WHERE id = 2",
+        ]);
+        let mut session = ScriptSession::open(&db, None, &statements, &memo);
+        session.run_to_end().unwrap();
+        let run = session.close();
+        assert_eq!(run.lines[1], "err parse");
+        assert_eq!(run.lines.len(), 3);
+        assert_eq!(run.aborted, None);
+        assert_eq!(db.fault_stats().statements_seen, 2);
+        let log = db.take_log();
+        assert_eq!(log.len(), 2);
+        assert!(log.iter().all(|e| e.sql.starts_with("UPDATE ")), "{log:?}");
+        assert!(memo.parse("UPDAT counter SET n = 7").is_err());
+    }
+
+    #[test]
+    fn replay_and_advice_parse_only_what_the_lift_never_saw() {
+        // The lift fills the memo with every statement the recording
+        // executed; replaying and advising the same analysis may add only
+        // texts the lift skips (statements that failed or aborted in the
+        // recording), promoted `FOR UPDATE` reads and the `BEGIN` /
+        // `COMMIT` that re-scoping wraps around an endpoint.
+        let mut promoted_seen = 0;
+        for surface in all_surfaces() {
+            for scenario in &surface.scenarios {
+                for level in [
+                    IsolationLevel::ReadCommitted,
+                    IsolationLevel::MySqlRepeatableRead,
+                    IsolationLevel::Serializable,
+                ] {
+                    let at = format!("{}/{} @ {level:?}", surface.app, scenario.name);
+                    let analysis = ScenarioAnalysis::new(&surface, scenario, level).unwrap();
+                    let log = scenario.record(level).unwrap();
+                    let lifted = analysis.memo().texts();
+                    let executed: BTreeSet<String> = log
+                        .iter()
+                        .filter(|e| e.outcome == StmtOutcome::Ok)
+                        .map(|e| e.sql.clone())
+                        .collect();
+                    assert_eq!(lifted, executed, "{at}");
+
+                    replay_scenario(&analysis);
+                    advise_scenario(&analysis, &Obs::new()).unwrap();
+                    let skipped: BTreeSet<String> = log
+                        .iter()
+                        .filter(|e| e.outcome != StmtOutcome::Ok)
+                        .map(|e| e.sql.clone())
+                        .collect();
+                    let promoted: BTreeSet<String> = log
+                        .iter()
+                        .filter_map(|e| promote_for_update(&e.sql).ok().flatten())
+                        .collect();
+                    for text in analysis.memo().texts().difference(&lifted) {
+                        promoted_seen += usize::from(promoted.contains(text));
+                        assert!(
+                            skipped.contains(text)
+                                || promoted.contains(text)
+                                || text == "BEGIN"
+                                || text == "COMMIT",
+                            "{at}: {text}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(promoted_seen > 0, "no promoted statement was replayed");
     }
 
     /// `run_script` as it was when sessions were scheduler tasks: every
@@ -555,7 +689,8 @@ mod tests {
 
     /// The executor as it was before in-thread stepping — one thread per
     /// session under [`crate::sched`], serial baselines on blocking
-    /// connections, no caches. The reference [`execute_replay_plan`] is held to.
+    /// connections, no caches, every statement parsed by the engine. The
+    /// reference [`execute_replay_plan`] is held to.
     fn reference_execute_plan(
         scenario: &Scenario,
         level: IsolationLevel,
@@ -571,8 +706,14 @@ mod tests {
             }
             conn
         };
+        let setup = |db: &Arc<Database>| {
+            let mut conn = db.connect();
+            for sql in &plan.setup {
+                let _ = conn.execute(sql);
+            }
+        };
         let db = scenario.make_store(level);
-        run_setup(&db, &plan.setup);
+        setup(&db);
 
         let runs: Arc<Mutex<Vec<Option<ScriptRun>>>> =
             Arc::new(Mutex::new((0..n).map(|_| None).collect()));
@@ -654,7 +795,7 @@ mod tests {
         };
         let serial_equivalent = permutations(n).into_iter().any(|perm| {
             let db = scenario.make_store(level);
-            run_setup(&db, &plan.setup);
+            setup(&db);
             let mut sessions = vec![Vec::new(); n];
             for &i in &perm {
                 let mut conn = connect(&db, i);
@@ -696,11 +837,11 @@ mod tests {
                     IsolationLevel::MySqlRepeatableRead,
                     IsolationLevel::Serializable,
                 ] {
-                    let plans = plan_scenario(&surface, scenario, level).unwrap();
-                    let remedies = remediate_scenario(&surface, scenario, level).unwrap();
+                    let analysis = ScenarioAnalysis::new(&surface, scenario, level).unwrap();
+                    let (plans, remedies) = (analysis.plans(), analysis.remedies());
                     assert_eq!(plans.plans.len(), remedies.outcomes.len());
-                    let mut caches = ReplayCaches::default();
-                    let mut seen: HashSet<String> = HashSet::new();
+                    let mut caches = ReplayCaches::new(analysis.memo());
+                    let mut seen: HashSet<VerdictKey> = HashSet::new();
                     let mut check = |plan: &ReplayPlan, levels: &[Option<IsolationLevel>]| {
                         if !seen.insert(verdict_key(plan, levels)) {
                             return;
@@ -726,7 +867,8 @@ mod tests {
                         let Ok(plan) = &fp.plan else { continue };
                         check(plan, &vec![None; plan.sessions.len()]);
                         for candidate in &outcome.candidates {
-                            if let Ok((repaired, levels)) = rewrite_plan(plan, candidate) {
+                            let rewritten = rewrite_plan_with(plan, candidate, analysis.memo());
+                            if let Ok((repaired, levels)) = rewritten {
                                 check(&repaired, &levels);
                             }
                         }

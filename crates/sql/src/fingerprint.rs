@@ -45,6 +45,26 @@ pub fn statement_template(sql: &str) -> Result<StatementTemplate, ParseError> {
     Ok(template_of(&parse_statement(sql)?))
 }
 
+/// Fingerprint of one statement's *shape*: the [`StatementTemplate`] hash
+/// when the text parses, otherwise FNV-1a of the raw text.
+///
+/// The fallback is what makes fingerprints agree across the concrete and
+/// symbolized sides of an analysis. A symbolized statement (`id = :int`)
+/// does not round-trip through the parser, but its template hash *is*
+/// FNV-1a of the template text — so hashing the unparseable text raw yields
+/// the same value the concrete statement's template produced.
+pub fn statement_fingerprint(sql: &str) -> u64 {
+    parsed_fingerprint(parse_statement(sql).as_ref(), sql)
+}
+
+/// [`statement_fingerprint`] of `sql`, given what `sql` parses to.
+pub(crate) fn parsed_fingerprint(stmt: Result<&Statement, &ParseError>, sql: &str) -> u64 {
+    match stmt {
+        Ok(stmt) => template_of(stmt).hash,
+        Err(_) => fnv1a(sql.as_bytes()),
+    }
+}
+
 /// Reduce an already-parsed statement to its [`StatementTemplate`].
 pub fn template_of(stmt: &Statement) -> StatementTemplate {
     let text = normalize_statement(stmt).to_string();

@@ -18,7 +18,9 @@
 //!   footprint 2AD builds conflict edges from;
 //! * [`fingerprint`]: literal abstraction to typed placeholders plus a
 //!   stable 64-bit statement fingerprint — the template layer the static
-//!   2AD audit reasons over.
+//!   2AD audit reasons over;
+//! * [`ParseMemo`]: each distinct statement text parsed once for the
+//!   lifetime of one analysis.
 //!
 //! ```
 //! use acidrain_sql::{parse_statement, rwset::statement_accesses, schema::Schema};
@@ -33,6 +35,7 @@ pub mod ast;
 pub mod display;
 pub mod error;
 pub mod fingerprint;
+pub mod memo;
 pub mod parser;
 pub mod rewrite;
 pub mod rwset;
@@ -41,8 +44,9 @@ pub mod token;
 
 pub use ast::{Expr, Literal, Statement};
 pub use error::ParseError;
-pub use fingerprint::{fnv1a, statement_template, StatementTemplate};
+pub use fingerprint::{fnv1a, statement_fingerprint, statement_template, StatementTemplate};
+pub use memo::ParseMemo;
 pub use parser::{parse_script, parse_statement};
-pub use rewrite::promote_for_update;
+pub use rewrite::{promote_for_update, promote_parsed};
 pub use rwset::{statement_accesses, AccessKind, TableAccess, EXISTS_COLUMN};
 pub use schema::{ColumnDef, ColumnType, Schema, TableSchema};

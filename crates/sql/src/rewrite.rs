@@ -32,13 +32,19 @@ use crate::parser::parse_statement;
 /// assert_eq!(promote_for_update("COMMIT").unwrap(), None);
 /// ```
 pub fn promote_for_update(sql: &str) -> Result<Option<String>, ParseError> {
-    let stmt = parse_statement(sql)?;
+    Ok(promote_parsed(&parse_statement(sql)?))
+}
+
+/// [`promote_for_update`] of an already-parsed statement: the rewritten
+/// text when `stmt` is a lockable `SELECT`, `None` otherwise.
+pub fn promote_parsed(stmt: &Statement) -> Option<String> {
     match stmt {
-        Statement::Select(mut s) if s.from.is_some() && !s.for_update => {
+        Statement::Select(s) if s.from.is_some() && !s.for_update => {
+            let mut s = s.clone();
             s.for_update = true;
-            Ok(Some(Statement::Select(s).to_string()))
+            Some(Statement::Select(s).to_string())
         }
-        _ => Ok(None),
+        _ => None,
     }
 }
 

@@ -8,12 +8,12 @@
 
 use acidrain_apps::endpoints::{AppSurface, Scenario};
 use acidrain_core::{
-    lift_trace, statement_fingerprint, Analyzer, AnomalyPattern, AnomalyScope, Finding,
-    RefinementConfig,
+    lift_trace_with, Analyzer, AnomalyPattern, AnomalyScope, Finding, RefinementConfig,
 };
 use acidrain_db::{IsolationLevel, LogEntry};
+use acidrain_sql::{fnv1a, ParseMemo};
 
-use crate::template::symbolize_trace;
+use crate::template::symbolize_trace_with;
 
 /// Why a scenario could not be audited.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,7 +162,10 @@ pub(crate) fn static_finding(analyzer: &Analyzer, finding: &Finding) -> StaticFi
     let seed_ref = |node: usize| SeedRef {
         position: history.locs[node].position,
         template: history.op(node).sql.clone(),
-        fingerprint: statement_fingerprint(&history.op(node).sql),
+        // The op's SQL is already its template, and a template's
+        // `statement_fingerprint` is FNV-1a of its text (pinned by
+        // `seed_templates_fingerprint_as_their_text`), so nothing re-parses.
+        fingerprint: fnv1a(history.op(node).sql.as_bytes()),
     };
     let witness = analyzer
         .witness_trace(finding)
@@ -195,6 +198,9 @@ pub struct ScenarioAnalysis<'a> {
     pub(crate) scenario: &'a Scenario,
     pub(crate) level: IsolationLevel,
     pub(crate) log: Vec<LogEntry>,
+    /// Every statement text the lift read, parsed once; the views
+    /// (re-audits, replayed schedules) read and extend it.
+    pub(crate) memo: ParseMemo,
     pub(crate) config: RefinementConfig,
     /// The analyzer over the symbolized trace. Symbolization rewrites only
     /// `Op.sql`, so this history is the concrete one node for node, with
@@ -220,9 +226,11 @@ impl<'a> ScenarioAnalysis<'a> {
         let log = scenario
             .record(level)
             .map_err(|e| AuditError::Record(located(surface, scenario, e)))?;
-        let mut trace = lift_trace(&log, &surface.schema)
+        let memo = ParseMemo::new();
+        let mut trace = lift_trace_with(&log, &surface.schema, &memo)
             .map_err(|e| AuditError::Lift(located(surface, scenario, e)))?;
-        symbolize_trace(&mut trace).map_err(|e| AuditError::Lift(located(surface, scenario, e)))?;
+        symbolize_trace_with(&mut trace, &memo)
+            .map_err(|e| AuditError::Lift(located(surface, scenario, e)))?;
         let analyzer = Analyzer::from_trace(trace);
         let config = refinement_for(surface, level);
         let detected = analyzer.analyze(&config).findings;
@@ -235,11 +243,17 @@ impl<'a> ScenarioAnalysis<'a> {
             scenario,
             level,
             log,
+            memo,
             config,
             analyzer,
             detected,
             rendered,
         })
+    }
+
+    /// The surface the scenario belongs to.
+    pub fn surface(&self) -> &'a AppSurface {
+        self.surface
     }
 
     /// The scenario analyzed.
@@ -255,6 +269,13 @@ impl<'a> ScenarioAnalysis<'a> {
     /// The anomalies the level admits, in detector order.
     pub fn findings(&self) -> &[StaticFinding] {
         &self.rendered
+    }
+
+    /// The scenario's statement texts, parsed: everything the lift read,
+    /// plus whatever the views have parsed since. Executors of this
+    /// scenario's schedules parse through it.
+    pub fn memo(&self) -> &ParseMemo {
+        &self.memo
     }
 }
 
@@ -305,8 +326,108 @@ pub fn audit_surface(surface: &AppSurface) -> Result<AppAudit, AuditError> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
     use super::*;
-    use acidrain_apps::endpoints::{didactic_surfaces, flexcoin_surface};
+    use acidrain_apps::endpoints::{all_surfaces, didactic_surfaces, flexcoin_surface};
+    use acidrain_core::{lift_trace, statement_fingerprint};
+    use acidrain_sql::{parse_statement, promote_for_update};
+
+    /// Every recorded log: each scenario of each surface at all six levels.
+    fn every_recording() -> Vec<(AppSurface, Vec<Vec<LogEntry>>)> {
+        all_surfaces()
+            .into_iter()
+            .map(|surface| {
+                let logs = surface
+                    .scenarios
+                    .iter()
+                    .flat_map(|scenario| {
+                        IsolationLevel::ALL.map(|level| scenario.record(level).unwrap())
+                    })
+                    .collect();
+                (surface, logs)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_parse_memo_answers_as_the_parser_does() {
+        // Every recorded text, every text the adviser promotes, and one
+        // that does not parse: the memo's parse and fingerprint are the
+        // parser's, on the first read and on every later one.
+        let mut texts: BTreeSet<String> = BTreeSet::new();
+        for (_, logs) in every_recording() {
+            for entry in logs.iter().flatten() {
+                if let Ok(Some(promoted)) = promote_for_update(&entry.sql) {
+                    texts.insert(promoted);
+                }
+                texts.insert(entry.sql.clone());
+            }
+        }
+        let malformed = "SELEC balance FROM accounts WHERE id = 1";
+        texts.insert(malformed.to_string());
+        let memo = ParseMemo::new();
+        for _ in 0..2 {
+            for sql in &texts {
+                assert_eq!(memo.parse(sql), parse_statement(sql).map(Arc::new), "{sql}");
+                assert_eq!(memo.fingerprint(sql), statement_fingerprint(sql), "{sql}");
+            }
+        }
+        assert!(memo.parse(malformed).is_err());
+        assert_eq!(memo.len(), texts.len());
+    }
+
+    #[test]
+    fn lifting_through_a_used_memo_is_lifting() {
+        // One memo across every scenario: each lift after the first meets
+        // texts another scenario put there, and lifts what a fresh parse
+        // lifts.
+        let memo = ParseMemo::new();
+        for (surface, logs) in every_recording() {
+            for log in &logs {
+                assert_eq!(
+                    lift_trace_with(log, &surface.schema, &memo),
+                    lift_trace(log, &surface.schema),
+                    "{}",
+                    surface.app
+                );
+            }
+        }
+        assert!(!memo.is_empty());
+    }
+
+    #[test]
+    fn seed_templates_fingerprint_as_their_text() {
+        // `static_finding` takes a seed's fingerprint as FNV-1a of its
+        // template text; this is where that equals `statement_fingerprint`
+        // for every symbolized operation the audit can seed a finding on.
+        let mut ops = 0;
+        for surface in all_surfaces() {
+            for scenario in &surface.scenarios {
+                for level in IsolationLevel::ALL {
+                    let analysis = ScenarioAnalysis::new(&surface, scenario, level).unwrap();
+                    let trace = &analysis.analyzer.history().trace;
+                    for op in trace
+                        .api_calls
+                        .iter()
+                        .flat_map(|a| &a.txns)
+                        .flat_map(|t| &t.ops)
+                    {
+                        assert_eq!(
+                            statement_fingerprint(&op.sql),
+                            fnv1a(op.sql.as_bytes()),
+                            "{}: {}",
+                            surface.app,
+                            op.sql
+                        );
+                        ops += 1;
+                    }
+                }
+            }
+        }
+        assert!(ops > 1000, "{ops}");
+    }
 
     #[test]
     fn serializable_admits_no_level_based_anomaly() {

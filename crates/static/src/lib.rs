@@ -57,8 +57,8 @@ pub use audit::{
 };
 pub use remediate::{
     apply_fixes_to_log, config_with_fixes, fix_set_label, remediate_scenario, render_remedy_json,
-    render_remedy_text, rewrite_plan, AppRemedies, Fix, LevelRemedies, RemedyOutcome, RemedyReport,
-    ScenarioRemedies,
+    render_remedy_text, rewrite_plan, rewrite_plan_with, AppRemedies, Fix, LevelRemedies,
+    RemedyOutcome, RemedyReport, ScenarioRemedies,
 };
 pub use replay::{
     plan_scenario, render_replay_json, render_replay_text, AppReplay, FindingPlan, LevelReplay,

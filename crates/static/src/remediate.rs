@@ -40,12 +40,11 @@ use std::collections::{BTreeSet, HashMap};
 use acidrain_apps::endpoints::{AppSurface, Scenario};
 use acidrain_apps::is_transaction_control_sql;
 use acidrain_core::{
-    statement_fingerprint, Analyzer, AnomalyPattern, AnomalyScope, Finding, RefinementConfig,
+    lift_trace_with, Analyzer, AnomalyPattern, AnomalyScope, Finding, RefinementConfig,
 };
 use acidrain_db::{field, IsolationLevel, Json, LogEntry, StmtOutcome};
 use acidrain_sql::{
-    parse_statement, promote_for_update, rwset::statement_accesses, schema::Schema,
-    statement_template,
+    fingerprint::template_of, promote_parsed, rwset::statement_accesses, schema::Schema, ParseMemo,
 };
 
 use crate::audit::{AuditError, ScenarioAnalysis, SeedRef, StaticFinding};
@@ -167,6 +166,16 @@ fn scope_log(log: &[LogEntry], api: &str) -> Result<Vec<LogEntry>, String> {
 /// renumbering sequence numbers. Isolation fixes do not touch the log —
 /// they land in the refinement config (see [`config_with_fixes`]).
 pub fn apply_fixes_to_log(log: &[LogEntry], fixes: &[Fix]) -> Result<Vec<LogEntry>, String> {
+    apply_fixes_to_log_with(log, fixes, &ParseMemo::new())
+}
+
+/// [`apply_fixes_to_log`], matching and promoting statements through
+/// `memo`.
+pub(crate) fn apply_fixes_to_log_with(
+    log: &[LogEntry],
+    fixes: &[Fix],
+    memo: &ParseMemo,
+) -> Result<Vec<LogEntry>, String> {
     let mut out: Vec<LogEntry> = log.to_vec();
     for fix in fixes {
         match fix {
@@ -175,20 +184,9 @@ pub fn apply_fixes_to_log(log: &[LogEntry], fixes: &[Fix]) -> Result<Vec<LogEntr
             } => {
                 let mut hit = false;
                 for e in &mut out {
-                    if entry_is(e, api) && statement_fingerprint(&e.sql) == *fingerprint {
-                        match promote_for_update(&e.sql) {
-                            Ok(Some(sql)) => {
-                                e.sql = sql;
-                                hit = true;
-                            }
-                            Ok(None) => {
-                                return Err(format!(
-                                    "statement is not a promotable SELECT: {}",
-                                    e.sql
-                                ))
-                            }
-                            Err(err) => return Err(format!("rewrite failed: {err}")),
-                        }
+                    if entry_is(e, api) && memo.fingerprint(&e.sql) == *fingerprint {
+                        e.sql = promote(memo, &e.sql)?;
+                        hit = true;
                     }
                 }
                 if !hit {
@@ -203,6 +201,14 @@ pub fn apply_fixes_to_log(log: &[LogEntry], fixes: &[Fix]) -> Result<Vec<LogEntr
         e.seq = i as u64;
     }
     Ok(out)
+}
+
+/// `sql` promoted to `FOR UPDATE`, or why it cannot be.
+fn promote(memo: &ParseMemo, sql: &str) -> Result<String, String> {
+    let stmt = memo
+        .parse(sql)
+        .map_err(|err| format!("rewrite failed: {err}"))?;
+    promote_parsed(&stmt).ok_or_else(|| format!("not a promotable SELECT: {sql}"))
 }
 
 /// Fold the isolation fixes of a candidate into a refinement config.
@@ -236,18 +242,20 @@ fn identity(f: &Finding) -> Identity {
 /// The finding identities the search reports once `fixes` are applied, or
 /// `None` when the fix list cannot be applied or the repaired trace no
 /// longer lifts. An identity needs neither templates nor a rendered
-/// witness, so the repaired log is lifted and searched, nothing more.
+/// witness, so the repaired log is lifted (through the scenario's memo,
+/// which already holds every text the fixes did not rewrite) and
+/// searched, nothing more.
 fn post_fix_identities(
     log: &[LogEntry],
     schema: &Schema,
     base: &RefinementConfig,
     fixes: &[Fix],
+    memo: &ParseMemo,
 ) -> Option<BTreeSet<Identity>> {
-    let rewritten = apply_fixes_to_log(log, fixes).ok()?;
+    let rewritten = apply_fixes_to_log_with(log, fixes, memo).ok()?;
     let config = config_with_fixes(base, fixes);
-    let post = Analyzer::from_log(&rewritten, schema)
-        .ok()?
-        .analyze(&config);
+    let trace = lift_trace_with(&rewritten, schema, memo).ok()?;
+    let post = Analyzer::from_trace(trace).analyze(&config);
     Some(post.findings.iter().map(identity).collect())
 }
 
@@ -264,6 +272,8 @@ struct Reaudits<'a> {
     log: &'a [LogEntry],
     schema: &'a Schema,
     base: &'a RefinementConfig,
+    /// The scenario's parse memo (`memo` below is the re-audit memo).
+    parses: &'a ParseMemo,
     /// The finding identities before any fix.
     pre: BTreeSet<Identity>,
     memo: HashMap<Vec<Fix>, Option<BTreeSet<Identity>>>,
@@ -275,6 +285,7 @@ impl<'a> Reaudits<'a> {
             log: &analysis.log,
             schema: &analysis.surface.schema,
             base: &analysis.config,
+            parses: &analysis.memo,
             pre: analysis.detected.iter().map(identity).collect(),
             memo: HashMap::new(),
         }
@@ -285,7 +296,7 @@ impl<'a> Reaudits<'a> {
     /// of the pre-fix one.
     fn closes(&mut self, fixes: &[Fix], target: &Identity) -> bool {
         if !self.memo.contains_key(fixes) {
-            let post = post_fix_identities(self.log, self.schema, self.base, fixes);
+            let post = post_fix_identities(self.log, self.schema, self.base, fixes, self.parses);
             self.memo.insert(fixes.to_vec(), post);
         }
         self.memo[fixes]
@@ -330,7 +341,7 @@ struct StatementFacts {
     api: String,
     fingerprint: u64,
     /// The statement template, when the statement is a plain `SELECT`
-    /// that [`promote_for_update`] can promote.
+    /// that [`promote_parsed`] can promote.
     promotable: Option<String>,
     /// Tables the statement reads or writes (empty when it does not parse).
     tables: Vec<String>,
@@ -339,21 +350,22 @@ struct StatementFacts {
     transaction_control: bool,
 }
 
-fn statement_facts(log: &[LogEntry], schema: &Schema) -> Vec<StatementFacts> {
+fn statement_facts(log: &[LogEntry], schema: &Schema, memo: &ParseMemo) -> Vec<StatementFacts> {
     let mut facts = Vec::new();
     let mut seen: BTreeSet<(&str, u64)> = BTreeSet::new();
     for e in log {
         let Some(tag) = &e.api else { continue };
-        let fingerprint = statement_fingerprint(&e.sql);
+        let fingerprint = memo.fingerprint(&e.sql);
         if !seen.insert((&tag.name, fingerprint)) {
             continue;
         }
-        let promotable = matches!(promote_for_update(&e.sql), Ok(Some(_))).then(|| {
-            statement_template(&e.sql)
-                .map(|t| t.text)
-                .unwrap_or_else(|_| e.sql.clone())
-        });
-        let (tables, transaction_control) = parse_statement(&e.sql)
+        let parsed = memo.parse(&e.sql);
+        let promotable = parsed
+            .as_ref()
+            .ok()
+            .filter(|stmt| promote_parsed(stmt).is_some())
+            .map(|stmt| template_of(stmt).text);
+        let (tables, transaction_control) = parsed
             .map(|stmt| {
                 let tables = statement_accesses(&stmt, schema)
                     .into_iter()
@@ -608,7 +620,7 @@ impl RemedyReport {
 impl ScenarioAnalysis<'_> {
     /// Synthesize remedies for every finding, in [`Self::findings`] order.
     pub fn remedies(&self) -> ScenarioRemedies {
-        let facts = statement_facts(&self.log, &self.surface.schema);
+        let facts = statement_facts(&self.log, &self.surface.schema, &self.memo);
         let mut reaudits = Reaudits::new(self);
 
         let outcomes = self
@@ -677,6 +689,15 @@ pub fn rewrite_plan(
     plan: &ReplayPlan,
     fixes: &[Fix],
 ) -> Result<(ReplayPlan, Vec<Option<IsolationLevel>>), String> {
+    rewrite_plan_with(plan, fixes, &ParseMemo::new())
+}
+
+/// [`rewrite_plan`], matching and promoting statements through `memo`.
+pub fn rewrite_plan_with(
+    plan: &ReplayPlan,
+    fixes: &[Fix],
+    memo: &ParseMemo,
+) -> Result<(ReplayPlan, Vec<Option<IsolationLevel>>), String> {
     let mut plan = plan.clone();
     let mut session_levels: Vec<Option<IsolationLevel>> = vec![None; plan.sessions.len()];
     for fix in fixes {
@@ -690,15 +711,9 @@ pub fn rewrite_plan(
                         continue;
                     }
                     for stmt in &mut session.statements {
-                        if statement_fingerprint(stmt) == *fingerprint {
-                            match promote_for_update(stmt) {
-                                Ok(Some(sql)) => {
-                                    *stmt = sql;
-                                    hit = true;
-                                }
-                                Ok(None) => return Err(format!("not a promotable SELECT: {stmt}")),
-                                Err(e) => return Err(format!("rewrite failed: {e}")),
-                            }
+                        if memo.fingerprint(stmt) == *fingerprint {
+                            *stmt = promote(memo, stmt)?;
+                            hit = true;
                         }
                     }
                 }
@@ -706,8 +721,8 @@ pub fn rewrite_plan(
                 // connection; promoting there too keeps the repaired trace
                 // uniform (a solo FOR UPDATE read is a no-op).
                 for stmt in &mut plan.setup {
-                    if statement_fingerprint(stmt) == *fingerprint {
-                        if let Ok(Some(sql)) = promote_for_update(stmt) {
+                    if memo.fingerprint(stmt) == *fingerprint {
+                        if let Ok(sql) = promote(memo, stmt) {
                             *stmt = sql;
                         }
                     }
@@ -967,7 +982,7 @@ mod tests {
     use acidrain_apps::endpoints::{
         all_surfaces, booking_surfaces, didactic_surfaces, flexcoin_surface,
     };
-    use acidrain_core::lift_trace;
+    use acidrain_core::{lift_trace, statement_fingerprint};
 
     fn surface_named(name: &str) -> AppSurface {
         didactic_surfaces()
@@ -1171,7 +1186,7 @@ mod tests {
                     let pre: BTreeSet<Identity> = findings.iter().map(rendered_identity).collect();
                     let at = format!("{}/{} @ {level:?}", surface.app, scenario.name);
                     assert_eq!(
-                        post_fix_identities(&log, schema, &base, &[]).as_ref(),
+                        post_fix_identities(&log, schema, &base, &[], &ParseMemo::new()).as_ref(),
                         Some(&pre),
                         "{at}"
                     );
@@ -1183,7 +1198,7 @@ mod tests {
                     ) {
                         continue;
                     }
-                    let facts = statement_facts(&log, schema);
+                    let facts = statement_facts(&log, schema, &ParseMemo::new());
                     let remedies = remediate_scenario(&surface, scenario, level).unwrap();
                     assert_eq!(remedies.outcomes.len(), findings.len());
                     for (finding, o) in findings.iter().zip(&remedies.outcomes) {

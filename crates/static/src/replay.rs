@@ -28,7 +28,7 @@ use crate::report::level_abbrev;
 use crate::serialize::document;
 
 /// One session of a replay plan: an API instance's canned statements.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SessionScript {
     /// API endpoint this session replays.
     pub api: String,
@@ -37,7 +37,7 @@ pub struct SessionScript {
 }
 
 /// A static finding lowered to an executable interleaving.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ReplayPlan {
     /// Statements replayed on a plain connection before the concurrent
     /// sessions start: everything the recording executed before the seed

@@ -4,8 +4,8 @@
 
 use acidrain_core::Trace;
 use acidrain_db::LogEntry;
-use acidrain_sql::fingerprint::{statement_template, StatementTemplate};
-use acidrain_sql::ParseError;
+use acidrain_sql::fingerprint::{statement_template, template_of, StatementTemplate};
+use acidrain_sql::{ParseError, ParseMemo};
 
 /// One endpoint's parameterized statement sequence, in issue order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,10 +48,16 @@ pub fn endpoint_templates(log: &[LogEntry]) -> Result<Vec<EndpointTemplates>, Pa
 /// concrete one — but every witness schedule now renders provenance down
 /// to the statement template.
 pub fn symbolize_trace(trace: &mut Trace) -> Result<(), ParseError> {
+    symbolize_trace_with(trace, &ParseMemo::new())
+}
+
+/// [`symbolize_trace`], parsing each statement text through `memo` (the
+/// one the trace was lifted with already holds every text).
+pub(crate) fn symbolize_trace_with(trace: &mut Trace, memo: &ParseMemo) -> Result<(), ParseError> {
     for api in &mut trace.api_calls {
         for txn in &mut api.txns {
             for op in &mut txn.ops {
-                op.sql = statement_template(&op.sql)?.text;
+                op.sql = template_of(&*memo.parse(&op.sql)?).text;
             }
         }
     }

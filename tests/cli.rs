@@ -213,3 +213,27 @@ fn every_unknown_app_is_a_usage_error() {
         "{stderr}"
     );
 }
+
+#[test]
+fn json_to_stdout_is_the_json_document_alone() {
+    // `--json -` without `--quiet`: stdout carries exactly the bytes
+    // `--json FILE` writes, with no text report or timing footer after it.
+    let dir = std::env::temp_dir().join(format!("acidrain-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for command in ["audit", "replay", "advise"] {
+        let file = dir.join(format!("{command}.json"));
+        let (_, stderr, code) = run_acidrain(&[
+            command,
+            "--app",
+            "bank-figure1a",
+            "--json",
+            file.to_str().unwrap(),
+            "--quiet",
+        ]);
+        assert_eq!(code, 0, "{command}: {stderr}");
+        let (stdout, stderr, code) =
+            run_acidrain(&[command, "--app", "bank-figure1a", "--json", "-"]);
+        assert_eq!(code, 0, "{command}: {stderr}");
+        assert_eq!(stdout, std::fs::read_to_string(&file).unwrap(), "{command}");
+    }
+}
