@@ -1,6 +1,7 @@
 //! Golden-file tests pinning the `static_audit` report — full witness
 //! provenance included — for three representative applications at Read
-//! Committed and Serializable.
+//! Committed and Serializable, as text and (for the two small ones) as
+//! the JSON document.
 //!
 //! Regenerate after an intentional detector or renderer change with:
 //!
@@ -8,21 +9,18 @@
 //! UPDATE_GOLDEN=1 cargo test -p acidrain-static --test golden
 //! ```
 
-use std::path::PathBuf;
+#[path = "support/golden.rs"]
+mod support;
 
 use acidrain_apps::endpoints::all_surfaces;
 use acidrain_db::IsolationLevel;
-use acidrain_static::{audit_surface, render_text, StaticAuditReport};
+use acidrain_static::{audit_surface, render_json, render_text, StaticAuditReport};
+
+use support::check_golden;
 
 /// The pinned levels: the paper's weak default family representative and
 /// the strongest level (where only scope-based anomalies remain).
 const LEVELS: [IsolationLevel; 2] = [IsolationLevel::ReadCommitted, IsolationLevel::Serializable];
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.txt"))
-}
 
 /// Audit one app and keep only the pinned levels, so the golden file stays
 /// small and focused on the RC-vs-SER contrast.
@@ -37,43 +35,25 @@ fn report_for(app: &str) -> StaticAuditReport {
     StaticAuditReport { apps: vec![audit] }
 }
 
-fn check_golden(app: &str) {
-    let rendered = render_text(&report_for(app));
-    let path = golden_path(app);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}; run with UPDATE_GOLDEN=1 to create",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        expected,
-        "{app}: static audit report drifted from {} \
-         (rerun with UPDATE_GOLDEN=1 if the change is intentional)",
-        path.display()
-    );
-}
-
 #[test]
 fn golden_bank_figure1a() {
     // Didactic: the unscoped Figure-1a bank — identical findings at RC
     // and SER because everything is scope-based.
-    check_golden("bank-figure1a");
+    let report = report_for("bank-figure1a");
+    check_golden("bank-figure1a.txt", &render_text(&report));
+    check_golden("bank-figure1a.json", &render_json(&report));
 }
 
 #[test]
 fn golden_flexcoin() {
     // The §2 case study: the unguarded transfer endpoint.
-    check_golden("flexcoin");
+    let report = report_for("flexcoin");
+    check_golden("flexcoin.txt", &render_text(&report));
+    check_golden("flexcoin.json", &render_json(&report));
 }
 
 #[test]
 fn golden_prestashop() {
     // A PHP corpus app with session locking in the refinement config.
-    check_golden("PrestaShop");
+    check_golden("PrestaShop.txt", &render_text(&report_for("PrestaShop")));
 }
