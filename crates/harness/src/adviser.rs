@@ -20,8 +20,8 @@
 use acidrain_apps::endpoints::{all_surfaces, AppSurface};
 use acidrain_db::{IsolationLevel, Obs};
 use acidrain_static::{
-    rewrite_plan_with, sweep_surface, AppRemedies, AuditError, LevelRemedies, RemedyReport,
-    ScenarioAnalysis, ScenarioPlans, ScenarioRemedies, Verdict,
+    rewrite_plan_with, sweep_surface, AppRemedies, AuditError, RemedyReport, ScenarioAnalysis,
+    ScenarioPlans, ScenarioRemedies, Verdict,
 };
 
 use crate::replay::{execute_replay_plan, ReplayCaches};
@@ -135,14 +135,7 @@ pub fn advise_surface(
     levels: &[IsolationLevel],
     obs: &Obs,
 ) -> Result<AppRemedies, AuditError> {
-    let levels = sweep_surface(surface, levels, |analysis| advise_scenario(&analysis, obs))?
-        .into_iter()
-        .map(|(level, scenarios)| LevelRemedies { level, scenarios })
-        .collect();
-    Ok(AppRemedies {
-        app: surface.app.clone(),
-        levels,
-    })
+    sweep_surface(surface, levels, |analysis| advise_scenario(&analysis, obs))
 }
 
 /// Advise the whole registry at each of `levels`.

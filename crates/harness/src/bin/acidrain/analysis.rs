@@ -11,60 +11,62 @@ use std::time::{Duration, Instant};
 use acidrain_apps::endpoints::AppSurface;
 use acidrain_db::Obs;
 use acidrain_harness::{advise_surface, replay_surface};
-use acidrain_static::{
-    audit_surface, render_json, render_remedy_json, render_remedy_text, render_replay_json,
-    render_replay_text, render_text, RemedyReport, ReplayReport, StaticAuditReport,
-};
+use acidrain_static::{audit_surface, render_json, render_text, AppReport, Report, ScenarioReport};
 
 use crate::Args;
 
-/// Run `each` over the selected surfaces; the first error ends the run.
-fn sweep<T, E: Display>(
+/// Run `each` over the selected surfaces (the first error ends the run),
+/// write the JSON document and print the text report, closed by the line
+/// `trailer` makes of the report and the sweep's wall time.
+fn sweep<S: ScenarioReport, E: Display>(
     args: &Args,
-    mut each: impl FnMut(&AppSurface) -> Result<T, E>,
-) -> (Vec<T>, Duration) {
+    mut each: impl FnMut(&AppSurface) -> Result<AppReport<S>, E>,
+    trailer: impl FnOnce(&Report<S>, Duration) -> String,
+) -> Report<S> {
     let start = Instant::now();
-    let surfaces = args.surfaces();
-    let results = surfaces
+    let apps = args
+        .surfaces()
         .iter()
         .map(|surface| each(surface).unwrap_or_else(|e| args.fail(e)))
         .collect();
-    (results, start.elapsed())
-}
-
-pub fn audit(args: &Args) {
-    let (apps, elapsed) = sweep(args, audit_surface);
-    let report = StaticAuditReport { apps };
+    let report = Report { apps };
+    let elapsed = start.elapsed();
 
     args.write_json(|| render_json(&report));
     if args.text_report() {
         print!("{}", render_text(&report));
         println!(
-            "\n{} surfaces, {} findings, audited in {:.2?} (no concurrent execution)",
+            "\n{} surfaces, {}",
             report.apps.len(),
-            report.finding_count(),
-            elapsed
+            trailer(&report, elapsed)
         );
     }
+    report
+}
+
+pub fn audit(args: &Args) {
+    sweep(args, audit_surface, |report, elapsed| {
+        format!(
+            "{} findings, audited in {elapsed:.2?} (no concurrent execution)",
+            report.finding_count()
+        )
+    });
 }
 
 pub fn replay(args: &Args) {
     let levels = args.levels();
-    let (apps, elapsed) = sweep(args, |surface| replay_surface(surface, &levels));
-    let report = ReplayReport { apps };
-
-    args.write_json(|| render_replay_json(&report));
-    if args.text_report() {
-        print!("{}", render_replay_text(&report));
-        println!(
-            "\n{} surfaces, {} confirmed / {} blocked / {} inconclusive, replayed in {:.2?}",
-            report.apps.len(),
-            report.count("confirmed"),
-            report.count("blocked"),
-            report.count("inconclusive"),
-            elapsed
-        );
-    }
+    let report = sweep(
+        args,
+        |surface| replay_surface(surface, &levels),
+        |report, elapsed| {
+            format!(
+                "{} confirmed / {} blocked / {} inconclusive, replayed in {elapsed:.2?}",
+                report.count("confirmed"),
+                report.count("blocked"),
+                report.count("inconclusive"),
+            )
+        },
+    );
 
     // A level-based anomaly confirmed at Serializable means the engine
     // failed to serialize: an engine bug, not an application one.
@@ -88,22 +90,17 @@ pub fn advise(args: &Args) {
     let levels = args.levels();
     let obs = Obs::new();
     obs.enable();
-    let (apps, elapsed) = sweep(args, |surface| advise_surface(surface, &levels, &obs));
-    let report = RemedyReport { apps };
-
-    args.write_json(|| render_remedy_json(&report));
-    if args.text_report() {
-        print!("{}", render_remedy_text(&report));
-        let counters = obs.counters();
-        println!(
-            "\n{} surfaces, {} candidates tried, {} closures, {} post-fix replays, advised in {:.2?}",
-            report.apps.len(),
-            counters.repair_candidates,
-            counters.repair_closures,
-            counters.repair_replays,
-            elapsed
-        );
-    }
+    let report = sweep(
+        args,
+        |surface| advise_surface(surface, &levels, &obs),
+        |_, elapsed| {
+            let counters = obs.counters();
+            format!(
+                "{} candidates tried, {} closures, {} post-fix replays, advised in {elapsed:.2?}",
+                counters.repair_candidates, counters.repair_closures, counters.repair_replays,
+            )
+        },
+    );
 
     // The closure gate: every level-based finding has a closing fix set,
     // and no recommended fix still confirms on post-repair replay.

@@ -45,7 +45,7 @@ use acidrain_db::{Connection, Database, DbError, IsolationLevel, ResultSet};
 use acidrain_sql::schema::Schema;
 use acidrain_sql::ParseMemo;
 use acidrain_static::{
-    sweep_surface, AppReplay, AuditError, LevelReplay, ReplayOutcome, ReplayPlan, ScenarioAnalysis,
+    sweep_surface, AppReplay, AuditError, ReplayOutcome, ReplayPlan, ScenarioAnalysis,
     ScenarioReplay, SessionScript, Verdict,
 };
 
@@ -464,14 +464,7 @@ pub fn replay_surface(
     surface: &AppSurface,
     levels: &[IsolationLevel],
 ) -> Result<AppReplay, AuditError> {
-    let levels = sweep_surface(surface, levels, |analysis| Ok(replay_scenario(&analysis)))?
-        .into_iter()
-        .map(|(level, scenarios)| LevelReplay { level, scenarios })
-        .collect();
-    Ok(AppReplay {
-        app: surface.app.clone(),
-        levels,
-    })
+    sweep_surface(surface, levels, |analysis| Ok(replay_scenario(&analysis)))
 }
 
 #[cfg(test)]

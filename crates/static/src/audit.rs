@@ -10,9 +10,10 @@ use acidrain_apps::endpoints::{AppSurface, Scenario};
 use acidrain_core::{
     lift_trace_with, Analyzer, AnomalyPattern, AnomalyScope, Finding, RefinementConfig,
 };
-use acidrain_db::{IsolationLevel, LogEntry};
+use acidrain_db::{field, IsolationLevel, Json, LogEntry};
 use acidrain_sql::{fnv1a, ParseMemo};
 
+use crate::report::{AppReport, LevelReport, Report, ScenarioReport};
 use crate::template::symbolize_trace_with;
 
 /// Why a scenario could not be audited.
@@ -82,54 +83,96 @@ pub struct ScenarioAudit {
 }
 
 /// Audit result for one application at one isolation level.
-#[derive(Debug, Clone)]
-pub struct LevelAudit {
-    /// The isolation level the symbolic analysis assumed.
-    pub level: IsolationLevel,
-    /// Per-scenario results.
-    pub scenarios: Vec<ScenarioAudit>,
-}
-
-impl LevelAudit {
-    /// Total findings across the level's scenarios.
-    pub fn finding_count(&self) -> usize {
-        self.scenarios.iter().map(|s| s.findings.len()).sum()
-    }
-}
-
+pub type LevelAudit = LevelReport<ScenarioAudit>;
 /// Audit result for one application across all six levels.
-#[derive(Debug, Clone)]
-pub struct AppAudit {
-    /// Application name.
-    pub app: String,
-    /// Whether session locking was part of the refinement config.
-    pub session_locked: bool,
-    /// One entry per level, in [`IsolationLevel::ALL`] order.
-    pub levels: Vec<LevelAudit>,
-}
-
-impl AppAudit {
-    /// The audit at `level`, if present.
-    pub fn level(&self, level: IsolationLevel) -> Option<&LevelAudit> {
-        self.levels.iter().find(|l| l.level == level)
-    }
-}
-
+pub type AppAudit = AppReport<ScenarioAudit>;
 /// The full corpus audit.
-#[derive(Debug, Clone)]
-pub struct StaticAuditReport {
-    /// One entry per audited application surface.
-    pub apps: Vec<AppAudit>,
+pub type StaticAuditReport = Report<ScenarioAudit>;
+
+fn seed_value(s: &SeedRef) -> Json {
+    Json::Obj(vec![
+        field("position", Json::Num(s.position as u64)),
+        field("fingerprint", Json::Num(s.fingerprint)),
+        field("template", Json::str(&s.template)),
+    ])
 }
 
-impl StaticAuditReport {
-    /// Total findings across every app and level.
-    pub fn finding_count(&self) -> usize {
-        self.apps
-            .iter()
-            .flat_map(|a| &a.levels)
-            .map(LevelAudit::finding_count)
-            .sum()
+/// The JSON fields every report opens a finding with: what the anomaly
+/// is, without its seed or witness.
+pub(crate) fn identity_fields(f: &StaticFinding) -> [(String, Json); 5] {
+    [
+        field("api", Json::str(&f.api)),
+        field("scope", Json::str(f.scope.to_string())),
+        field("pattern", Json::str(f.pattern.to_string())),
+        field("table", Json::str(&f.table)),
+        field("instances", Json::Num(f.instances as u64)),
+    ]
+}
+
+fn finding_value(f: &StaticFinding) -> Json {
+    let mut fields = Vec::from(identity_fields(f));
+    fields.extend([
+        field(
+            "seed",
+            Json::Arr(vec![seed_value(&f.seed.0), seed_value(&f.seed.1)]),
+        ),
+        field(
+            "witness",
+            Json::Arr(f.witness.iter().map(Json::str).collect()),
+        ),
+    ]);
+    Json::Obj(fields)
+}
+
+impl ScenarioReport for ScenarioAudit {
+    type Outcome = StaticFinding;
+    const KIND: &'static str = "static_audit";
+    const TITLE: &'static str = "static 2AD audit (anomalies admitted per isolation level)";
+    const CELL_WIDTH: usize = 8;
+    const SESSION_LOCKED: bool = true;
+
+    fn name(&self) -> &str {
+        &self.scenario
+    }
+
+    fn outcomes(&self) -> &[StaticFinding] {
+        &self.findings
+    }
+
+    fn json_fields(&self) -> Vec<(String, Json)> {
+        vec![
+            field(
+                "endpoints",
+                Json::Arr(self.endpoints.iter().map(Json::str).collect()),
+            ),
+            field(
+                "findings",
+                Json::Arr(self.findings.iter().map(finding_value).collect()),
+            ),
+        ]
+    }
+
+    /// Each finding with its seed pair and witness schedule.
+    fn write_text(&self, at: &str, out: &mut String) {
+        for f in &self.findings {
+            out.push_str(&format!(
+                "\n{at}: [{} {}] API {} on table {} ({} instances)\n",
+                f.scope, f.pattern, f.api, f.table, f.instances,
+            ));
+            out.push_str(&format!(
+                "  seed: #{} {}\n     ~  #{} {}\n",
+                f.seed.0.position, f.seed.0.template, f.seed.1.position, f.seed.1.template,
+            ));
+            for line in &f.witness {
+                out.push_str("  | ");
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+
+    fn summary_cell(level: &LevelAudit) -> String {
+        level.finding_count().to_string()
     }
 }
 
@@ -282,12 +325,12 @@ impl<'a> ScenarioAnalysis<'a> {
 /// Analyze every scenario of `surface` at each of `levels`, in that order,
 /// and keep what `view` makes of each analysis — the one sweep under the
 /// audit, replay and adviser reports. The first error ends it.
-pub fn sweep_surface<T>(
+pub fn sweep_surface<S>(
     surface: &AppSurface,
     levels: &[IsolationLevel],
-    mut view: impl FnMut(ScenarioAnalysis<'_>) -> Result<T, AuditError>,
-) -> Result<Vec<(IsolationLevel, Vec<T>)>, AuditError> {
-    levels
+    mut view: impl FnMut(ScenarioAnalysis<'_>) -> Result<S, AuditError>,
+) -> Result<AppReport<S>, AuditError> {
+    let levels = levels
         .iter()
         .map(|&level| {
             let scenarios = surface
@@ -295,14 +338,19 @@ pub fn sweep_surface<T>(
                 .iter()
                 .map(|scenario| view(ScenarioAnalysis::new(surface, scenario, level)?))
                 .collect::<Result<_, _>>()?;
-            Ok((level, scenarios))
+            Ok(LevelReport { level, scenarios })
         })
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok(AppReport {
+        app: surface.app.clone(),
+        session_locked: surface.session_locked,
+        levels,
+    })
 }
 
 /// Audit one application surface at every isolation level.
 pub fn audit_surface(surface: &AppSurface) -> Result<AppAudit, AuditError> {
-    let levels = sweep_surface(surface, &IsolationLevel::ALL, |analysis| {
+    sweep_surface(surface, &IsolationLevel::ALL, |analysis| {
         Ok(ScenarioAudit {
             scenario: analysis.scenario.name.to_string(),
             endpoints: analysis
@@ -313,14 +361,6 @@ pub fn audit_surface(surface: &AppSurface) -> Result<AppAudit, AuditError> {
                 .collect(),
             findings: analysis.rendered,
         })
-    })?
-    .into_iter()
-    .map(|(level, scenarios)| LevelAudit { level, scenarios })
-    .collect();
-    Ok(AppAudit {
-        app: surface.app.clone(),
-        session_locked: surface.session_locked,
-        levels,
     })
 }
 

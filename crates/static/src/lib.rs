@@ -23,10 +23,16 @@
 //! workspace root) proves the static report is a **superset** of every
 //! anomaly the dynamic harness detects, for every app at every level.
 //!
+//! Every report — this audit, the witness replay and the repair adviser
+//! — is one tree, apps → levels → scenarios ([`Report`]), over the
+//! per-scenario type its view of the analysis yields; [`render_text`] and
+//! [`render_json`] render any of them.
+//!
 //! ```
 //! use acidrain_apps::endpoints::flexcoin_surface;
+//! use acidrain_core::AnomalyScope;
 //! use acidrain_db::IsolationLevel;
-//! use acidrain_static::audit_surface;
+//! use acidrain_static::{audit_surface, render_text, Report};
 //!
 //! let audit = audit_surface(&flexcoin_surface()).unwrap();
 //! let rc = audit.level(IsolationLevel::ReadCommitted).unwrap();
@@ -34,11 +40,9 @@
 //! // transfer is unscoped (no transaction), so its anomalies are
 //! // scope-based — Serializable does not remove them (§4.2.5).
 //! let ser = audit.level(IsolationLevel::Serializable).unwrap();
-//! assert!(ser
-//!     .scenarios
-//!     .iter()
-//!     .flat_map(|s| &s.findings)
-//!     .all(|f| f.scope == acidrain_core::AnomalyScope::ScopeBased));
+//! assert!(ser.outcomes().all(|f| f.scope == AnomalyScope::ScopeBased));
+//! let text = render_text(&Report { apps: vec![audit] });
+//! assert!(text.contains("flexcoin / exchange @ SERIALIZABLE"));
 //! ```
 
 #![warn(missing_docs)]
@@ -56,14 +60,13 @@ pub use audit::{
     ScenarioAnalysis, ScenarioAudit, SeedRef, StaticAuditReport, StaticFinding,
 };
 pub use remediate::{
-    apply_fixes_to_log, config_with_fixes, fix_set_label, remediate_scenario, render_remedy_json,
-    render_remedy_text, rewrite_plan, rewrite_plan_with, AppRemedies, Fix, LevelRemedies,
-    RemedyOutcome, RemedyReport, ScenarioRemedies,
+    config_with_fixes, fix_set_label, remediate_scenario, rewrite_plan_with, AppRemedies, Fix,
+    LevelRemedies, RemedyOutcome, RemedyReport, ScenarioRemedies,
 };
 pub use replay::{
-    plan_scenario, render_replay_json, render_replay_text, AppReplay, FindingPlan, LevelReplay,
-    ReplayOutcome, ReplayPlan, ReplayReport, ScenarioPlans, ScenarioReplay, SessionScript, Verdict,
+    plan_scenario, AppReplay, FindingPlan, LevelReplay, ReplayOutcome, ReplayPlan, ReplayReport,
+    ScenarioPlans, ScenarioReplay, SessionScript, Verdict,
 };
-pub use report::{render_json, render_text};
+pub use report::{render_json, render_text, AppReport, LevelReport, Report, ScenarioReport};
 pub use serialize::{document, SCHEMA_VERSION};
-pub use template::{endpoint_templates, symbolize_trace, EndpointTemplates};
+pub use template::symbolize_trace;

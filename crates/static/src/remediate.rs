@@ -31,7 +31,7 @@
 //!
 //! The static proof is necessary but not sufficient: the harness's
 //! adviser (`acidrain advise`) additionally lowers the original Lemma-4
-//! witness against the repaired scenario ([`rewrite_plan`]) and replays
+//! witness against the repaired scenario ([`rewrite_plan_with`]) and replays
 //! it through the PR-9 engine replayer, requiring a never-`Confirmed`
 //! verdict before a fix is recommended.
 
@@ -47,10 +47,9 @@ use acidrain_sql::{
     fingerprint::template_of, promote_parsed, rwset::statement_accesses, schema::Schema, ParseMemo,
 };
 
-use crate::audit::{AuditError, ScenarioAnalysis, SeedRef, StaticFinding};
+use crate::audit::{identity_fields, AuditError, ScenarioAnalysis, SeedRef, StaticFinding};
 use crate::replay::{ReplayPlan, Verdict};
-use crate::report::level_abbrev;
-use crate::serialize::document;
+use crate::report::{AppReport, LevelReport, Report, ScenarioReport};
 
 // ---------------------------------------------------------------------------
 // Fixes.
@@ -162,16 +161,11 @@ fn scope_log(log: &[LogEntry], api: &str) -> Result<Vec<LogEntry>, String> {
     Ok(out)
 }
 
-/// Apply the trace-level fixes of a candidate to a recorded log,
-/// renumbering sequence numbers. Isolation fixes do not touch the log —
-/// they land in the refinement config (see [`config_with_fixes`]).
-pub fn apply_fixes_to_log(log: &[LogEntry], fixes: &[Fix]) -> Result<Vec<LogEntry>, String> {
-    apply_fixes_to_log_with(log, fixes, &ParseMemo::new())
-}
-
-/// [`apply_fixes_to_log`], matching and promoting statements through
-/// `memo`.
-pub(crate) fn apply_fixes_to_log_with(
+/// Apply the trace-level fixes of a candidate to a recorded log, matching
+/// and promoting statements through `memo` and renumbering sequence
+/// numbers. Isolation fixes do not touch the log — they land in the
+/// refinement config (see [`config_with_fixes`]).
+fn apply_fixes_to_log_with(
     log: &[LogEntry],
     fixes: &[Fix],
     memo: &ParseMemo,
@@ -266,7 +260,7 @@ fn post_fix_identities(
 /// finding under repair — so every finding of the scenario, and every
 /// drop-one trial of [`Reaudits::minimize`], that asks about the same
 /// list shares one audit. The key is the *ordered* list because
-/// [`apply_fixes_to_log`] applies fixes in order. Lives and dies inside
+/// [`apply_fixes_to_log_with`] applies fixes in order. Lives and dies inside
 /// one [`ScenarioAnalysis::remedies`] call.
 struct Reaudits<'a> {
     log: &'a [LogEntry],
@@ -534,83 +528,34 @@ pub struct ScenarioRemedies {
 }
 
 /// Remedies for one application at one level.
-#[derive(Debug, Clone)]
-pub struct LevelRemedies {
-    /// The isolation level audited.
-    pub level: IsolationLevel,
-    /// Per-scenario outcomes.
-    pub scenarios: Vec<ScenarioRemedies>,
-}
+pub type LevelRemedies = LevelReport<ScenarioRemedies>;
+/// Remedies for one application across the levels that were run.
+pub type AppRemedies = AppReport<ScenarioRemedies>;
+/// The full adviser report.
+pub type RemedyReport = Report<ScenarioRemedies>;
 
 impl LevelRemedies {
-    /// Total findings at this level.
-    pub fn finding_count(&self) -> usize {
-        self.scenarios.iter().map(|s| s.outcomes.len()).sum()
-    }
-
     /// Findings with at least one closing candidate.
     pub fn closed_count(&self) -> usize {
-        self.scenarios
-            .iter()
-            .flat_map(|s| &s.outcomes)
-            .filter(|o| o.closed())
-            .count()
+        self.outcomes().filter(|o| o.closed()).count()
     }
-}
-
-/// Remedies for one application across all levels.
-#[derive(Debug, Clone)]
-pub struct AppRemedies {
-    /// Application name.
-    pub app: String,
-    /// One entry per level, in [`IsolationLevel::ALL`] order.
-    pub levels: Vec<LevelRemedies>,
-}
-
-impl AppRemedies {
-    /// The remedies at `level`, if present.
-    pub fn level(&self, level: IsolationLevel) -> Option<&LevelRemedies> {
-        self.levels.iter().find(|l| l.level == level)
-    }
-}
-
-/// The full adviser report.
-#[derive(Debug, Clone, Default)]
-pub struct RemedyReport {
-    /// One entry per application surface.
-    pub apps: Vec<AppRemedies>,
 }
 
 impl RemedyReport {
     /// Level-based findings with no closing candidate — the CI gate:
     /// every level-based anomaly must be statically repairable.
     pub fn unclosed_level_based(&self) -> Vec<(&str, IsolationLevel, &RemedyOutcome)> {
-        self.collect(|o| o.finding.scope == AnomalyScope::LevelBased && !o.closed())
+        self.outcomes()
+            .filter(|(_, _, o)| o.finding.scope == AnomalyScope::LevelBased && !o.closed())
+            .collect()
     }
 
     /// Findings whose chosen fix still replayed `Confirmed` — the other
     /// half of the gate: a recommended fix must survive the witness.
     pub fn confirmed_after_fix(&self) -> Vec<(&str, IsolationLevel, &RemedyOutcome)> {
-        self.collect(|o| o.verdict == Some(Verdict::Confirmed))
-    }
-
-    fn collect(
-        &self,
-        pred: impl Fn(&RemedyOutcome) -> bool,
-    ) -> Vec<(&str, IsolationLevel, &RemedyOutcome)> {
-        let mut hits = Vec::new();
-        for app in &self.apps {
-            for level in &app.levels {
-                for scenario in &level.scenarios {
-                    for outcome in &scenario.outcomes {
-                        if pred(outcome) {
-                            hits.push((app.app.as_str(), level.level, outcome));
-                        }
-                    }
-                }
-            }
-        }
-        hits
+        self.outcomes()
+            .filter(|(_, _, o)| o.verdict == Some(Verdict::Confirmed))
+            .collect()
     }
 }
 
@@ -684,15 +629,8 @@ pub fn remediate_scenario(
 /// scoping wraps the repaired sessions in `BEGIN`/`COMMIT` (shifting the
 /// seed split when the seed session is scoped), and isolation fixes
 /// become per-session level overrides for the driver to apply before the
-/// interleaving runs.
-pub fn rewrite_plan(
-    plan: &ReplayPlan,
-    fixes: &[Fix],
-) -> Result<(ReplayPlan, Vec<Option<IsolationLevel>>), String> {
-    rewrite_plan_with(plan, fixes, &ParseMemo::new())
-}
-
-/// [`rewrite_plan`], matching and promoting statements through `memo`.
+/// interleaving runs. Statements are matched and promoted through
+/// `memo`.
 pub fn rewrite_plan_with(
     plan: &ReplayPlan,
     fixes: &[Fix],
@@ -805,12 +743,8 @@ fn fix_value(fix: &Fix) -> Json {
 }
 
 fn outcome_value(o: &RemedyOutcome) -> Json {
-    let mut fields = vec![
-        field("api", Json::str(&o.finding.api)),
-        field("scope", Json::str(o.finding.scope.to_string())),
-        field("pattern", Json::str(o.finding.pattern.to_string())),
-        field("table", Json::str(&o.finding.table)),
-        field("instances", Json::Num(o.finding.instances as u64)),
+    let mut fields = Vec::from(identity_fields(&o.finding));
+    fields.extend([
         field("tried", Json::Num(o.tried as u64)),
         field(
             "candidates",
@@ -821,7 +755,7 @@ fn outcome_value(o: &RemedyOutcome) -> Json {
                     .collect(),
             ),
         ),
-    ];
+    ]);
     if let Some(residual) = &o.residual {
         fields.push(field("residual", Json::str(residual)));
     }
@@ -837,147 +771,76 @@ fn outcome_value(o: &RemedyOutcome) -> Json {
     Json::Obj(fields)
 }
 
-/// Render the adviser report as JSON (deterministic, schema-stable).
-pub fn render_remedy_json(report: &RemedyReport) -> String {
-    let apps = report
-        .apps
-        .iter()
-        .map(|app| {
-            Json::Obj(vec![
-                field("app", Json::str(&app.app)),
-                field(
-                    "levels",
-                    Json::Arr(
-                        app.levels
-                            .iter()
-                            .map(|level| {
-                                Json::Obj(vec![
-                                    field("level", Json::str(level.level.name())),
-                                    field(
-                                        "scenarios",
-                                        Json::Arr(
-                                            level
-                                                .scenarios
-                                                .iter()
-                                                .map(|s| {
-                                                    Json::Obj(vec![
-                                                        field("scenario", Json::str(&s.scenario)),
-                                                        field(
-                                                            "outcomes",
-                                                            Json::Arr(
-                                                                s.outcomes
-                                                                    .iter()
-                                                                    .map(outcome_value)
-                                                                    .collect(),
-                                                            ),
-                                                        ),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    document("repair_adviser", vec![field("apps", Json::Arr(apps))])
-}
+impl ScenarioReport for ScenarioRemedies {
+    type Outcome = RemedyOutcome;
+    const KIND: &'static str = "repair_adviser";
+    const TITLE: &'static str = "repair adviser (minimal fix set per static finding)";
+    const CELL_WIDTH: usize = 8;
 
-/// Render the adviser report as text: a per-app × per-level closed/total
-/// table, then each finding with its minimal fix set, alternatives, and
-/// (when the harness filled them in) the replay verdict.
-pub fn render_remedy_text(report: &RemedyReport) -> String {
-    let mut out = String::from("repair adviser (minimal fix set per static finding)\n\n");
-    let app_width = report
-        .apps
-        .iter()
-        .map(|a| a.app.len())
-        .chain(std::iter::once("app".len()))
-        .max()
-        .unwrap_or(3);
-    out.push_str(&format!("{:<app_width$}", "app"));
-    for level in IsolationLevel::ALL {
-        out.push_str(&format!("  {:>8}", level_abbrev(level)));
+    fn name(&self) -> &str {
+        &self.scenario
     }
-    out.push('\n');
-    out.push_str(&"-".repeat(app_width + 6 * 10));
-    out.push('\n');
-    for app in &report.apps {
-        out.push_str(&format!("{:<app_width$}", app.app));
-        for level in IsolationLevel::ALL {
-            match app.level(level) {
-                Some(l) if l.finding_count() > 0 => out.push_str(&format!(
-                    "  {:>8}",
-                    format!("{}/{}", l.closed_count(), l.finding_count())
-                )),
-                Some(_) => out.push_str(&format!("  {:>8}", "-")),
-                None => out.push_str(&format!("  {:>8}", ".")),
-            }
-        }
-        out.push('\n');
+
+    fn outcomes(&self) -> &[RemedyOutcome] {
+        &self.outcomes
     }
-    for app in &report.apps {
-        for level in &app.levels {
-            for scenario in &level.scenarios {
-                if scenario.outcomes.is_empty() {
-                    continue;
-                }
+
+    fn json_fields(&self) -> Vec<(String, Json)> {
+        vec![field(
+            "outcomes",
+            Json::Arr(self.outcomes.iter().map(outcome_value).collect()),
+        )]
+    }
+
+    /// Each finding with its minimal fix set, alternatives and (when the
+    /// harness filled them in) the replay verdict.
+    fn write_text(&self, at: &str, out: &mut String) {
+        out.push_str(&format!("\n{at}\n"));
+        for o in &self.outcomes {
+            out.push_str(&format!(
+                "  [{} {}] API {} on {} ({} instances)\n",
+                o.finding.scope,
+                o.finding.pattern,
+                o.finding.api,
+                o.finding.table,
+                o.finding.instances,
+            ));
+            let Some(fixes) = o.recommended() else {
+                let why = o.residual.as_deref().unwrap_or("unknown");
+                out.push_str(&format!("    residual: {why}\n"));
+                continue;
+            };
+            out.push_str(&format!("    fix: {}\n", fix_set_label(fixes)));
+            if o.candidates.len() > 1 {
                 out.push_str(&format!(
-                    "\n{} / {} @ {}\n",
-                    app.app,
-                    scenario.scenario,
-                    level.level.name()
+                    "    alternatives: {} (of {} candidates tried)\n",
+                    o.candidates.len() - 1,
+                    o.tried,
                 ));
-                for o in &scenario.outcomes {
-                    out.push_str(&format!(
-                        "  [{} {}] API {} on {} ({} instances)\n",
-                        o.finding.scope,
-                        o.finding.pattern,
-                        o.finding.api,
-                        o.finding.table,
-                        o.finding.instances,
-                    ));
-                    match o.recommended() {
-                        Some(fixes) => {
-                            out.push_str(&format!("    fix: {}\n", fix_set_label(fixes)));
-                            if o.candidates.len() > 1 {
-                                out.push_str(&format!(
-                                    "    alternatives: {} (of {} candidates tried)\n",
-                                    o.candidates.len() - 1,
-                                    o.tried,
-                                ));
-                            }
-                            if let Some(verdict) = &o.verdict {
-                                let detail = verdict
-                                    .detail()
-                                    .map(|d| format!(" ({d})"))
-                                    .unwrap_or_default();
-                                out.push_str(&format!(
-                                    "    replay after fix: {}{detail}\n",
-                                    verdict.label()
-                                ));
-                            }
-                        }
-                        None => {
-                            let why = o.residual.as_deref().unwrap_or("unknown");
-                            out.push_str(&format!("    residual: {why}\n"));
-                        }
-                    }
-                }
+            }
+            if let Some(verdict) = &o.verdict {
+                let detail = verdict
+                    .detail()
+                    .map(|d| format!(" ({d})"))
+                    .unwrap_or_default();
+                out.push_str(&format!(
+                    "    replay after fix: {}{detail}\n",
+                    verdict.label()
+                ));
             }
         }
     }
-    out
+
+    fn summary_cell(level: &LevelRemedies) -> String {
+        format!("{}/{}", level.closed_count(), level.finding_count())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::audit::{refinement_for, static_finding, sweep_surface};
+    use crate::report::{render_json, render_text};
     use crate::template::symbolize_trace;
     use acidrain_apps::endpoints::{
         all_surfaces, booking_surfaces, didactic_surfaces, flexcoin_surface,
@@ -994,15 +857,7 @@ mod tests {
 
     /// Remediate one surface across every isolation level.
     fn remediate_surface(surface: &AppSurface) -> AppRemedies {
-        let levels = sweep_surface(surface, &IsolationLevel::ALL, |a| Ok(a.remedies()))
-            .unwrap()
-            .into_iter()
-            .map(|(level, scenarios)| LevelRemedies { level, scenarios })
-            .collect();
-        AppRemedies {
-            app: surface.app.clone(),
-            levels,
-        }
+        sweep_surface(surface, &IsolationLevel::ALL, |a| Ok(a.remedies())).unwrap()
     }
 
     #[test]
@@ -1124,7 +979,7 @@ mod tests {
         base: &RefinementConfig,
         fixes: &[Fix],
     ) -> Option<BTreeSet<Identity>> {
-        let rewritten = apply_fixes_to_log(log, fixes).ok()?;
+        let rewritten = apply_fixes_to_log_with(log, fixes, &ParseMemo::new()).ok()?;
         let config = config_with_fixes(base, fixes);
         let post = audit_log(&rewritten, schema, &config)?;
         Some(post.iter().map(rendered_identity).collect())
@@ -1352,7 +1207,7 @@ mod tests {
                 level: IsolationLevel::Serializable,
             },
         ];
-        let (rewritten, levels) = rewrite_plan(&plan, &fixes).unwrap();
+        let (rewritten, levels) = rewrite_plan_with(&plan, &fixes, &ParseMemo::new()).unwrap();
         // Scoping shifted the seed split past the injected BEGIN.
         assert_eq!(rewritten.seed_prefix, 2);
         for session in &rewritten.sessions {
@@ -1370,11 +1225,12 @@ mod tests {
         assert!(rewritten.setup[0].ends_with("FOR UPDATE"));
         assert_eq!(levels, vec![Some(IsolationLevel::Serializable); 2]);
         // Scoping an already-scoped session is refused.
-        let again = rewrite_plan(
+        let again = rewrite_plan_with(
             &rewritten,
             &[Fix::Scope {
                 api: "transfer".into(),
             }],
+            &ParseMemo::new(),
         );
         assert!(again.is_err());
     }
@@ -1386,10 +1242,10 @@ mod tests {
         let report = RemedyReport {
             apps: vec![remedies],
         };
-        let a = render_remedy_text(&report);
-        assert_eq!(a, render_remedy_text(&report));
+        let a = render_text(&report);
+        assert_eq!(a, render_text(&report));
         assert!(a.contains("bank-figure1b"));
-        let json = render_remedy_json(&report);
+        let json = render_json(&report);
         assert!(json.contains("\"kind\": \"repair_adviser\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('"').count() % 2, 0);

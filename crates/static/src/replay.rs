@@ -23,9 +23,8 @@ use acidrain_apps::endpoints::{AppSurface, Scenario};
 use acidrain_core::{AbstractHistory, AnomalyScope, Finding};
 use acidrain_db::{field, IsolationLevel, Json, LogEntry};
 
-use crate::audit::{AuditError, ScenarioAnalysis, StaticFinding};
-use crate::report::level_abbrev;
-use crate::serialize::document;
+use crate::audit::{identity_fields, AuditError, ScenarioAnalysis, StaticFinding};
+use crate::report::{AppReport, LevelReport, Report, ScenarioReport};
 
 /// One session of a replay plan: an API instance's canned statements.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -225,148 +224,42 @@ pub struct ScenarioReplay {
 }
 
 /// Replay results for one application at one level.
-#[derive(Debug, Clone)]
-pub struct LevelReplay {
-    /// The isolation level the engine ran at.
-    pub level: IsolationLevel,
-    /// Per-scenario outcomes.
-    pub scenarios: Vec<ScenarioReplay>,
-}
+pub type LevelReplay = LevelReport<ScenarioReplay>;
+/// Replay results for one application across the levels that were run.
+pub type AppReplay = AppReport<ScenarioReplay>;
+/// The full replay report.
+pub type ReplayReport = Report<ScenarioReplay>;
 
 impl LevelReplay {
     /// Outcomes whose verdict matches `label` ("confirmed", "blocked",
     /// "inconclusive").
     pub fn count(&self, label: &str) -> usize {
-        self.scenarios
-            .iter()
-            .flat_map(|s| &s.outcomes)
+        self.outcomes()
             .filter(|o| o.verdict.label() == label)
             .count()
     }
 }
 
-/// Replay results for one application across the levels that were run.
-#[derive(Debug, Clone)]
-pub struct AppReplay {
-    /// Application name.
-    pub app: String,
-    /// One entry per replayed level, in [`IsolationLevel::ALL`] order.
-    pub levels: Vec<LevelReplay>,
-}
-
-impl AppReplay {
-    /// The replay at `level`, if present.
-    pub fn level(&self, level: IsolationLevel) -> Option<&LevelReplay> {
-        self.levels.iter().find(|l| l.level == level)
-    }
-}
-
-/// The full replay report.
-#[derive(Debug, Clone, Default)]
-pub struct ReplayReport {
-    /// One entry per replayed application surface.
-    pub apps: Vec<AppReplay>,
-}
-
 impl ReplayReport {
     /// Total outcomes with verdict `label` across the whole report.
     pub fn count(&self, label: &str) -> usize {
-        self.apps
-            .iter()
-            .flat_map(|a| &a.levels)
-            .map(|l| l.count(label))
-            .sum()
+        self.outcomes()
+            .filter(|(_, _, o)| o.verdict.label() == label)
+            .count()
     }
 
     /// Level-based anomalies confirmed at Serializable — the engine-health
     /// gate; anything non-zero means Serializable failed to serialize.
     pub fn serializable_level_based_confirmed(&self) -> Vec<&ReplayOutcome> {
-        self.apps
-            .iter()
-            .filter_map(|a| a.level(IsolationLevel::Serializable))
-            .flat_map(|l| &l.scenarios)
-            .flat_map(|s| &s.outcomes)
-            .filter(|o| {
-                o.verdict == Verdict::Confirmed && o.finding.scope == AnomalyScope::LevelBased
+        self.outcomes()
+            .filter(|(_, level, o)| {
+                *level == IsolationLevel::Serializable
+                    && o.verdict == Verdict::Confirmed
+                    && o.finding.scope == AnomalyScope::LevelBased
             })
+            .map(|(_, _, o)| o)
             .collect()
     }
-}
-
-/// Render the replay report as a text table plus per-finding verdict
-/// lines. Deterministic — golden-file material, like the audit report.
-pub fn render_replay_text(report: &ReplayReport) -> String {
-    let mut out = String::from("witness replay (static findings executed against the engine)\n\n");
-    let app_width = report
-        .apps
-        .iter()
-        .map(|a| a.app.len())
-        .chain(std::iter::once("app".len()))
-        .max()
-        .unwrap_or(3);
-    out.push_str(&format!("{:<app_width$}", "app"));
-    for level in IsolationLevel::ALL {
-        out.push_str(&format!("  {:>12}", level_abbrev(level)));
-    }
-    out.push('\n');
-    out.push_str(&"-".repeat(app_width + 6 * 14));
-    out.push('\n');
-    for app in &report.apps {
-        out.push_str(&format!("{:<app_width$}", app.app));
-        for level in IsolationLevel::ALL {
-            match app.level(level) {
-                Some(l) => {
-                    let (c, b, i) = (
-                        l.count("confirmed"),
-                        l.count("blocked"),
-                        l.count("inconclusive"),
-                    );
-                    if c + b + i == 0 {
-                        out.push_str(&format!("  {:>12}", "-"));
-                    } else {
-                        out.push_str(&format!("  {:>12}", format!("{c}c/{b}b/{i}i")));
-                    }
-                }
-                None => out.push_str(&format!("  {:>12}", ".")),
-            }
-        }
-        out.push('\n');
-    }
-    for app in &report.apps {
-        for level in &app.levels {
-            for scenario in &level.scenarios {
-                if scenario.outcomes.is_empty() {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "\n{} / {} @ {}\n",
-                    app.app,
-                    scenario.scenario,
-                    level.level.name()
-                ));
-                for o in &scenario.outcomes {
-                    let detail = o
-                        .verdict
-                        .detail()
-                        .map(|d| format!(" ({d})"))
-                        .unwrap_or_default();
-                    out.push_str(&format!(
-                        "  [{}] {} {} API {} on {} ({} instances, seed #{}/#{}){}\n",
-                        o.verdict.label(),
-                        o.finding.scope,
-                        o.finding.pattern,
-                        o.finding.api,
-                        o.finding.table,
-                        o.finding.instances,
-                        o.finding.seed.0.position,
-                        o.finding.seed.1.position,
-                        detail,
-                    ));
-                }
-            }
-        }
-    }
-    out
 }
 
 fn outcome_value(o: &ReplayOutcome) -> Json {
@@ -374,66 +267,76 @@ fn outcome_value(o: &ReplayOutcome) -> Json {
     if let Some(detail) = o.verdict.detail() {
         fields.push(field("detail", Json::str(detail)));
     }
-    fields.extend([
-        field("api", Json::str(&o.finding.api)),
-        field("scope", Json::str(o.finding.scope.to_string())),
-        field("pattern", Json::str(o.finding.pattern.to_string())),
-        field("table", Json::str(&o.finding.table)),
-        field("instances", Json::Num(o.finding.instances as u64)),
-        field(
-            "seed",
-            Json::Arr(vec![
-                Json::Num(o.finding.seed.0.position as u64),
-                Json::Num(o.finding.seed.1.position as u64),
-            ]),
-        ),
-    ]);
+    fields.extend(identity_fields(&o.finding));
+    fields.push(field(
+        "seed",
+        Json::Arr(vec![
+            Json::Num(o.finding.seed.0.position as u64),
+            Json::Num(o.finding.seed.1.position as u64),
+        ]),
+    ));
     Json::Obj(fields)
 }
 
-/// Render the replay report as JSON (deterministic, schema-stable;
-/// shares the [`crate::serialize::SCHEMA_VERSION`] stamp with the audit
-/// and adviser reports).
-pub fn render_replay_json(report: &ReplayReport) -> String {
-    let apps = report
-        .apps
-        .iter()
-        .map(|app| {
-            let levels = app
-                .levels
-                .iter()
-                .map(|level| {
-                    let scenarios = level
-                        .scenarios
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                field("scenario", Json::str(&s.scenario)),
-                                field(
-                                    "outcomes",
-                                    Json::Arr(s.outcomes.iter().map(outcome_value).collect()),
-                                ),
-                            ])
-                        })
-                        .collect();
-                    Json::Obj(vec![
-                        field("level", Json::str(level.level.name())),
-                        field("scenarios", Json::Arr(scenarios)),
-                    ])
-                })
-                .collect();
-            Json::Obj(vec![
-                field("app", Json::str(&app.app)),
-                field("levels", Json::Arr(levels)),
-            ])
-        })
-        .collect();
-    document("witness_replay", vec![field("apps", Json::Arr(apps))])
+impl ScenarioReport for ScenarioReplay {
+    type Outcome = ReplayOutcome;
+    const KIND: &'static str = "witness_replay";
+    const TITLE: &'static str = "witness replay (static findings executed against the engine)";
+    const CELL_WIDTH: usize = 12;
+
+    fn name(&self) -> &str {
+        &self.scenario
+    }
+
+    fn outcomes(&self) -> &[ReplayOutcome] {
+        &self.outcomes
+    }
+
+    fn json_fields(&self) -> Vec<(String, Json)> {
+        vec![field(
+            "outcomes",
+            Json::Arr(self.outcomes.iter().map(outcome_value).collect()),
+        )]
+    }
+
+    /// One verdict line per finding.
+    fn write_text(&self, at: &str, out: &mut String) {
+        out.push_str(&format!("\n{at}\n"));
+        for o in &self.outcomes {
+            let detail = o
+                .verdict
+                .detail()
+                .map(|d| format!(" ({d})"))
+                .unwrap_or_default();
+            out.push_str(&format!(
+                "  [{}] {} {} API {} on {} ({} instances, seed #{}/#{}){}\n",
+                o.verdict.label(),
+                o.finding.scope,
+                o.finding.pattern,
+                o.finding.api,
+                o.finding.table,
+                o.finding.instances,
+                o.finding.seed.0.position,
+                o.finding.seed.1.position,
+                detail,
+            ));
+        }
+    }
+
+    fn summary_cell(level: &LevelReplay) -> String {
+        format!(
+            "{}c/{}b/{}i",
+            level.count("confirmed"),
+            level.count("blocked"),
+            level.count("inconclusive")
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render_json, render_text};
     use crate::template::symbolize_trace;
     use acidrain_apps::endpoints::{all_surfaces, didactic_surfaces, flexcoin_surface};
     use acidrain_core::{lift_trace, Analyzer, RefinementConfig};
@@ -635,6 +538,7 @@ mod tests {
         let report = ReplayReport {
             apps: vec![AppReplay {
                 app: "x".into(),
+                session_locked: false,
                 levels: vec![LevelReplay {
                     level: IsolationLevel::ReadCommitted,
                     scenarios: vec![ScenarioReplay {
@@ -644,8 +548,8 @@ mod tests {
                 }],
             }],
         };
-        assert_eq!(render_replay_text(&report), render_replay_text(&report));
-        let json = render_replay_json(&report);
+        assert_eq!(render_text(&report), render_text(&report));
+        let json = render_json(&report);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }
