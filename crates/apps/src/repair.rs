@@ -33,20 +33,10 @@ use crate::framework::{
 /// `SAVEPOINT`, `RELEASE`, `SET autocommit`). A string that does not parse
 /// is not transaction control.
 ///
-/// This is the "endpoint already uses transaction control" gate shared by
-/// [`can_repair`] and the static repair adviser's scoping candidates.
+/// This is [`can_repair`]'s "endpoint already uses transaction control"
+/// gate; the static repair adviser asks the same predicate of its parse
+/// memo.
 pub fn is_transaction_control_sql(sql: &str) -> bool {
-    // The parser dispatches on the leading keyword and these four open its
-    // data statements, which is nearly every line of a recorded log: the
-    // adviser asks this of every statement of every plan it re-scopes, and
-    // parsing them all cost 8 % of an `acidrain advise` sweep.
-    let head = sql.split_ascii_whitespace().next().unwrap_or("");
-    if ["SELECT", "INSERT", "UPDATE", "DELETE"]
-        .iter()
-        .any(|keyword| head.eq_ignore_ascii_case(keyword))
-    {
-        return false;
-    }
     parse_statement(sql).is_ok_and(|stmt| stmt.is_transaction_control())
 }
 

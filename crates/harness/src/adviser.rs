@@ -3,12 +3,12 @@
 //! `acidrain-static::remediate` proves each fix set closed *statically*:
 //! the re-audited trace admits no anomaly. This module adds the dynamic
 //! half of the proof: for every finding with a closing fix, the original
-//! Lemma-4 witness is lowered onto the *repaired* scenario
-//! ([`acidrain_static::rewrite_plan_with`], through the scenario's parse
-//! memo) and executed through the witness replayer. Candidates are tried in cost order and the first whose
-//! replay does **not** confirm the anomaly is recommended
-//! ([`acidrain_static::RemedyOutcome::chosen`]); a fix that still confirms is a
-//! static/dynamic disagreement the report surfaces (and
+//! Lemma-4 witness is lowered over the same repaired log and config the
+//! re-audit read ([`ScenarioAnalysis::repaired_plan`]) and executed
+//! through the witness replayer. Candidates are tried in cost order and
+//! the first whose replay does **not** confirm the anomaly is recommended
+//! ([`acidrain_static::RemedyOutcome::chosen`]); a fix that still confirms
+//! is a static/dynamic disagreement the report surfaces (and
 //! `acidrain advise` turns into a failing exit code).
 //!
 //! The fall-through matters: the static model is deliberately more
@@ -20,76 +20,30 @@
 use acidrain_apps::endpoints::{all_surfaces, AppSurface};
 use acidrain_db::{IsolationLevel, Obs};
 use acidrain_static::{
-    rewrite_plan_with, sweep_surface, AppRemedies, AuditError, RemedyReport, ScenarioAnalysis,
-    ScenarioPlans, ScenarioRemedies, Verdict,
+    sweep_surface, AppRemedies, AuditError, RemedyReport, ScenarioAnalysis, ScenarioRemedies,
+    Verdict,
 };
 
 use crate::replay::{execute_replay_plan, ReplayCaches};
 
-/// Remedies and plans are paired by position: both list the scenario's
-/// static findings in detector order. Pairing lists that disagree would
-/// attach witnesses to the wrong findings and still print a report, so
-/// disagreement — in length or in any paired finding — is an error, in
-/// release builds too.
-fn check_paired(
-    app: &str,
-    remedies: &ScenarioRemedies,
-    plans: &ScenarioPlans,
-) -> Result<(), AuditError> {
-    let paired = remedies.outcomes.len() == plans.plans.len()
-        && remedies
-            .outcomes
-            .iter()
-            .zip(&plans.plans)
-            .all(|(outcome, fp)| outcome.finding == fp.finding);
-    if paired {
-        return Ok(());
-    }
-    Err(AuditError::Record(format!(
-        "{app}/{}: the adviser's {} findings and the replay planner's {} do not pair up",
-        remedies.scenario,
-        remedies.outcomes.len(),
-        plans.plans.len()
-    )))
-}
-
 /// Remediate every finding of one analysis, replaying every closing
 /// candidate until one survives the witness. Adviser-level counters
 /// (candidates, closures, replays) are recorded on `obs`.
-pub fn advise_scenario(
-    analysis: &ScenarioAnalysis<'_>,
-    obs: &Obs,
-) -> Result<ScenarioRemedies, AuditError> {
+pub fn advise_scenario(analysis: &ScenarioAnalysis<'_>, obs: &Obs) -> ScenarioRemedies {
     let (surface, scenario, level) = (analysis.surface(), analysis.scenario(), analysis.level());
     let mut remedies = analysis.remedies();
-    let plans = analysis.plans();
-    check_paired(&surface.app, &remedies, &plans)?;
     let mut caches = ReplayCaches::new(analysis.memo());
-    for (outcome, fp) in remedies.outcomes.iter_mut().zip(&plans.plans) {
+    for (index, outcome) in remedies.outcomes.iter_mut().enumerate() {
         obs.repair_candidates(outcome.tried as u64);
         obs.repair_closures(outcome.candidates.len() as u64);
         if outcome.candidates.is_empty() {
             continue;
         }
-        let plan = match &fp.plan {
-            Ok(plan) => plan,
-            Err(reason) => {
-                // No executable witness to disprove: recommend the
-                // cheapest static closure, flagged as unreplayed.
-                outcome.chosen = Some(0);
-                outcome.verdict = Some(Verdict::Inconclusive(format!(
-                    "witness not replayable: {reason}"
-                )));
-                continue;
-            }
-        };
         let mut fallback: Option<(usize, Verdict)> = None;
         for (ci, candidate) in outcome.candidates.iter().enumerate() {
-            let (repaired, session_levels) =
-                match rewrite_plan_with(plan, candidate, analysis.memo()) {
-                    Ok(r) => r,
-                    Err(_) => continue,
-                };
+            let Ok((repaired, session_levels)) = analysis.repaired_plan(index, candidate) else {
+                continue;
+            };
             obs.repair_replay();
             let verdict = execute_replay_plan(
                 scenario,
@@ -109,23 +63,21 @@ pub fn advise_scenario(
             }
         }
         if outcome.chosen.is_none() {
-            match fallback {
-                // Every lowerable candidate still confirmed: report
-                // the cheapest one so the disagreement is visible.
-                Some((ci, verdict)) => {
-                    outcome.chosen = Some(ci);
-                    outcome.verdict = Some(verdict);
-                }
-                None => {
-                    outcome.chosen = Some(0);
-                    outcome.verdict = Some(Verdict::Inconclusive(
-                        "no candidate could be lowered onto the witness plan".to_string(),
-                    ));
-                }
-            }
+            // Every lowered candidate still confirmed: report the cheapest
+            // so the disagreement is visible. None lowered: recommend the
+            // cheapest static closure, flagged as unreplayed, and say why.
+            let (ci, verdict) = fallback.unwrap_or_else(|| {
+                let reason = match analysis.repaired_plan(index, &[]) {
+                    Err(reason) => format!("witness not replayable: {reason}"),
+                    Ok(_) => "no candidate could be lowered onto the witness plan".to_string(),
+                };
+                (0, Verdict::Inconclusive(reason))
+            });
+            outcome.chosen = Some(ci);
+            outcome.verdict = Some(verdict);
         }
     }
-    Ok(remedies)
+    remedies
 }
 
 /// [`advise_scenario`] for every scenario of `surface` at each of
@@ -135,7 +87,9 @@ pub fn advise_surface(
     levels: &[IsolationLevel],
     obs: &Obs,
 ) -> Result<AppRemedies, AuditError> {
-    sweep_surface(surface, levels, |analysis| advise_scenario(&analysis, obs))
+    sweep_surface(surface, levels, |analysis| {
+        Ok(advise_scenario(&analysis, obs))
+    })
 }
 
 /// Advise the whole registry at each of `levels`.
@@ -152,7 +106,6 @@ mod tests {
     use super::*;
     use acidrain_apps::endpoints::{booking_surfaces, didactic_surfaces, flexcoin_surface};
     use acidrain_core::AnomalyScope;
-    use acidrain_static::{plan_scenario, remediate_scenario};
 
     fn surface_named(name: &str) -> AppSurface {
         didactic_surfaces()
@@ -160,32 +113,6 @@ mod tests {
             .chain(booking_surfaces())
             .find(|s| s.app == name)
             .unwrap()
-    }
-
-    #[test]
-    fn mismatched_remedies_and_plans_are_an_error() {
-        let surface = surface_named("bank-transfer");
-        let scenario = &surface.scenarios[0];
-        let level = IsolationLevel::ReadCommitted;
-        let remedies = remediate_scenario(&surface, scenario, level).unwrap();
-        let plans = plan_scenario(&surface, scenario, level).unwrap();
-        assert!(remedies.outcomes.len() >= 2, "need two findings to swap");
-        assert_eq!(check_paired(&surface.app, &remedies, &plans), Ok(()));
-
-        let mut shorter = plans.clone();
-        shorter.plans.pop();
-        let err = check_paired(&surface.app, &remedies, &shorter).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("bank-transfer/transfer: the adviser's 2 findings"),
-            "{err}"
-        );
-
-        // Same lengths, findings in a different order.
-        let mut swapped = plans.clone();
-        swapped.plans.swap(0, 1);
-        assert_ne!(swapped.plans[0].finding, remedies.outcomes[0].finding);
-        assert!(check_paired(&surface.app, &remedies, &swapped).is_err());
     }
 
     #[test]

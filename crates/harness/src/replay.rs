@@ -474,12 +474,13 @@ mod tests {
     use std::sync::Mutex;
 
     use acidrain_apps::endpoints::{all_surfaces, flexcoin_surface};
+    use acidrain_apps::is_transaction_control_sql;
     use acidrain_apps::SqlConn;
     use acidrain_core::AnomalyScope;
     use acidrain_db::{FaultConfig, Obs, StmtOutcome, Value};
-    use acidrain_sql::promote_for_update;
     use acidrain_sql::schema::{ColumnDef, ColumnType, TableSchema};
-    use acidrain_static::{rewrite_plan_with, ReplayReport};
+    use acidrain_sql::{promote_for_update, promote_parsed};
+    use acidrain_static::{Fix, ReplayReport};
 
     use crate::adviser::advise_scenario;
     use crate::sched::{run_deterministic_on, Stepper};
@@ -635,7 +636,7 @@ mod tests {
                     assert_eq!(lifted, executed, "{at}");
 
                     replay_scenario(&analysis);
-                    advise_scenario(&analysis, &Obs::new()).unwrap();
+                    advise_scenario(&analysis, &Obs::new());
                     let skipped: BTreeSet<String> = log
                         .iter()
                         .filter(|e| e.outcome != StmtOutcome::Ok)
@@ -856,12 +857,13 @@ mod tests {
                         }
                         overridden += usize::from(levels.iter().any(Option::is_some));
                     };
-                    for (fp, outcome) in plans.plans.iter().zip(&remedies.outcomes) {
-                        let Ok(plan) = &fp.plan else { continue };
+                    for (i, outcome) in remedies.outcomes.iter().enumerate() {
+                        let Ok(plan) = &plans.plans[i].plan else {
+                            continue;
+                        };
                         check(plan, &vec![None; plan.sessions.len()]);
                         for candidate in &outcome.candidates {
-                            let rewritten = rewrite_plan_with(plan, candidate, analysis.memo());
-                            if let Ok((repaired, levels)) = rewritten {
+                            if let Ok((repaired, levels)) = analysis.repaired_plan(i, candidate) {
                                 check(&repaired, &levels);
                             }
                         }
@@ -877,6 +879,139 @@ mod tests {
             assert!(reasons.contains(reason), "{reasons:?}");
         }
         assert!(overridden > 0, "no plan carried an isolation override");
+    }
+
+    /// `sql` promoted to `FOR UPDATE`, or why it cannot be.
+    fn promote(memo: &ParseMemo, sql: &str) -> Result<String, String> {
+        let stmt = memo
+            .parse(sql)
+            .map_err(|err| format!("rewrite failed: {err}"))?;
+        promote_parsed(&stmt).ok_or_else(|| format!("not a promotable SELECT: {sql}"))
+    }
+
+    /// The repaired plan as it was built before the adviser lowered the
+    /// witness over the repaired log: a second application of each fix,
+    /// to the unrepaired plan. The reference [`ScenarioAnalysis::repaired_plan`]
+    /// is held to.
+    fn rewrite_plan_with(
+        plan: &ReplayPlan,
+        fixes: &[Fix],
+        memo: &ParseMemo,
+    ) -> Result<(ReplayPlan, Vec<Option<IsolationLevel>>), String> {
+        let mut plan = plan.clone();
+        let mut session_levels: Vec<Option<IsolationLevel>> = vec![None; plan.sessions.len()];
+        for fix in fixes {
+            match fix {
+                Fix::ForUpdate {
+                    api, fingerprint, ..
+                } => {
+                    let mut hit = false;
+                    for session in &mut plan.sessions {
+                        if session.api != *api {
+                            continue;
+                        }
+                        for stmt in &mut session.statements {
+                            if memo.fingerprint(stmt) == *fingerprint {
+                                *stmt = promote(memo, stmt)?;
+                                hit = true;
+                            }
+                        }
+                    }
+                    // Setup replays other endpoints' recorded calls on a solo
+                    // connection; promoting there too keeps the repaired trace
+                    // uniform (a solo FOR UPDATE read is a no-op).
+                    for stmt in &mut plan.setup {
+                        if memo.fingerprint(stmt) == *fingerprint {
+                            if let Ok(sql) = promote(memo, stmt) {
+                                *stmt = sql;
+                            }
+                        }
+                    }
+                    if !hit {
+                        return Err(format!("no session statement of {api} matches the seed"));
+                    }
+                }
+                Fix::Scope { api } => {
+                    let mut hit = false;
+                    for (i, session) in plan.sessions.iter_mut().enumerate() {
+                        if session.api != *api {
+                            continue;
+                        }
+                        if session
+                            .statements
+                            .iter()
+                            .any(|s| is_transaction_control_sql(s))
+                        {
+                            return Err(format!("API {api} already uses transaction control"));
+                        }
+                        let mut wrapped = Vec::with_capacity(session.statements.len() + 2);
+                        wrapped.push("BEGIN".to_string());
+                        wrapped.append(&mut session.statements);
+                        wrapped.push("COMMIT".to_string());
+                        session.statements = wrapped;
+                        if i == 0 {
+                            // The seed split counts statements from the script
+                            // head; the injected BEGIN sits before o₁.
+                            plan.seed_prefix += 1;
+                        }
+                        hit = true;
+                    }
+                    if !hit {
+                        return Err(format!("no session replays {api}"));
+                    }
+                }
+                Fix::Isolation { api, level } => {
+                    let mut hit = false;
+                    for (i, session) in plan.sessions.iter().enumerate() {
+                        if session.api == *api {
+                            session_levels[i] = Some(*level);
+                            hit = true;
+                        }
+                    }
+                    if !hit {
+                        return Err(format!("no session replays {api}"));
+                    }
+                }
+            }
+        }
+        Ok((plan, session_levels))
+    }
+
+    #[test]
+    fn repaired_plans_equal_the_plan_rewrite() {
+        // Lowering the witness over the repaired log gives, for every
+        // closing candidate of every finding of every scenario at every
+        // level, the plan and per-session levels the plan rewrite gave —
+        // refusals included — and with no fix, the witness replayer's plan.
+        let mut lowered = 0;
+        for surface in all_surfaces() {
+            for scenario in &surface.scenarios {
+                for level in IsolationLevel::ALL {
+                    let at = format!("{}/{} @ {level:?}", surface.app, scenario.name);
+                    let analysis = ScenarioAnalysis::new(&surface, scenario, level).unwrap();
+                    let (plans, remedies) = (analysis.plans(), analysis.remedies());
+                    for (i, outcome) in remedies.outcomes.iter().enumerate() {
+                        let fp = &plans.plans[i];
+                        let unrepaired = fp.plan.clone().map(|p| {
+                            let none = vec![None; p.sessions.len()];
+                            (p, none)
+                        });
+                        assert_eq!(analysis.repaired_plan(i, &[]), unrepaired, "{at}: {i}");
+                        for candidate in &outcome.candidates {
+                            let reference = fp
+                                .plan
+                                .as_ref()
+                                .map_err(Clone::clone)
+                                .and_then(|p| rewrite_plan_with(p, candidate, analysis.memo()));
+                            let repaired = analysis.repaired_plan(i, candidate);
+                            assert_eq!(repaired, reference, "{at}: {i} {candidate:?}");
+                            lowered += usize::from(repaired.is_ok());
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(lowered, 2869);
     }
 
     #[test]

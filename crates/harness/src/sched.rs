@@ -208,25 +208,7 @@ impl Stepper {
     /// Run session `i` to completion, stepping other sessions through its
     /// lock waits.
     pub fn run_to_completion(&mut self, i: usize) {
-        let mut stall = 0;
-        while !self.finished(i) {
-            match self.step(i) {
-                StepOutcome::Executed => stall = 0,
-                StepOutcome::Finished => break,
-                StepOutcome::Blocked => {
-                    stall += 1;
-                    assert!(stall < 10_000, "session {i} is stuck on a lock");
-                    let others: Vec<usize> = (0..self.len())
-                        .filter(|j| *j != i && !self.finished(*j))
-                        .collect();
-                    for j in others {
-                        if self.step(j) == StepOutcome::Executed {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        self.run_statements(i, usize::MAX);
     }
 
     /// Run every remaining session to completion, round-robin.

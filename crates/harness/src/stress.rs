@@ -54,37 +54,20 @@ impl SqlConn for DelayConn {
 /// Run `tasks` on real threads, all released simultaneously by a barrier,
 /// each with its own connection (delayed by `delay` per statement). Each
 /// task's wall-clock latency lands in the registry's task histogram when
-/// metrics are enabled.
+/// metrics are enabled. [`run_concurrent_watchdog`] with no deadline; a
+/// task's panic panics here.
 pub fn run_concurrent<T, F>(db: &Arc<Database>, tasks: Vec<F>, delay: Duration) -> Vec<T>
 where
     T: Send,
     F: FnOnce(&mut dyn SqlConn) -> T + Send,
 {
-    let barrier = std::sync::Barrier::new(tasks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .map(|task| {
-                let mut conn = DelayConn::new(db.connect(), delay);
-                let session = conn.session();
-                let obs = db.obs().clone();
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    let timer = obs.timer();
-                    let out = task(&mut conn);
-                    if let Some(dur) = timer.elapsed() {
-                        obs.task_finished(session, dur);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stress task panicked"))
-            .collect()
-    })
+    run_concurrent_watchdog(db, tasks, delay, Duration::MAX)
+        .into_iter()
+        .map(|outcome| match outcome {
+            TaskOutcome::Completed(v) => v,
+            _ => panic!("stress task panicked"),
+        })
+        .collect()
 }
 
 /// How one watchdog-supervised task ended.

@@ -60,8 +60,8 @@ pub use audit::{
     ScenarioAnalysis, ScenarioAudit, SeedRef, StaticAuditReport, StaticFinding,
 };
 pub use remediate::{
-    config_with_fixes, fix_set_label, remediate_scenario, rewrite_plan_with, AppRemedies, Fix,
-    LevelRemedies, RemedyOutcome, RemedyReport, ScenarioRemedies,
+    fix_set_label, remediate_scenario, AppRemedies, Fix, LevelRemedies, RemedyOutcome,
+    RemedyReport, ScenarioRemedies,
 };
 pub use replay::{
     plan_scenario, AppReplay, FindingPlan, LevelReplay, ReplayOutcome, ReplayPlan, ReplayReport,

@@ -20,8 +20,9 @@
 //!    converts a scope-based anomaly into a level-based one.
 //!
 //! Every candidate is *applied* — as a concrete rewrite of the recorded
-//! trace (lock fixes, scoping) or of the refinement config (isolation)
-//! — and the audit re-run. A candidate **closes** the finding iff the
+//! trace (lock fixes, scoping) or of the refinement config (isolation),
+//! in one place (`apply_fixes_to_log_with` + `config_with_fixes`) — and
+//! the audit re-run. A candidate **closes** the finding iff the
 //! finding vanishes and no new finding appears (post-set ⊆ pre-set).
 //! Closing candidates are then pruned to minimality: dropping any
 //! element re-opens a finding. Phantom findings never receive lock
@@ -31,14 +32,14 @@
 //!
 //! The static proof is necessary but not sufficient: the harness's
 //! adviser (`acidrain advise`) additionally lowers the original Lemma-4
-//! witness against the repaired scenario ([`rewrite_plan_with`]) and replays
-//! it through the PR-9 engine replayer, requiring a never-`Confirmed`
-//! verdict before a fix is recommended.
+//! witness over the same repaired log and config the re-audit read
+//! ([`ScenarioAnalysis::repaired_plan`]) and replays it through the engine
+//! replayer, requiring a never-`Confirmed` verdict before a fix is
+//! recommended.
 
 use std::collections::{BTreeSet, HashMap};
 
 use acidrain_apps::endpoints::{AppSurface, Scenario};
-use acidrain_apps::is_transaction_control_sql;
 use acidrain_core::{
     lift_trace_with, Analyzer, AnomalyPattern, AnomalyScope, Finding, RefinementConfig,
 };
@@ -48,7 +49,7 @@ use acidrain_sql::{
 };
 
 use crate::audit::{identity_fields, AuditError, ScenarioAnalysis, SeedRef, StaticFinding};
-use crate::replay::{ReplayPlan, Verdict};
+use crate::replay::{build_plan, session_scripts, ReplayPlan, Verdict};
 use crate::report::{AppReport, LevelReport, Report, ScenarioReport};
 
 // ---------------------------------------------------------------------------
@@ -112,9 +113,12 @@ fn entry_is(entry: &LogEntry, api: &str) -> bool {
     entry.api.as_ref().is_some_and(|t| t.name == api)
 }
 
+/// A statement the repair adds to `like`'s invocation. Its `seq` is one
+/// no recorded entry has, so the witness's `log_seq` still finds only
+/// recorded lines.
 fn synthetic(like: &LogEntry, sql: &str) -> LogEntry {
     LogEntry {
-        seq: 0,
+        seq: u64::MAX,
         session: like.session,
         api: like.api.clone(),
         sql: sql.to_string(),
@@ -124,14 +128,14 @@ fn synthetic(like: &LogEntry, sql: &str) -> LogEntry {
 
 /// Wrap each invocation of `api` in `BEGIN`/`COMMIT`. Fails when the
 /// endpoint already uses transaction control (nesting `BEGIN` inside
-/// `BEGIN` implicitly commits — the same gate as
-/// [`acidrain_apps::can_repair`], via the shared predicate).
-fn scope_log(log: &[LogEntry], api: &str) -> Result<Vec<LogEntry>, String> {
+/// `BEGIN` implicitly commits — the gate [`acidrain_apps::can_repair`]
+/// applies, by the parser's definition, as [`statement_facts`] does).
+fn scope_log(log: &[LogEntry], api: &str, memo: &ParseMemo) -> Result<Vec<LogEntry>, String> {
     let mut mine = log.iter().filter(|e| entry_is(e, api)).peekable();
     if mine.peek().is_none() {
         return Err(format!("API {api} was not recorded"));
     }
-    if mine.any(|e| is_transaction_control_sql(&e.sql)) {
+    if mine.any(|e| memo.parse(&e.sql).is_ok_and(|s| s.is_transaction_control())) {
         return Err(format!("API {api} already uses transaction control"));
     }
     let invocation_of = |e: &LogEntry| e.api.as_ref().map(|t| t.invocation);
@@ -162,9 +166,11 @@ fn scope_log(log: &[LogEntry], api: &str) -> Result<Vec<LogEntry>, String> {
 }
 
 /// Apply the trace-level fixes of a candidate to a recorded log, matching
-/// and promoting statements through `memo` and renumbering sequence
-/// numbers. Isolation fixes do not touch the log — they land in the
-/// refinement config (see [`config_with_fixes`]).
+/// and promoting statements through `memo`. Every recorded entry keeps its
+/// `seq`. Isolation fixes do not touch the log — they land in the
+/// refinement config (see [`config_with_fixes`]). The one place a fix set
+/// is applied: the re-audit lifts this log and the adviser's replay lowers
+/// the witness over it ([`ScenarioAnalysis::repaired_plan`]).
 fn apply_fixes_to_log_with(
     log: &[LogEntry],
     fixes: &[Fix],
@@ -179,7 +185,11 @@ fn apply_fixes_to_log_with(
                 let mut hit = false;
                 for e in &mut out {
                     if entry_is(e, api) && memo.fingerprint(&e.sql) == *fingerprint {
-                        e.sql = promote(memo, &e.sql)?;
+                        let stmt = memo
+                            .parse(&e.sql)
+                            .map_err(|err| format!("rewrite failed: {err}"))?;
+                        e.sql = promote_parsed(&stmt)
+                            .ok_or_else(|| format!("not a promotable SELECT: {}", e.sql))?;
                         hit = true;
                     }
                 }
@@ -187,26 +197,15 @@ fn apply_fixes_to_log_with(
                     return Err(format!("no recorded statement of {api} matches the seed"));
                 }
             }
-            Fix::Scope { api } => out = scope_log(&out, api)?,
+            Fix::Scope { api } => out = scope_log(&out, api, memo)?,
             Fix::Isolation { .. } => {}
         }
-    }
-    for (i, e) in out.iter_mut().enumerate() {
-        e.seq = i as u64;
     }
     Ok(out)
 }
 
-/// `sql` promoted to `FOR UPDATE`, or why it cannot be.
-fn promote(memo: &ParseMemo, sql: &str) -> Result<String, String> {
-    let stmt = memo
-        .parse(sql)
-        .map_err(|err| format!("rewrite failed: {err}"))?;
-    promote_parsed(&stmt).ok_or_else(|| format!("not a promotable SELECT: {sql}"))
-}
-
 /// Fold the isolation fixes of a candidate into a refinement config.
-pub fn config_with_fixes(base: &RefinementConfig, fixes: &[Fix]) -> RefinementConfig {
+fn config_with_fixes(base: &RefinementConfig, fixes: &[Fix]) -> RefinementConfig {
     let mut config = base.clone();
     for fix in fixes {
         if let Fix::Isolation { api, level } = fix {
@@ -610,6 +609,40 @@ impl ScenarioAnalysis<'_> {
             outcomes,
         }
     }
+
+    /// Finding `index`'s witness (an index into [`Self::findings`]; panics
+    /// past its end) lowered over the scenario as `fixes` repair it, with
+    /// the isolation level each session runs at (`None`: the store
+    /// default). The log is the one the re-audit proving `fixes` lifted
+    /// (`apply_fixes_to_log_with`), the levels are its config's
+    /// (`config_with_fixes`), and the lowering is the witness replayer's
+    /// own ([`Self::plans`]): scoping shows up as `BEGIN`/`COMMIT` around
+    /// each repaired invocation (shifting the seed split when it lands
+    /// before o₁), lock promotions as `FOR UPDATE` statements. A fix
+    /// naming an API that no session replays is refused.
+    pub fn repaired_plan(
+        &self,
+        index: usize,
+        fixes: &[Fix],
+    ) -> Result<(ReplayPlan, Vec<Option<IsolationLevel>>), String> {
+        let log = apply_fixes_to_log_with(&self.log, fixes, &self.memo)?;
+        let history = self.analyzer.history();
+        let plan = build_plan(history, &self.detected[index], &log, &session_scripts(&log))?;
+        for fix in fixes {
+            let (Fix::ForUpdate { api, .. } | Fix::Isolation { api, .. } | Fix::Scope { api }) =
+                fix;
+            if !plan.sessions.iter().any(|s| s.api == *api) {
+                return Err(format!("no session replays {api}"));
+            }
+        }
+        let config = config_with_fixes(&self.config, fixes);
+        let levels = plan
+            .sessions
+            .iter()
+            .map(|s| config.per_api_isolation.get(&s.api).copied())
+            .collect();
+        Ok((plan, levels))
+    }
 }
 
 /// Synthesize remedies for every finding of `scenario` at `level`.
@@ -619,100 +652,6 @@ pub fn remediate_scenario(
     level: IsolationLevel,
 ) -> Result<ScenarioRemedies, AuditError> {
     Ok(ScenarioAnalysis::new(surface, scenario, level)?.remedies())
-}
-
-// ---------------------------------------------------------------------------
-// Lowering a fix set onto a replay plan.
-
-/// Rewrite a witness replay plan so it executes against the *repaired*
-/// scenario: lock promotions rewrite the session (and setup) statements,
-/// scoping wraps the repaired sessions in `BEGIN`/`COMMIT` (shifting the
-/// seed split when the seed session is scoped), and isolation fixes
-/// become per-session level overrides for the driver to apply before the
-/// interleaving runs. Statements are matched and promoted through
-/// `memo`.
-pub fn rewrite_plan_with(
-    plan: &ReplayPlan,
-    fixes: &[Fix],
-    memo: &ParseMemo,
-) -> Result<(ReplayPlan, Vec<Option<IsolationLevel>>), String> {
-    let mut plan = plan.clone();
-    let mut session_levels: Vec<Option<IsolationLevel>> = vec![None; plan.sessions.len()];
-    for fix in fixes {
-        match fix {
-            Fix::ForUpdate {
-                api, fingerprint, ..
-            } => {
-                let mut hit = false;
-                for session in &mut plan.sessions {
-                    if session.api != *api {
-                        continue;
-                    }
-                    for stmt in &mut session.statements {
-                        if memo.fingerprint(stmt) == *fingerprint {
-                            *stmt = promote(memo, stmt)?;
-                            hit = true;
-                        }
-                    }
-                }
-                // Setup replays other endpoints' recorded calls on a solo
-                // connection; promoting there too keeps the repaired trace
-                // uniform (a solo FOR UPDATE read is a no-op).
-                for stmt in &mut plan.setup {
-                    if memo.fingerprint(stmt) == *fingerprint {
-                        if let Ok(sql) = promote(memo, stmt) {
-                            *stmt = sql;
-                        }
-                    }
-                }
-                if !hit {
-                    return Err(format!("no session statement of {api} matches the seed"));
-                }
-            }
-            Fix::Scope { api } => {
-                let mut hit = false;
-                for (i, session) in plan.sessions.iter_mut().enumerate() {
-                    if session.api != *api {
-                        continue;
-                    }
-                    if session
-                        .statements
-                        .iter()
-                        .any(|s| is_transaction_control_sql(s))
-                    {
-                        return Err(format!("API {api} already uses transaction control"));
-                    }
-                    let mut wrapped = Vec::with_capacity(session.statements.len() + 2);
-                    wrapped.push("BEGIN".to_string());
-                    wrapped.append(&mut session.statements);
-                    wrapped.push("COMMIT".to_string());
-                    session.statements = wrapped;
-                    if i == 0 {
-                        // The seed split counts statements from the script
-                        // head; the injected BEGIN sits before o₁.
-                        plan.seed_prefix += 1;
-                    }
-                    hit = true;
-                }
-                if !hit {
-                    return Err(format!("no session replays {api}"));
-                }
-            }
-            Fix::Isolation { api, level } => {
-                let mut hit = false;
-                for (i, session) in plan.sessions.iter().enumerate() {
-                    if session.api == *api {
-                        session_levels[i] = Some(*level);
-                        hit = true;
-                    }
-                }
-                if !hit {
-                    return Err(format!("no session replays {api}"));
-                }
-            }
-        }
-    }
-    Ok((plan, session_levels))
 }
 
 // ---------------------------------------------------------------------------
@@ -845,7 +784,7 @@ mod tests {
     use acidrain_apps::endpoints::{
         all_surfaces, booking_surfaces, didactic_surfaces, flexcoin_surface,
     };
-    use acidrain_core::{lift_trace, statement_fingerprint};
+    use acidrain_core::lift_trace;
 
     fn surface_named(name: &str) -> AppSurface {
         didactic_surfaces()
@@ -1170,69 +1109,67 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_plan_promotes_and_scopes() {
-        use crate::replay::SessionScript;
-        let plan = ReplayPlan {
-            setup: vec!["SELECT balance FROM accounts WHERE id = 9".into()],
-            sessions: vec![
-                SessionScript {
-                    api: "transfer".into(),
-                    statements: vec![
-                        "SELECT balance FROM accounts WHERE id = 1".into(),
-                        "UPDATE accounts SET balance = 70 WHERE id = 1".into(),
-                    ],
-                },
-                SessionScript {
-                    api: "transfer".into(),
-                    statements: vec![
-                        "SELECT balance FROM accounts WHERE id = 1".into(),
-                        "UPDATE accounts SET balance = 70 WHERE id = 1".into(),
-                    ],
-                },
-            ],
-            seed_prefix: 1,
-        };
-        let fp = statement_fingerprint("SELECT balance FROM accounts WHERE id = 1");
-        let fixes = vec![
-            Fix::Scope {
-                api: "transfer".into(),
-            },
-            Fix::ForUpdate {
-                api: "transfer".into(),
-                fingerprint: fp,
-                template: String::new(),
-            },
-            Fix::Isolation {
-                api: "transfer".into(),
-                level: IsolationLevel::Serializable,
-            },
-        ];
-        let (rewritten, levels) = rewrite_plan_with(&plan, &fixes, &ParseMemo::new()).unwrap();
-        // Scoping shifted the seed split past the injected BEGIN.
-        assert_eq!(rewritten.seed_prefix, 2);
-        for session in &rewritten.sessions {
-            assert_eq!(
-                session.statements.first().map(String::as_str),
-                Some("BEGIN")
-            );
-            assert_eq!(
-                session.statements.last().map(String::as_str),
-                Some("COMMIT")
-            );
+    fn repaired_plans_scope_promote_and_pin_levels() {
+        // Flexcoin's transfer is unscoped: its cheapest closing fix scopes
+        // and promotes, and its replay must run both.
+        let surface = flexcoin_surface();
+        let level = IsolationLevel::ReadCommitted;
+        let analysis = ScenarioAnalysis::new(&surface, &surface.scenarios[0], level).unwrap();
+        let remedies = analysis.remedies();
+        let witness = analysis.plans().plans[0].plan.clone().unwrap();
+        let candidates = &remedies.outcomes[0].candidates;
+        assert!(matches!(
+            candidates[0][..],
+            [Fix::Scope { .. }, Fix::ForUpdate { .. }]
+        ));
+        let (plan, levels) = analysis.repaired_plan(0, &candidates[0]).unwrap();
+        assert_eq!(plan.sessions.len(), witness.sessions.len());
+        for session in &plan.sessions {
+            assert_eq!(session.api, "transfer");
+            assert_eq!(session.statements.first().unwrap(), "BEGIN");
+            assert_eq!(session.statements.last().unwrap(), "COMMIT");
             assert!(session.statements.iter().any(|s| s.ends_with("FOR UPDATE")));
         }
-        // The setup read has the same fingerprint: promoted too.
-        assert!(rewritten.setup[0].ends_with("FOR UPDATE"));
-        assert_eq!(levels, vec![Some(IsolationLevel::Serializable); 2]);
-        // Scoping an already-scoped session is refused.
-        let again = rewrite_plan_with(
-            &rewritten,
-            &[Fix::Scope {
-                api: "transfer".into(),
-            }],
-            &ParseMemo::new(),
-        );
-        assert!(again.is_err());
+        // The injected BEGIN sits before o₁.
+        assert_eq!(plan.seed_prefix, witness.seed_prefix + 1);
+        assert_eq!(levels, vec![None; plan.sessions.len()]);
+
+        let isolation = candidates
+            .iter()
+            .find(|c| matches!(c[..], [_, Fix::Isolation { .. }]))
+            .unwrap();
+        let Fix::Isolation { level: pinned, .. } = isolation[1] else {
+            unreachable!()
+        };
+        let (_, levels) = analysis.repaired_plan(0, isolation).unwrap();
+        assert_eq!(levels, vec![Some(pinned); plan.sessions.len()]);
+    }
+
+    #[test]
+    fn a_fix_for_an_api_no_session_replays_is_refused() {
+        // Withdraw is recorded (and its own finding replays it), but no
+        // session of transfer's witness does: a fix naming it changes
+        // nothing the replay would execute.
+        let surface = flexcoin_surface();
+        let level = IsolationLevel::ReadCommitted;
+        let analysis = ScenarioAnalysis::new(&surface, &surface.scenarios[0], level).unwrap();
+        let findings = analysis.findings();
+        let transfer = findings.iter().position(|f| f.api == "transfer").unwrap();
+        let withdraw = findings.iter().position(|f| f.api == "withdraw").unwrap();
+        let api = "withdraw".to_string();
+        for fix in [
+            Fix::Scope { api: api.clone() },
+            Fix::Isolation {
+                api: api.clone(),
+                level: IsolationLevel::Serializable,
+            },
+        ] {
+            assert_eq!(
+                analysis.repaired_plan(transfer, std::slice::from_ref(&fix)),
+                Err("no session replays withdraw".to_string())
+            );
+            assert!(analysis.repaired_plan(withdraw, &[fix]).is_ok());
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! keeps every operation's `log_seq` provenance back into the recorded
 //! log, and [`ScenarioAnalysis::plans`] lowers each finding over that one
 //! history. The log lines *are* the concrete values: replaying them
-//! verbatim is the execution of the witness.
+//! verbatim is the execution of the witness. The repair adviser's
+//! [`ScenarioAnalysis::repaired_plan`] runs the same lowering over a
+//! repaired copy of the log, which keeps every recorded entry's `seq`.
 //!
 //! A [`ReplayPlan`] is the canned-script form of the Lemma-4 schedule:
 //! one session per witness instance (the seed plus one per hop), each
@@ -98,28 +100,30 @@ pub fn plan_scenario(
     Ok(ScenarioAnalysis::new(surface, scenario, level)?.plans())
 }
 
-/// The recorded log grouped into per-API scripts, in first-seen order.
-/// Untagged entries belong to no script (they can only reach a plan via
-/// `setup`).
-fn session_scripts(log: &[LogEntry]) -> Vec<(String, Vec<&LogEntry>)> {
-    let mut scripts: Vec<(String, Vec<&LogEntry>)> = Vec::new();
-    for entry in log {
+/// The log grouped into per-API scripts, in first-seen order, each script
+/// the positions of its API's entries in `log`. Untagged entries belong to
+/// no script (they can only reach a plan via `setup`).
+pub(crate) fn session_scripts(log: &[LogEntry]) -> Vec<(String, Vec<usize>)> {
+    let mut scripts: Vec<(String, Vec<usize>)> = Vec::new();
+    for (i, entry) in log.iter().enumerate() {
         let Some(tag) = &entry.api else { continue };
         match scripts.iter_mut().find(|(name, _)| *name == tag.name) {
-            Some((_, entries)) => entries.push(entry),
-            None => scripts.push((tag.name.clone(), vec![entry])),
+            Some((_, entries)) => entries.push(i),
+            None => scripts.push((tag.name.clone(), vec![i])),
         }
     }
     scripts
 }
 
-/// Lower `finding`'s Lemma-4 witness onto the recorded scripts. Reads the
-/// history's API names, op positions and `log_seq`, never its SQL text.
-fn build_plan(
+/// Lower `finding`'s Lemma-4 witness onto the scripts of `log`, the
+/// recorded log or a repaired copy of it (which keeps every recorded
+/// entry's `seq`). Reads the history's API names, op positions and
+/// `log_seq`, never its SQL text.
+pub(crate) fn build_plan(
     history: &AbstractHistory,
     finding: &Finding,
     log: &[LogEntry],
-    scripts: &[(String, Vec<&LogEntry>)],
+    scripts: &[(String, Vec<usize>)],
 ) -> Result<ReplayPlan, String> {
     let witness = &finding.witness;
     let api_name = |node: usize| history.trace.api_calls[history.locs[node].api].name.clone();
@@ -139,20 +143,21 @@ fn build_plan(
         .ok_or("seed operation has no log provenance".to_string())?;
     let o1_index = seed_script
         .iter()
-        .position(|e| e.seq == o1_seq)
+        .position(|&i| log[i].seq == o1_seq)
         .ok_or("seed operation's log line is outside its API script".to_string())?;
 
-    let first_seq = seed_script[0].seq;
-    let setup = log
+    let setup = log[..seed_script[0]]
         .iter()
-        .filter(|e| e.seq < first_seq)
         .map(|e| e.sql.clone())
         .collect();
 
     let session = |api: &str| -> Result<SessionScript, String> {
         Ok(SessionScript {
             api: api.to_string(),
-            statements: script_for(api)?.iter().map(|e| e.sql.clone()).collect(),
+            statements: script_for(api)?
+                .iter()
+                .map(|&i| log[i].sql.clone())
+                .collect(),
         })
     };
     let mut sessions = vec![session(&seed_api)?];
@@ -527,7 +532,7 @@ mod tests {
             assert_eq!(plan.sessions[0].api, finding.api);
             for session in &plan.sessions {
                 let (_, own) = scripts.iter().find(|(api, _)| *api == session.api).unwrap();
-                let own: Vec<_> = own.iter().map(|e| e.sql.clone()).collect();
+                let own: Vec<_> = own.iter().map(|&i| log[i].sql.clone()).collect();
                 assert_eq!(session.statements, own, "{finding:?}");
             }
         }
