@@ -2,17 +2,22 @@
 //! witness-derived schedules, concurrent attack runs, and invariant
 //! verification — the full Figure-2 workflow from public API calls to a
 //! confirmed exploit.
+//!
+//! Each invariant's two racing requests are one [`Race`], an
+//! [`crate::explore::Scenario`]: the witness attack ([`run_attack`]) and
+//! its serial control ([`run_serial_control`]) are two schedules of it,
+//! run through [`crate::explore::run_schedule`].
 
 use std::sync::Arc;
 
 use acidrain_apps::endpoints::record_shop_on;
-use acidrain_apps::observed_request;
 use acidrain_apps::prelude::*;
 use acidrain_core::{Analyzer, ColumnTarget};
 use acidrain_db::{Database, FaultConfig, FaultStats, IsolationLevel, LogEntry};
 use acidrain_static::refinement_at;
 
-use crate::sched::{run_deterministic, Stepper};
+use crate::explore::{run_schedule, Scenario};
+use crate::sched::Stepper;
 
 /// The three target invariants (paper §4.2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,151 +122,119 @@ pub fn statement_index(log: &[LogEntry], seq: u64) -> Option<(String, usize)> {
     Some((tag.name, index))
 }
 
-/// A boxed request closure run by the attack scheduler.
-type RequestTask<'a> = Box<dyn FnOnce(&mut dyn SqlConn) -> bool + Send + 'a>;
+/// The two requests of one invariant's attack, racing on a store whose
+/// carts are already filled — Table 5's attack and its serial control are
+/// two schedules of this one [`Scenario`].
+pub struct Race<'a> {
+    /// Application under attack.
+    pub app: &'a dyn ShopApp,
+    /// The invariant the two requests race to break.
+    pub invariant: Invariant,
+    /// Isolation level of the attacked store.
+    pub isolation: IsolationLevel,
+}
 
-/// Result of one concurrent attack run.
-#[derive(Debug)]
-pub struct AttackOutcome {
-    /// The invariant violation the attack produced, if any.
-    pub violation: Option<Violation>,
-    /// Whether each concurrent request completed successfully.
-    pub request_ok: Vec<bool>,
+impl Scenario for Race<'_> {
+    fn sessions(&self) -> usize {
+        2
+    }
+
+    /// A fresh store with the carts the two requests will use.
+    fn make_store(&self) -> Arc<Database> {
+        let app = self.app;
+        let db = app.make_store(self.isolation);
+        app.reset_session_state();
+        let mut conn = db.connect();
+        let carts: &[(i64, i64, i64)] = match self.invariant {
+            // Disjoint products: the two checkouts share only the voucher
+            // state, so nothing else (e.g. a stock row write conflict)
+            // interferes with the double-spend.
+            Invariant::Voucher => &[(1, PEN, 1), (2, LAPTOP, 1)],
+            Invariant::Inventory => &[(1, LAPTOP, INVENTORY_QTY), (2, LAPTOP, INVENTORY_QTY)],
+            Invariant::Cart => &[(1, PEN, 1)],
+        };
+        for &(cart, product, qty) in carts {
+            app.add_to_cart(&mut conn, cart, product, qty)
+                .expect("setup");
+        }
+        // Setup traffic must not pollute the attack analysis or the
+        // log-based diagnostics.
+        db.take_log();
+        db
+    }
+
+    /// Voucher and inventory races are two checkouts of carts 1 and 2;
+    /// the cart race is cart 1's checkout against an add to that cart.
+    fn run_session(&self, index: usize, conn: &mut dyn SqlConn) {
+        let app = self.app;
+        let cart = index as i64 + 1;
+        // Refused requests are expected; the verdict is the invariant's.
+        let _ = match (self.invariant, index) {
+            (Invariant::Voucher, _) => app
+                .checkout(conn, cart, &CheckoutRequest::with_voucher(VOUCHER_CODE))
+                .map(drop),
+            (Invariant::Inventory, _) | (Invariant::Cart, 0) => app
+                .checkout(conn, cart, &CheckoutRequest::plain())
+                .map(drop),
+            (Invariant::Cart, _) => app.add_to_cart(conn, 1, LAPTOP, 1),
+        };
+    }
+
+    fn check(&self, db: &Database) -> Result<(), String> {
+        self.invariant
+            .check(db, self.app)
+            .map_err(|v| v.to_string())
+    }
+}
+
+/// Run `race` with session 0 executing its first `first` statements, then
+/// session 1 to completion, then the rest of session 0 (`usize::MAX`
+/// makes the schedule serial), and check the invariant.
+fn run_race(race: Race<'_>, first: usize) -> Option<Violation> {
+    let db = run_schedule(&race, |s: &mut Stepper| {
+        s.run_statements(0, first);
+        s.run_to_completion(1);
+    });
+    race.invariant.check(&db, race.app).err()
 }
 
 /// Execute the attack for `invariant` with session 0 paused after its
 /// first `k + 1` statements (i.e. just after executing the witness's o₁),
 /// while the second session runs to completion in the gap — the Lemma-4
-/// schedule realized against the live store.
+/// schedule realized against the live store. Returns the violation the
+/// attack produced, if any.
 pub fn run_attack(
     app: &dyn ShopApp,
     invariant: Invariant,
     isolation: IsolationLevel,
     k: usize,
-) -> AttackOutcome {
-    let db = app.make_store(isolation);
-    setup_attack(app, &db, invariant);
-
-    let schedule = |s: &mut Stepper| {
-        s.run_statements(0, k + 1);
-        s.run_to_completion(1);
+) -> Option<Violation> {
+    // Both cart requests share the victim's session (the cart is session
+    // state), and PHP session locking serializes them: execute
+    // back-to-back instead of interleaved.
+    let serial = invariant == Invariant::Cart && app.session_locked();
+    let race = Race {
+        app,
+        invariant,
+        isolation,
     };
-
-    let request_ok: Vec<bool> = match invariant {
-        Invariant::Voucher => {
-            let tasks: Vec<RequestTask<'_>> = vec![
-                Box::new(|conn: &mut dyn SqlConn| {
-                    app.checkout(conn, 1, &CheckoutRequest::with_voucher(VOUCHER_CODE))
-                        .is_ok()
-                }),
-                Box::new(|conn: &mut dyn SqlConn| {
-                    app.checkout(conn, 2, &CheckoutRequest::with_voucher(VOUCHER_CODE))
-                        .is_ok()
-                }),
-            ];
-            run_deterministic(&db, tasks, schedule)
-        }
-        Invariant::Inventory => {
-            let tasks: Vec<RequestTask<'_>> = vec![
-                Box::new(|conn: &mut dyn SqlConn| {
-                    app.checkout(conn, 1, &CheckoutRequest::plain()).is_ok()
-                }),
-                Box::new(|conn: &mut dyn SqlConn| {
-                    app.checkout(conn, 2, &CheckoutRequest::plain()).is_ok()
-                }),
-            ];
-            run_deterministic(&db, tasks, schedule)
-        }
-        Invariant::Cart => {
-            let tasks: Vec<RequestTask<'_>> = vec![
-                Box::new(|conn: &mut dyn SqlConn| {
-                    app.checkout(conn, 1, &CheckoutRequest::plain()).is_ok()
-                }),
-                Box::new(|conn: &mut dyn SqlConn| app.add_to_cart(conn, 1, LAPTOP, 1).is_ok()),
-            ];
-            if app.session_locked() {
-                // Both requests share the victim's session (the cart is
-                // session state), and PHP session locking serializes them:
-                // execute back-to-back instead of interleaved.
-                run_deterministic(&db, tasks, |s: &mut Stepper| {
-                    s.run_to_completion(0);
-                    s.run_to_completion(1);
-                })
-            } else {
-                run_deterministic(&db, tasks, schedule)
-            }
-        }
-    };
-
-    AttackOutcome {
-        violation: invariant.check(&db, app).err(),
-        request_ok,
-    }
+    run_race(race, if serial { usize::MAX } else { k + 1 })
 }
 
 /// Serial control run (paper §4.2.4: "we further ensured that each
 /// behavior was indeed unexpected by verifying the attack was not possible
-/// under a serial execution"): the same requests, one after another.
+/// under a serial execution"): the same two requests, one after another.
 pub fn run_serial_control(
     app: &dyn ShopApp,
     invariant: Invariant,
     isolation: IsolationLevel,
-) -> AttackOutcome {
-    let db = app.make_store(isolation);
-    setup_attack(app, &db, invariant);
-    let mut conn = db.connect();
-    let request_ok = match invariant {
-        Invariant::Voucher => vec![
-            observed_request(&mut conn, |c| {
-                app.checkout(c, 1, &CheckoutRequest::with_voucher(VOUCHER_CODE))
-            })
-            .is_ok(),
-            observed_request(&mut conn, |c| {
-                app.checkout(c, 2, &CheckoutRequest::with_voucher(VOUCHER_CODE))
-            })
-            .is_ok(),
-        ],
-        Invariant::Inventory => vec![
-            observed_request(&mut conn, |c| app.checkout(c, 1, &CheckoutRequest::plain())).is_ok(),
-            observed_request(&mut conn, |c| app.checkout(c, 2, &CheckoutRequest::plain())).is_ok(),
-        ],
-        Invariant::Cart => vec![
-            observed_request(&mut conn, |c| app.checkout(c, 1, &CheckoutRequest::plain())).is_ok(),
-            observed_request(&mut conn, |c| app.add_to_cart(c, 1, LAPTOP, 1)).is_ok(),
-        ],
+) -> Option<Violation> {
+    let race = Race {
+        app,
+        invariant,
+        isolation,
     };
-    drop(conn);
-    AttackOutcome {
-        violation: invariant.check(&db, app).err(),
-        request_ok,
-    }
-}
-
-/// Serial attack setup: fill the carts the concurrent requests will use.
-fn setup_attack(app: &dyn ShopApp, db: &Arc<Database>, invariant: Invariant) {
-    app.reset_session_state();
-    let mut conn = db.connect();
-    match invariant {
-        Invariant::Voucher => {
-            // Disjoint products: the two checkouts share only the voucher
-            // state, so nothing else (e.g. a stock row write conflict)
-            // interferes with the double-spend.
-            app.add_to_cart(&mut conn, 1, PEN, 1).expect("setup");
-            app.add_to_cart(&mut conn, 2, LAPTOP, 1).expect("setup");
-        }
-        Invariant::Inventory => {
-            app.add_to_cart(&mut conn, 1, LAPTOP, INVENTORY_QTY)
-                .expect("setup");
-            app.add_to_cart(&mut conn, 2, LAPTOP, INVENTORY_QTY)
-                .expect("setup");
-        }
-        Invariant::Cart => {
-            app.add_to_cart(&mut conn, 1, PEN, 1).expect("setup");
-        }
-    }
-    // Setup traffic must not pollute the attack analysis or the log-based
-    // diagnostics.
-    db.take_log();
+    run_race(race, usize::MAX)
 }
 
 /// One audited Table-5 cell: the computed result plus diagnostics.
@@ -405,11 +378,9 @@ pub fn try_audit_cell(
             continue;
         }
         attacks += 1;
-        let outcome = run_attack(app, invariant, isolation, k);
-        if let Some(violation) = outcome.violation {
+        if let Some(violation) = run_attack(app, invariant, isolation, k) {
             // Confirm the serial control preserves the invariant (C1).
-            let control = run_serial_control(app, invariant, isolation);
-            if let Some(control_violation) = control.violation {
+            if let Some(control_violation) = run_serial_control(app, invariant, isolation) {
                 return Err(AuditDegraded {
                     stage: AuditStage::SerialControl,
                     error: format!("serial control violated {invariant}: {control_violation:?}"),
@@ -476,6 +447,7 @@ fn gated(app: &dyn ShopApp, invariant: Invariant, cell: Cell) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acidrain_apps::{can_repair, observed_request, Repair, Repaired};
 
     const ISO: IsolationLevel = IsolationLevel::MySqlRepeatableRead;
 
@@ -595,21 +567,81 @@ mod tests {
         assert!(report.cell.is_vulnerable(), "{report:?}");
     }
 
+    /// The serial control as it was before it became a schedule of
+    /// [`Race`]: both requests on one blocking connection, one after the
+    /// other. The reference [`run_serial_control`] is held to.
+    fn reference_serial_control(
+        app: &dyn ShopApp,
+        invariant: Invariant,
+        isolation: IsolationLevel,
+    ) -> Option<Violation> {
+        let db = Race {
+            app,
+            invariant,
+            isolation,
+        }
+        .make_store();
+        let mut conn = db.connect();
+        let _request_ok = match invariant {
+            Invariant::Voucher => vec![
+                observed_request(&mut conn, |c| {
+                    app.checkout(c, 1, &CheckoutRequest::with_voucher(VOUCHER_CODE))
+                })
+                .is_ok(),
+                observed_request(&mut conn, |c| {
+                    app.checkout(c, 2, &CheckoutRequest::with_voucher(VOUCHER_CODE))
+                })
+                .is_ok(),
+            ],
+            Invariant::Inventory => vec![
+                observed_request(&mut conn, |c| app.checkout(c, 1, &CheckoutRequest::plain()))
+                    .is_ok(),
+                observed_request(&mut conn, |c| app.checkout(c, 2, &CheckoutRequest::plain()))
+                    .is_ok(),
+            ],
+            Invariant::Cart => vec![
+                observed_request(&mut conn, |c| app.checkout(c, 1, &CheckoutRequest::plain()))
+                    .is_ok(),
+                observed_request(&mut conn, |c| app.add_to_cart(c, 1, LAPTOP, 1)).is_ok(),
+            ],
+        };
+        drop(conn);
+        invariant.check(&db, app).err()
+    }
+
     #[test]
     fn serial_controls_hold_for_all_apps() {
+        // Every app and its repaired variants, every supported invariant,
+        // every level: the two-session serial schedule gives the
+        // one-connection loop's answer, and that answer is "no violation".
+        let mut compared = 0;
         for app in all_apps() {
-            for invariant in Invariant::ALL {
-                if invariant.feature(app.as_ref()) != FeatureStatus::Supported {
-                    continue;
+            let app: &dyn ShopApp = app.as_ref();
+            let repaired = if can_repair(app) {
+                vec![
+                    Repaired::new(app, Repair::TransactionScoping),
+                    Repaired::new(app, Repair::ScopingAndSerializable),
+                ]
+            } else {
+                Vec::new()
+            };
+            let apps = std::iter::once(app).chain(repaired.iter().map(|r| r as &dyn ShopApp));
+            for app in apps {
+                for invariant in Invariant::ALL {
+                    if invariant.feature(app) != FeatureStatus::Supported {
+                        continue;
+                    }
+                    for level in IsolationLevel::ALL {
+                        let control = run_serial_control(app, invariant, level);
+                        let reference = reference_serial_control(app, invariant, level);
+                        let at = format!("{} {invariant} @ {level:?}", app.name());
+                        assert_eq!(format!("{control:?}"), format!("{reference:?}"), "{at}");
+                        assert!(control.is_none(), "{at}: {control:?}");
+                        compared += 1;
+                    }
                 }
-                let control = run_serial_control(app.as_ref(), invariant, ISO);
-                assert!(
-                    control.violation.is_none(),
-                    "{} {invariant}: {:?}",
-                    app.name(),
-                    control.violation
-                );
             }
         }
+        assert_eq!(compared, 324);
     }
 }

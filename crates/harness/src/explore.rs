@@ -7,7 +7,10 @@
 //! sample is drawn. Each explored schedule replays against a fresh store
 //! and the final state is checked — so a "safe" verdict from
 //! [`exhaustive`] is a proof over the bounded schedule space, not just a
-//! failure to exploit.
+//! failure to exploit. Every replay goes through [`run_schedule`], the
+//! one helper that runs a [`Scenario`]'s sessions under a
+//! [`crate::sched`] schedule; [`crate::attack::Race`] is the scenario
+//! behind Table 5's attacks and their serial controls.
 //!
 //! A schedule is a sequence of session indices; entry k runs exactly one
 //! statement of that session. Only *productive* steps (ones that execute
@@ -44,12 +47,26 @@ pub trait Scenario: Sync {
     fn check(&self, db: &Database) -> Result<(), String>;
 }
 
+/// Run `scenario`'s sessions against a fresh store under `schedule`, drain
+/// whatever the schedule left unfinished, and return the store. The one
+/// way application code runs under a schedule: [`exhaustive`] and
+/// [`randomized`] replay every prefix through it, and Table 5's attack and
+/// its serial control are two schedules of one [`crate::attack::Race`].
+pub fn run_schedule(scenario: &dyn Scenario, schedule: impl FnOnce(&mut Stepper)) -> Arc<Database> {
+    let db = scenario.make_store();
+    let tasks = (0..scenario.sessions())
+        .map(|i| move |conn: &mut dyn SqlConn| scenario.run_session(i, conn))
+        .collect();
+    run_deterministic(&db, tasks, schedule);
+    db
+}
+
 /// Result of replaying one schedule from a fresh store.
 #[derive(Debug)]
 struct Replay {
-    /// Outcome of the final schedule entry (`None` for the empty
-    /// schedule).
-    last: Option<StepOutcome>,
+    /// Whether the schedule's final entry executed a statement (see module
+    /// docs: only productive branches are explored).
+    productive: bool,
     /// Which sessions had finished by the end of the schedule.
     finished: Vec<bool>,
     /// Invariant check, evaluated only when every session finished within
@@ -63,39 +80,26 @@ impl Replay {
     }
 }
 
-/// A boxed session request run by the replay driver.
-type SessionTask<'a> = Box<dyn FnOnce(&mut dyn SqlConn) + Send + 'a>;
-
 fn replay(scenario: &dyn Scenario, schedule: &[usize]) -> Replay {
-    let db = scenario.make_store();
-    let n = scenario.sessions();
-    let tasks: Vec<SessionTask<'_>> = (0..n)
-        .map(|i| {
-            Box::new(move |conn: &mut dyn SqlConn| scenario.run_session(i, conn)) as SessionTask<'_>
-        })
-        .collect();
-
     let mut last = None;
-    let mut finished = vec![false; n];
-    let mut violation = None;
-    run_deterministic(&db, tasks, |s: &mut Stepper| {
+    let mut finished = Vec::new();
+    let db = run_schedule(scenario, |s: &mut Stepper| {
         for &choice in schedule {
             last = Some(s.step(choice));
         }
-        for (i, f) in finished.iter_mut().enumerate() {
-            *f = s.finished(i);
-        }
-        if finished.iter().all(|f| *f) {
-            violation = scenario.check(&db).err();
-        }
-        // The driver's drain() finishes any remaining sessions afterwards;
-        // that run is discarded along with the store.
+        finished = (0..s.len()).map(|i| s.finished(i)).collect();
+        // run_schedule drains any remaining sessions afterwards; that run
+        // is discarded along with the store.
     });
-    Replay {
-        last,
+    let mut replay = Replay {
+        productive: last == Some(StepOutcome::Executed),
         finished,
-        violation,
+        violation: None,
+    };
+    if replay.all_finished() {
+        replay.violation = scenario.check(&db).err();
     }
+    replay
 }
 
 /// The outcome of exploring a scenario's schedule space.
@@ -125,13 +129,13 @@ pub fn exhaustive(scenario: &dyn Scenario, max_schedules: usize) -> Exploration 
         violations: Vec::new(),
         complete: true,
     };
-    let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
-    while let Some(prefix) = stack.pop() {
+    // Each entry carries its own replay, so every prefix runs once.
+    let mut stack = vec![(Vec::new(), replay(scenario, &[]))];
+    while let Some((prefix, state)) = stack.pop() {
         if result.schedules_run >= max_schedules {
             result.complete = false;
             break;
         }
-        let state = replay(scenario, &prefix);
         if state.all_finished() {
             result.schedules_run += 1;
             if state.violation.is_some() {
@@ -145,9 +149,9 @@ pub fn exhaustive(scenario: &dyn Scenario, max_schedules: usize) -> Exploration 
             }
             let mut child = prefix.clone();
             child.push(i);
-            // Keep only productive branches (see module docs).
-            if replay(scenario, &child).last == Some(StepOutcome::Executed) {
-                stack.push(child);
+            let child_state = replay(scenario, &child);
+            if child_state.productive {
+                stack.push((child, child_state));
             }
         }
     }
@@ -169,8 +173,8 @@ pub fn randomized(scenario: &dyn Scenario, samples: usize, seed: u64) -> Explora
     };
     'samples: for _ in 0..samples {
         let mut prefix: Vec<usize> = Vec::new();
+        let mut state = replay(scenario, &prefix);
         loop {
-            let state = replay(scenario, &prefix);
             if state.all_finished() {
                 result.schedules_run += 1;
                 if state.violation.is_some() {
@@ -182,22 +186,19 @@ pub fn randomized(scenario: &dyn Scenario, samples: usize, seed: u64) -> Explora
                 .filter(|i| !state.finished[*i])
                 .collect();
             candidates.shuffle(&mut rng);
-            let mut advanced = false;
-            for i in candidates {
+            let next = candidates.into_iter().find_map(|i| {
                 let mut child = prefix.clone();
                 child.push(i);
-                if replay(scenario, &child).last == Some(StepOutcome::Executed) {
-                    prefix = child;
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
+                let child_state = replay(scenario, &child);
+                child_state.productive.then_some((child, child_state))
+            });
+            let Some((child, child_state)) = next else {
                 // All remaining sessions blocked without a deadlock cycle
                 // is unreachable; bail defensively.
                 result.schedules_run += 1;
                 continue 'samples;
-            }
+            };
+            (prefix, state) = (child, child_state);
         }
     }
     result
@@ -208,6 +209,7 @@ mod tests {
     use super::*;
     use acidrain_apps::didactic::Bank;
     use acidrain_db::{IsolationLevel, Value};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Two withdrawals racing one account; the audit table records each
     /// success so over-withdrawal is observable in the final state.
@@ -292,6 +294,50 @@ mod tests {
             assert!(result.complete, "{isolation}");
             assert!(result.all_safe(), "{isolation}: {:?}", result.violations);
             assert!(result.schedules_run > 1);
+        }
+    }
+
+    /// A scenario that counts the stores it builds: one per replay.
+    struct Counted {
+        inner: WithdrawScenario,
+        stores: AtomicUsize,
+    }
+
+    impl Scenario for Counted {
+        fn sessions(&self) -> usize {
+            self.inner.sessions()
+        }
+
+        fn make_store(&self) -> Arc<Database> {
+            self.stores.fetch_add(1, Ordering::Relaxed);
+            self.inner.make_store()
+        }
+
+        fn run_session(&self, index: usize, conn: &mut dyn SqlConn) {
+            self.inner.run_session(index, conn);
+        }
+
+        fn check(&self, db: &Database) -> Result<(), String> {
+            self.inner.check(db)
+        }
+    }
+
+    #[test]
+    fn exhaustive_replays_each_prefix_once() {
+        // (bank, level, stores built, complete schedules, violating ones)
+        for (bank, isolation, replays, schedules, violations) in [
+            (Bank::figure_1a(), IsolationLevel::ReadCommitted, 51, 16, 12),
+            (Bank::figure_1b(), IsolationLevel::Serializable, 149, 32, 0),
+        ] {
+            let counted = Counted {
+                inner: scenario(bank, isolation),
+                stores: AtomicUsize::new(0),
+            };
+            let result = exhaustive(&counted, 5000);
+            assert!(result.complete, "{isolation}");
+            assert_eq!(result.schedules_run, schedules, "{isolation}");
+            assert_eq!(result.violations.len(), violations, "{isolation}");
+            assert_eq!(counted.stores.into_inner(), replays, "{isolation}");
         }
     }
 

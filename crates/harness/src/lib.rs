@@ -22,13 +22,13 @@ pub mod texttable;
 pub use adviser::{advise_all, advise_scenario, advise_surface};
 pub use attack::{
     audit_cell, probe_trace, probe_trace_on, run_attack, run_serial_control, statement_index,
-    try_audit_cell, AttackOutcome, AuditDegraded, AuditStage, CellReport, Invariant,
+    try_audit_cell, AuditDegraded, AuditStage, CellReport, Invariant, Race,
 };
 pub use chaos::{
     recover_app_store, run_chaos, run_chaos_instrumented, scratch_dir, state_digest, ChaosConfig,
     ChaosReport,
 };
-pub use explore::{exhaustive, randomized, Exploration, Scenario};
+pub use explore::{exhaustive, randomized, run_schedule, Exploration, Scenario};
 pub use netchaos::{flaky_client_campaign, run_net_chaos, NetChaosConfig, NetChaosReport};
 pub use replay::{execute_replay_plan, replay_scenario, replay_surface, ReplayCaches};
 pub use sched::{run_deterministic, run_deterministic_on, GatedConn, StepOutcome, Stepper};

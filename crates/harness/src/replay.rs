@@ -29,7 +29,7 @@
 //! cursor, and the driver calls [`Connection::try_execute_parsed`] itself.
 //! That is the [`crate::sched`] protocol — a lock conflict is
 //! [`StepOutcome::Blocked`] with nothing consumed — without the thread per
-//! session and the two condvar hand-offs per statement that `sched` pays
+//! session and the two channel hand-offs per statement that `sched` pays
 //! to park application closures mid-call.
 //!
 //! Every schedule of a scenario runs on a fresh store, but all of them

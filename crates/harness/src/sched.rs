@@ -6,48 +6,24 @@
 //! interleaving — this replaces the paper's "rapid successive HTTP
 //! requests" and 200 ms proxy delay with a reproducible schedule.
 //!
+//! Each session has two channels to the driver: on one it reports each
+//! park (and whether its last attempt hit a lock conflict), on the other
+//! it receives permits. A hang-up ends the conversation: a session that
+//! returned or panicked has dropped its sender, which reads as finished; a
+//! driver whose schedule panicked has dropped the permits, so a parked
+//! statement fails with [`DbError::ConnectionDropped`], the sessions
+//! unwind and the panic propagates instead of hanging.
+//!
 //! Lock conflicts surface to the driver as [`StepOutcome::Blocked`]
 //! (nothing executed; the permit can be retried after other sessions make
 //! progress), which is how witness-derived schedules remain executable
 //! even when the database's locks fight back.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
 
 use acidrain_apps::SqlConn;
 use acidrain_db::{Connection, Database, DbError, ResultSet};
-
-/// Session state shared between a session thread and the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GateState {
-    /// The session is executing application code (or has just been granted
-    /// a permit).
-    Running,
-    /// The session is parked before a statement. `blocked` records whether
-    /// its previous attempt hit a lock conflict.
-    AwaitingPermit { blocked: bool },
-    /// The driver granted a permit; the session owns the "CPU".
-    PermitGranted,
-    /// The session's task returned (or panicked).
-    Finished,
-}
-
-struct Gate {
-    state: Mutex<GateState>,
-    to_session: Condvar,
-    to_driver: Condvar,
-}
-
-impl Gate {
-    fn new() -> Arc<Self> {
-        Arc::new(Gate {
-            state: Mutex::new(GateState::Running),
-            to_session: Condvar::new(),
-            to_driver: Condvar::new(),
-        })
-    }
-}
 
 /// What happened when the driver granted one permit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,30 +39,30 @@ pub enum StepOutcome {
 
 /// A [`Connection`] that parks before every statement until granted.
 pub struct GatedConn {
+    // Declared before `parked`: fields drop in order, so a finished
+    // session's open transaction is rolled back before the driver sees the
+    // hang-up.
     conn: Connection,
-    gate: Arc<Gate>,
+    parked: Sender<bool>,
+    permits: Receiver<()>,
     last_blocked: bool,
 }
 
 impl GatedConn {
-    /// Park until the driver grants a permit.
-    fn await_permit(&mut self) {
-        let mut st = self.gate.state.lock();
-        *st = GateState::AwaitingPermit {
-            blocked: self.last_blocked,
-        };
-        self.gate.to_driver.notify_all();
-        while *st != GateState::PermitGranted {
-            self.gate.to_session.wait(&mut st);
-        }
-        *st = GateState::Running;
+    /// Park until the driver grants a permit; `Err` once the driver is
+    /// gone.
+    fn await_permit(&mut self) -> Result<(), DbError> {
+        self.parked
+            .send(self.last_blocked)
+            .map_err(|_| DbError::ConnectionDropped)?;
+        self.permits.recv().map_err(|_| DbError::ConnectionDropped)
     }
 }
 
 impl SqlConn for GatedConn {
     fn exec(&mut self, sql: &str) -> Result<ResultSet, DbError> {
         loop {
-            self.await_permit();
+            self.await_permit()?;
             match self.conn.try_execute(sql) {
                 Err(DbError::WouldBlock { .. }) => {
                     self.last_blocked = true;
@@ -112,65 +88,58 @@ impl SqlConn for GatedConn {
     }
 }
 
-/// Marks the gate finished when the session thread exits (normally or by
-/// panic), so the driver never hangs.
-struct FinishGuard(Arc<Gate>);
+/// The driver's end of one session's two channels.
+struct Session {
+    parked: Receiver<bool>,
+    permits: Sender<()>,
+    finished: bool,
+}
 
-impl Drop for FinishGuard {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock();
-        *st = GateState::Finished;
-        self.0.to_driver.notify_all();
+impl Session {
+    /// Wait for the session's next park and report the statement before
+    /// it; a hang-up means the session finished.
+    fn await_park(&mut self) -> StepOutcome {
+        match self.parked.recv() {
+            Ok(true) => StepOutcome::Blocked,
+            Ok(false) => StepOutcome::Executed,
+            Err(_) => {
+                self.finished = true;
+                StepOutcome::Executed
+            }
+        }
     }
 }
 
 /// Driver handle for stepping sessions one statement at a time.
 pub struct Stepper {
-    gates: Vec<Arc<Gate>>,
+    sessions: Vec<Session>,
 }
 
 impl Stepper {
     /// Number of sessions.
     pub fn len(&self) -> usize {
-        self.gates.len()
+        self.sessions.len()
     }
 
     /// Whether the stepper has no sessions.
     pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
+        self.sessions.is_empty()
     }
 
     /// Whether session `i` has finished its task.
     pub fn finished(&self, i: usize) -> bool {
-        *self.gates[i].state.lock() == GateState::Finished
+        self.sessions[i].finished
     }
 
     /// Grant one permit to session `i` and wait for the outcome.
     pub fn step(&mut self, i: usize) -> StepOutcome {
-        let gate = &self.gates[i];
-        let mut st = gate.state.lock();
-        loop {
-            match *st {
-                GateState::AwaitingPermit { .. } => break,
-                GateState::Finished => return StepOutcome::Finished,
-                _ => gate.to_driver.wait(&mut st),
-            }
+        let session = &mut self.sessions[i];
+        if session.finished {
+            return StepOutcome::Finished;
         }
-        *st = GateState::PermitGranted;
-        gate.to_session.notify_all();
-        loop {
-            match *st {
-                GateState::AwaitingPermit { blocked } => {
-                    return if blocked {
-                        StepOutcome::Blocked
-                    } else {
-                        StepOutcome::Executed
-                    };
-                }
-                GateState::Finished => return StepOutcome::Executed,
-                _ => gate.to_driver.wait(&mut st),
-            }
-        }
+        // The session is parked on this very channel: it cannot hang up.
+        session.permits.send(()).expect("parked session hung up");
+        session.await_park()
     }
 
     /// Step session `i` until it has *executed* `n` statements (re-granting
@@ -180,7 +149,7 @@ impl Stepper {
     pub fn run_statements(&mut self, i: usize, n: usize) -> usize {
         let mut executed = 0;
         let mut stall = 0;
-        while executed < n && !self.finished(i) {
+        while executed < n {
             match self.step(i) {
                 StepOutcome::Executed => {
                     executed += 1;
@@ -191,10 +160,7 @@ impl Stepper {
                     stall += 1;
                     assert!(stall < 10_000, "session {i} is stuck on a lock");
                     // Let someone else make progress to release the lock.
-                    let others: Vec<usize> = (0..self.len())
-                        .filter(|j| *j != i && !self.finished(*j))
-                        .collect();
-                    for j in others {
+                    for j in (0..self.len()).filter(|j| *j != i) {
                         if self.step(j) == StepOutcome::Executed {
                             break;
                         }
@@ -214,27 +180,13 @@ impl Stepper {
     /// Run every remaining session to completion, round-robin.
     pub fn drain(&mut self) {
         let mut stall = 0;
-        loop {
+        while (0..self.len()).any(|i| !self.finished(i)) {
             let mut progressed = false;
-            let mut all_done = true;
             for i in 0..self.len() {
-                if self.finished(i) {
-                    continue;
-                }
-                all_done = false;
-                if self.step(i) == StepOutcome::Executed {
-                    progressed = true;
-                }
+                progressed |= self.step(i) == StepOutcome::Executed;
             }
-            if all_done {
-                return;
-            }
-            if progressed {
-                stall = 0;
-            } else {
-                stall += 1;
-                assert!(stall < 10_000, "all sessions are stuck");
-            }
+            stall = if progressed { 0 } else { stall + 1 };
+            assert!(stall < 10_000, "all sessions are stuck");
         }
     }
 }
@@ -273,35 +225,34 @@ where
         tasks.len(),
         "one connection per task, in task order"
     );
-    let gates: Vec<Arc<Gate>> = tasks.iter().map(|_| Gate::new()).collect();
     std::thread::scope(|scope| {
+        let mut sessions = Vec::with_capacity(tasks.len());
         let handles: Vec<_> = tasks
             .into_iter()
             .zip(conns)
-            .zip(&gates)
-            .map(|((task, conn), gate)| {
+            .map(|(task, conn)| {
+                let (park_tx, park_rx) = channel();
+                let (permit_tx, permit_rx) = channel();
+                sessions.push(Session {
+                    parked: park_rx,
+                    permits: permit_tx,
+                    finished: false,
+                });
                 let mut gc = GatedConn {
                     conn,
-                    gate: Arc::clone(gate),
+                    parked: park_tx,
+                    permits: permit_rx,
                     last_blocked: false,
                 };
-                scope.spawn(move || {
-                    let _guard = FinishGuard(Arc::clone(&gc.gate));
-                    task(&mut gc)
-                })
+                scope.spawn(move || task(&mut gc))
             })
             .collect();
 
-        let mut stepper = Stepper {
-            gates: gates.clone(),
-        };
-        // Wait until every session is parked at its first statement (or
-        // already finished) before handing control to the schedule.
-        for gate in &stepper.gates {
-            let mut st = gate.state.lock();
-            while matches!(*st, GateState::Running | GateState::PermitGranted) {
-                gate.to_driver.wait(&mut st);
-            }
+        let mut stepper = Stepper { sessions };
+        // Every session parks at its first statement (or finishes) before
+        // the schedule takes control.
+        for session in &mut stepper.sessions {
+            session.await_park();
         }
         schedule(&mut stepper);
         stepper.drain();
@@ -429,6 +380,65 @@ mod tests {
             |_s: &mut Stepper| {},
         );
         assert_eq!(results, vec![42, 43]);
+    }
+
+    /// Run `f` on its own thread and return the message it panicked with;
+    /// fails (rather than hangs) if it has not panicked within 10 s.
+    fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("the schedule panics");
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            let _ = tx.send(message);
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a panicking schedule must not hang the scheduler")
+    }
+
+    #[test]
+    fn a_panicking_schedule_propagates_instead_of_hanging() {
+        let message = panic_message(|| {
+            run_deterministic(
+                &db(),
+                vec![read_then_write, read_then_write],
+                |s: &mut Stepper| {
+                    s.run_statements(0, 1);
+                    panic!("schedule gave up");
+                },
+            );
+        });
+        assert_eq!(message, "schedule gave up");
+    }
+
+    #[test]
+    fn a_schedule_panicking_inside_a_transaction_rolls_it_back() {
+        let db = db();
+        let store = Arc::clone(&db);
+        let message = panic_message(move || {
+            let txn_writer = |conn: &mut dyn SqlConn| {
+                conn.exec("BEGIN")?;
+                conn.exec("UPDATE counter SET n = n + 10 WHERE id = 1")?;
+                conn.exec("COMMIT").map(drop)
+            };
+            run_deterministic(&store, vec![txn_writer, txn_writer], |s: &mut Stepper| {
+                s.run_statements(0, 2); // A: BEGIN + UPDATE (holds the row lock)
+                panic!("schedule gave up holding a lock");
+            });
+        });
+        assert_eq!(message, "schedule gave up holding a lock");
+        assert_eq!(
+            db.table_rows("counter").unwrap()[0][1],
+            Value::Int(0),
+            "A's dropped connection rolled its update back"
+        );
+        let mut conn = db.connect();
+        conn.execute("UPDATE counter SET n = 1 WHERE id = 1")
+            .expect("the row lock was released");
     }
 
     #[test]

@@ -8,79 +8,31 @@ use std::sync::Arc;
 use acidrain_apps::prelude::*;
 use acidrain_db::{Database, IsolationLevel};
 use acidrain_harness::explore::{exhaustive, randomized, Scenario};
-use acidrain_harness::Invariant;
+use acidrain_harness::{Invariant, Race};
 
 const ISO: IsolationLevel = IsolationLevel::MySqlRepeatableRead;
 
 /// Two concurrent voucher checkouts on disjoint carts.
-struct VoucherRace<'a> {
-    app: &'a dyn ShopApp,
-}
-
-impl Scenario for VoucherRace<'_> {
-    fn sessions(&self) -> usize {
-        2
-    }
-
-    fn make_store(&self) -> Arc<Database> {
-        self.app.reset_session_state();
-        let db = self.app.make_store(ISO);
-        let mut conn = db.connect();
-        self.app.add_to_cart(&mut conn, 1, PEN, 1).unwrap();
-        self.app.add_to_cart(&mut conn, 2, LAPTOP, 1).unwrap();
-        db
-    }
-
-    fn run_session(&self, index: usize, conn: &mut dyn SqlConn) {
-        let cart = index as i64 + 1;
-        let _ = self
-            .app
-            .checkout(conn, cart, &CheckoutRequest::with_voucher(VOUCHER_CODE));
-    }
-
-    fn check(&self, db: &Database) -> Result<(), String> {
-        Invariant::Voucher
-            .check(db, self.app)
-            .map_err(|v| v.to_string())
+fn voucher_race(app: &dyn ShopApp) -> Race<'_> {
+    Race {
+        app,
+        invariant: Invariant::Voucher,
+        isolation: ISO,
     }
 }
 
 /// Checkout racing an add-to-cart on the same cart.
-struct CartRace<'a> {
-    app: &'a dyn ShopApp,
-}
-
-impl Scenario for CartRace<'_> {
-    fn sessions(&self) -> usize {
-        2
-    }
-
-    fn make_store(&self) -> Arc<Database> {
-        self.app.reset_session_state();
-        let db = self.app.make_store(ISO);
-        let mut conn = db.connect();
-        self.app.add_to_cart(&mut conn, 1, PEN, 1).unwrap();
-        db
-    }
-
-    fn run_session(&self, index: usize, conn: &mut dyn SqlConn) {
-        if index == 0 {
-            let _ = self.app.checkout(conn, 1, &CheckoutRequest::plain());
-        } else {
-            let _ = self.app.add_to_cart(conn, 1, LAPTOP, 1);
-        }
-    }
-
-    fn check(&self, db: &Database) -> Result<(), String> {
-        Invariant::Cart
-            .check(db, self.app)
-            .map_err(|v| v.to_string())
+fn cart_race(app: &dyn ShopApp) -> Race<'_> {
+    Race {
+        app,
+        invariant: Invariant::Cart,
+        isolation: ISO,
     }
 }
 
 #[test]
 fn sampled_schedules_double_spend_prestashop_vouchers() {
-    let result = randomized(&VoucherRace { app: &PrestaShop }, 30, 11);
+    let result = randomized(&voucher_race(&PrestaShop), 30, 11);
     assert_eq!(result.schedules_run, 30);
     assert!(
         !result.all_safe(),
@@ -90,26 +42,20 @@ fn sampled_schedules_double_spend_prestashop_vouchers() {
 
 #[test]
 fn sampled_schedules_never_break_spree_vouchers() {
-    let result = randomized(&VoucherRace { app: &Spree }, 30, 11);
+    let result = randomized(&voucher_race(&Spree), 30, 11);
     assert_eq!(result.schedules_run, 30);
     assert!(result.all_safe(), "{:?}", result.violations);
 }
 
 #[test]
 fn sampled_schedules_steal_from_lfs_carts_but_not_prestashop() {
-    let vulnerable = randomized(
-        &CartRace {
-            app: &LightningFastShop,
-        },
-        30,
-        5,
-    );
+    let vulnerable = randomized(&cart_race(&LightningFastShop), 30, 5);
     assert!(
         !vulnerable.all_safe(),
         "the two-read cart window must be sampled"
     );
 
-    let safe = randomized(&CartRace { app: &PrestaShop }, 30, 5);
+    let safe = randomized(&cart_race(&PrestaShop), 30, 5);
     assert!(
         safe.all_safe(),
         "single-read carts are immune: {:?}",
