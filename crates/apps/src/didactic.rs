@@ -326,7 +326,7 @@ mod tests {
         assert!(add_employee(&mut conn, "John", "Doe", 50000).unwrap());
         conn.set_api("raise_salary", 0);
         raise_salary(&mut conn, 1000).unwrap();
-        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.clone()).collect();
+        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.to_string()).collect();
         // The Figure 3b sequence.
         assert_eq!(log[0], "BEGIN TRANSACTION");
         assert!(log[1].starts_with("SELECT COUNT(*) FROM employees WHERE"));

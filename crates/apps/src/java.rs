@@ -180,7 +180,7 @@ mod tests {
             .unwrap(),
             2 * PEN_PRICE
         );
-        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.clone()).collect();
+        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.to_string()).collect();
         assert!(log
             .iter()
             .any(|s| s.contains("app_locks") && s.contains("FOR UPDATE")));

@@ -438,7 +438,7 @@ mod tests {
         Magento
             .checkout(&mut conn, 1, &CheckoutRequest::plain())
             .unwrap();
-        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.clone()).collect();
+        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.to_string()).collect();
         let fu_pos = log
             .iter()
             .position(|s| s.contains("FOR UPDATE"))

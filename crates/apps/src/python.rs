@@ -411,7 +411,7 @@ mod tests {
         Oscar
             .checkout(&mut conn, 1, &CheckoutRequest::with_voucher(VOUCHER_CODE))
             .unwrap();
-        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.clone()).collect();
+        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.to_string()).collect();
         // Figure 6's shape: autocommit off, existence probe with LIMIT 1,
         // insert into the applications table, commit.
         let ac = log.iter().position(|s| s.contains("autocommit=0")).unwrap();
@@ -490,7 +490,7 @@ mod tests {
         let db = LightningFastShop.make_store(IsolationLevel::ReadCommitted);
         let mut conn = db.connect();
         LightningFastShop.add_to_cart(&mut conn, 1, PEN, 1).unwrap();
-        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.clone()).collect();
+        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.to_string()).collect();
         assert_eq!(
             log,
             vec![
@@ -504,7 +504,7 @@ mod tests {
         LightningFastShop
             .checkout(&mut conn, 1, &CheckoutRequest::plain())
             .unwrap();
-        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.clone()).collect();
+        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.to_string()).collect();
         let cart_reads = log
             .iter()
             .filter(|s| s.starts_with("SELECT") && s.contains("cart_items"))

@@ -284,7 +284,7 @@ mod tests {
         let db = app.make_store(IsolationLevel::ReadCommitted);
         let mut conn = db.connect();
         app.add_to_cart(&mut conn, 1, PEN, 1).unwrap();
-        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.clone()).collect();
+        let log: Vec<String> = db.log_entries().iter().map(|e| e.sql.to_string()).collect();
         assert_eq!(log.first().map(String::as_str), Some("BEGIN"));
         assert_eq!(log.last().map(String::as_str), Some("COMMIT"));
     }

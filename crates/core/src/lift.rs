@@ -5,6 +5,8 @@
 //! reduced to its per-table read/write footprint. API calls with identical
 //! access patterns collapse into single API nodes.
 
+use std::sync::Arc;
+
 use acidrain_db::{LogEntry, StmtOutcome};
 use acidrain_sql::ast::Statement;
 use acidrain_sql::rwset::statement_accesses;
@@ -61,24 +63,21 @@ pub fn parse_log_file(text: &str) -> Vec<LogEntry> {
                     };
                     continue;
                 }
-                if let Some((name, inv)) = token.split_once('#') {
-                    api = Some(acidrain_db::ApiTag {
-                        name: name.to_string(),
-                        invocation: inv.parse().unwrap_or(0),
-                    });
-                } else {
-                    api = Some(acidrain_db::ApiTag {
-                        name: token.to_string(),
-                        invocation: 0,
-                    });
-                }
+                let (name, invocation) = match token.split_once('#') {
+                    Some((name, inv)) => (name, inv.parse().unwrap_or(0)),
+                    None => (token, 0),
+                };
+                api = Some(Arc::new(acidrain_db::ApiTag {
+                    name: name.to_string(),
+                    invocation,
+                }));
             }
         }
         entries.push(LogEntry {
             seq: entries.len() as u64,
             session,
             api,
-            sql: sql.to_string(),
+            sql: sql.into(),
             outcome,
         });
     }
@@ -182,7 +181,7 @@ fn lift_invocation(
         }
         let stmt = memo.parse(&entry.sql).map_err(|error| LiftError::Parse {
             seq: entry.seq,
-            sql: entry.sql.clone(),
+            sql: entry.sql.to_string(),
             error,
         })?;
         match &*stmt {
@@ -289,9 +288,11 @@ mod tests {
         LogEntry {
             seq,
             session,
-            api: api.map(|(name, invocation)| ApiTag {
-                name: name.into(),
-                invocation,
+            api: api.map(|(name, invocation)| {
+                Arc::new(ApiTag {
+                    name: name.into(),
+                    invocation,
+                })
             }),
             sql: sql.into(),
             outcome,
@@ -494,7 +495,7 @@ mod tests {
         assert_eq!(entries[3].api.as_ref().unwrap().name, "view");
         assert_eq!(entries[3].session, 0);
         assert!(entries[4].api.is_none());
-        assert_eq!(entries[4].sql, "SELECT 1");
+        assert_eq!(&*entries[4].sql, "SELECT 1");
         // And the parsed log lifts.
         let trace = lift_trace(&entries[..3], &payroll_schema()).unwrap();
         assert_eq!(trace.api_calls.len(), 1);

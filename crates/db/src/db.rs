@@ -703,7 +703,8 @@ pub struct Connection {
     /// statements (vs `BEGIN` / `SET autocommit=0`).
     txn_implicit: bool,
     autocommit: bool,
-    api: Option<ApiTag>,
+    /// Shared by every statement logged under this API call.
+    api: Option<Arc<ApiTag>>,
 }
 
 impl Connection {
@@ -724,10 +725,10 @@ impl Connection {
 
     /// Tag subsequent statements as belonging to the given API call.
     pub fn set_api(&mut self, name: impl Into<String>, invocation: u64) {
-        self.api = Some(ApiTag {
+        self.api = Some(Arc::new(ApiTag {
             name: name.into(),
             invocation,
-        });
+        }));
     }
 
     /// Stop tagging statements with an API call.

@@ -13,6 +13,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use acidrain_obs::Obs;
 use parking_lot::Mutex;
@@ -63,6 +64,10 @@ impl StmtOutcome {
 }
 
 /// One line of the general query log.
+///
+/// 48 bytes: the tag is shared by every statement of one API call (one
+/// `Arc` per [`crate::Connection::set_api`], a reference count per
+/// statement), and the text is a boxed `str`, which carries no capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
     /// Global sequence number (log position).
@@ -70,9 +75,9 @@ pub struct LogEntry {
     /// Session (connection) that issued the statement.
     pub session: u64,
     /// API call the statement belongs to, if the connection was tagged.
-    pub api: Option<ApiTag>,
+    pub api: Option<Arc<ApiTag>>,
     /// The statement as issued.
-    pub sql: String,
+    pub sql: Box<str>,
     /// How the statement ended.
     pub outcome: StmtOutcome,
 }
@@ -137,7 +142,7 @@ impl QueryLog {
     }
 
     /// Append a successful statement to the log.
-    pub fn append(&self, session: u64, api: Option<ApiTag>, sql: impl Into<String>) {
+    pub fn append(&self, session: u64, api: Option<Arc<ApiTag>>, sql: impl Into<Box<str>>) {
         self.append_with(session, api, sql, StmtOutcome::Ok);
     }
 
@@ -145,8 +150,8 @@ impl QueryLog {
     pub fn append_with(
         &self,
         session: u64,
-        api: Option<ApiTag>,
-        sql: impl Into<String>,
+        api: Option<Arc<ApiTag>>,
+        sql: impl Into<Box<str>>,
         outcome: StmtOutcome,
     ) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
@@ -230,19 +235,21 @@ impl QueryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Database, IsolationLevel};
+    use acidrain_sql::{ColumnDef, ColumnType, Schema, TableSchema};
+
+    fn tag(name: &str, invocation: u64) -> Option<Arc<ApiTag>> {
+        Some(Arc::new(ApiTag {
+            name: name.into(),
+            invocation,
+        }))
+    }
 
     #[test]
     fn append_assigns_sequence_numbers() {
         let log = QueryLog::default();
         log.append(1, None, "BEGIN");
-        log.append(
-            2,
-            Some(ApiTag {
-                name: "checkout".into(),
-                invocation: 3,
-            }),
-            "COMMIT",
-        );
+        log.append(2, tag("checkout", 3), "COMMIT");
         assert_eq!(log.len(), 2);
         assert_eq!(log.entries()[0].seq, 0);
         assert_eq!(log.entries()[1].seq, 1);
@@ -253,14 +260,7 @@ mod tests {
     #[test]
     fn display_formats_tags() {
         let log = QueryLog::default();
-        log.append(
-            4,
-            Some(ApiTag {
-                name: "add_to_cart".into(),
-                invocation: 0,
-            }),
-            "SELECT 1",
-        );
+        log.append(4, tag("add_to_cart", 0), "SELECT 1");
         let line = log.entries()[0].to_string();
         assert!(line.contains("s4"));
         assert!(line.contains("add_to_cart#0"));
@@ -271,15 +271,7 @@ mod tests {
     fn display_marks_failed_outcomes() {
         let log = QueryLog::default();
         log.append_with(1, None, "UPDATE t SET v = 1", StmtOutcome::Aborted);
-        log.append_with(
-            2,
-            Some(ApiTag {
-                name: "checkout".into(),
-                invocation: 0,
-            }),
-            "SELECT 1",
-            StmtOutcome::Failed,
-        );
+        log.append_with(2, tag("checkout", 0), "SELECT 1", StmtOutcome::Failed);
         assert!(log.entries()[0].to_string().contains("!aborted"));
         assert!(log.entries()[1].to_string().contains("!failed"));
     }
@@ -304,5 +296,51 @@ mod tests {
         // sort after fresher entries.
         log.append(1, None, "SELECT 1");
         assert_eq!(log.entries()[0].seq, 2);
+    }
+
+    #[test]
+    fn an_entry_is_48_bytes() {
+        assert!(std::mem::size_of::<LogEntry>() <= 48);
+    }
+
+    #[test]
+    fn one_api_call_shares_one_tag_and_prints_as_before() {
+        let schema = Schema::new().with_table(TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", ColumnType::Int).auto_increment(),
+                ColumnDef::new("v", ColumnType::Int),
+            ],
+        ));
+        let db = Database::new(schema, IsolationLevel::ReadCommitted);
+        let mut c = db.connect();
+        c.set_api("checkout", 0);
+        for sql in ["BEGIN", "SELECT v FROM t WHERE id = 1", "COMMIT"] {
+            c.execute(sql).unwrap();
+        }
+        c.clear_api();
+        c.execute("SELECT v FROM t").unwrap();
+        c.set_api("checkout", 1);
+        c.execute("UPDATE t SET v = 1 WHERE id = 1").unwrap();
+        let log = db.take_log();
+
+        let first = log[0].api.as_ref().unwrap();
+        assert!(log[1..3]
+            .iter()
+            .all(|e| Arc::ptr_eq(e.api.as_ref().unwrap(), first)));
+        assert!(log[3].api.is_none());
+        assert!(!Arc::ptr_eq(log[4].api.as_ref().unwrap(), first));
+
+        let lines: Vec<String> = log.iter().map(|e| e.to_string()).collect();
+        assert_eq!(
+            lines,
+            [
+                "    0 [s1 checkout#0] BEGIN",
+                "    1 [s1 checkout#0] SELECT v FROM t WHERE id = 1",
+                "    2 [s1 checkout#0] COMMIT",
+                "    3 [s1] SELECT v FROM t",
+                "    4 [s1 checkout#1] UPDATE t SET v = 1 WHERE id = 1",
+            ]
+        );
     }
 }

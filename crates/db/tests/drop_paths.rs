@@ -94,7 +94,7 @@ fn drop_mid_txn_logs_aborted_terminator() {
         .iter()
         .rfind(|e| e.session == session)
         .expect("victim session logged statements");
-    assert_eq!(last.sql, "ROLLBACK");
+    assert_eq!(&*last.sql, "ROLLBACK");
     assert_eq!(
         last.outcome,
         StmtOutcome::Aborted,

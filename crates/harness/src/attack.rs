@@ -114,12 +114,12 @@ pub fn probe_trace_on(
 /// its statement index within that invocation.
 pub fn statement_index(log: &[LogEntry], seq: u64) -> Option<(String, usize)> {
     let entry = log.iter().find(|e| e.seq == seq)?;
-    let tag = entry.api.clone()?;
+    let tag = entry.api.as_deref()?;
     let index = log
         .iter()
-        .filter(|e| e.api.as_ref() == Some(&tag) && e.seq < seq)
+        .filter(|e| e.api.as_deref() == Some(tag) && e.seq < seq)
         .count();
-    Some((tag.name, index))
+    Some((tag.name.clone(), index))
 }
 
 /// The two requests of one invariant's attack, racing on a store whose

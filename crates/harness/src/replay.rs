@@ -631,7 +631,7 @@ mod tests {
                     let executed: BTreeSet<String> = log
                         .iter()
                         .filter(|e| e.outcome == StmtOutcome::Ok)
-                        .map(|e| e.sql.clone())
+                        .map(|e| e.sql.to_string())
                         .collect();
                     assert_eq!(lifted, executed, "{at}");
 
@@ -640,7 +640,7 @@ mod tests {
                     let skipped: BTreeSet<String> = log
                         .iter()
                         .filter(|e| e.outcome != StmtOutcome::Ok)
-                        .map(|e| e.sql.clone())
+                        .map(|e| e.sql.to_string())
                         .collect();
                     let promoted: BTreeSet<String> = log
                         .iter()

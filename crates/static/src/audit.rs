@@ -402,7 +402,7 @@ mod tests {
                 if let Ok(Some(promoted)) = promote_for_update(&entry.sql) {
                     texts.insert(promoted);
                 }
-                texts.insert(entry.sql.clone());
+                texts.insert(entry.sql.to_string());
             }
         }
         let malformed = "SELEC balance FROM accounts WHERE id = 1";

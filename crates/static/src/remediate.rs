@@ -121,7 +121,7 @@ fn synthetic(like: &LogEntry, sql: &str) -> LogEntry {
         seq: u64::MAX,
         session: like.session,
         api: like.api.clone(),
-        sql: sql.to_string(),
+        sql: sql.into(),
         outcome: StmtOutcome::Ok,
     }
 }
@@ -189,7 +189,8 @@ fn apply_fixes_to_log_with(
                             .parse(&e.sql)
                             .map_err(|err| format!("rewrite failed: {err}"))?;
                         e.sql = promote_parsed(&stmt)
-                            .ok_or_else(|| format!("not a promotable SELECT: {}", e.sql))?;
+                            .ok_or_else(|| format!("not a promotable SELECT: {}", e.sql))?
+                            .into();
                         hit = true;
                     }
                 }

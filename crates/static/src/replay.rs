@@ -148,7 +148,7 @@ pub(crate) fn build_plan(
 
     let setup = log[..seed_script[0]]
         .iter()
-        .map(|e| e.sql.clone())
+        .map(|e| e.sql.to_string())
         .collect();
 
     let session = |api: &str| -> Result<SessionScript, String> {
@@ -156,7 +156,7 @@ pub(crate) fn build_plan(
             api: api.to_string(),
             statements: script_for(api)?
                 .iter()
-                .map(|&i| log[i].sql.clone())
+                .map(|&i| log[i].sql.to_string())
                 .collect(),
         })
     };
@@ -340,6 +340,8 @@ impl ScenarioReport for ScenarioReplay {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::report::{render_json, render_text};
     use crate::template::symbolize_trace;
@@ -462,11 +464,11 @@ mod tests {
                 log.push(LogEntry {
                     seq: log.len() as u64,
                     session: 1,
-                    api: Some(ApiTag {
+                    api: Some(Arc::new(ApiTag {
                         name: api.to_string(),
                         invocation: 0,
-                    }),
-                    sql,
+                    })),
+                    sql: sql.into(),
                     outcome: StmtOutcome::Ok,
                 });
             }
@@ -532,7 +534,7 @@ mod tests {
             assert_eq!(plan.sessions[0].api, finding.api);
             for session in &plan.sessions {
                 let (_, own) = scripts.iter().find(|(api, _)| *api == session.api).unwrap();
-                let own: Vec<_> = own.iter().map(|&i| log[i].sql.clone()).collect();
+                let own: Vec<_> = own.iter().map(|&i| log[i].sql.to_string()).collect();
                 assert_eq!(session.statements, own, "{finding:?}");
             }
         }

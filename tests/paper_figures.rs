@@ -44,7 +44,7 @@ fn figure1_overdraft_matrix() {
 #[test]
 fn figure3_log_matches_paper() {
     let log = figures::figure3_log();
-    let statements: Vec<&str> = log.iter().map(|e| e.sql.as_str()).collect();
+    let statements: Vec<&str> = log.iter().map(|e| &*e.sql).collect();
     assert_eq!(
         statements,
         vec![

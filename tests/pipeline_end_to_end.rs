@@ -30,7 +30,7 @@ fn every_app_pentest_lifts_and_analyzes() {
 #[test]
 fn figure6_oscar_voucher_log_shape() {
     let log = probe_trace(&Oscar, Invariant::Voucher, ISO).unwrap();
-    let sqls: Vec<&str> = log.iter().map(|e| e.sql.as_str()).collect();
+    let sqls: Vec<&str> = log.iter().map(|e| &*e.sql).collect();
     let autocommit_off = sqls
         .iter()
         .position(|s| s.contains("autocommit=0"))
@@ -52,7 +52,7 @@ fn figure6_oscar_voucher_log_shape() {
 #[test]
 fn figure7_magento_inventory_log_shape() {
     let log = probe_trace(&Magento, Invariant::Inventory, ISO).unwrap();
-    let sqls: Vec<&str> = log.iter().map(|e| e.sql.as_str()).collect();
+    let sqls: Vec<&str> = log.iter().map(|e| &*e.sql).collect();
     let guard = sqls
         .iter()
         .position(|s| s.starts_with("SELECT stock FROM products"))
@@ -71,7 +71,7 @@ fn figure7_magento_inventory_log_shape() {
 #[test]
 fn figure8_lfs_cart_log_shape() {
     let log = probe_trace(&LightningFastShop, Invariant::Cart, ISO).unwrap();
-    let sqls: Vec<&str> = log.iter().map(|e| e.sql.as_str()).collect();
+    let sqls: Vec<&str> = log.iter().map(|e| &*e.sql).collect();
     // Each INSERT is sandwiched by autocommit toggling.
     for (i, s) in sqls.iter().enumerate() {
         if s.starts_with("INSERT INTO orders") || s.starts_with("INSERT INTO order_items") {

@@ -36,7 +36,7 @@ fn strip(log: &[LogEntry]) -> Vec<(u64, Option<String>, String)> {
                 e.api
                     .as_ref()
                     .map(|t| format!("{}#{}", t.name, t.invocation)),
-                e.sql.clone(),
+                e.sql.to_string(),
             )
         })
         .collect()
