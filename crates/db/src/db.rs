@@ -73,12 +73,8 @@ pub struct Database {
     next_session: AtomicU64,
     next_txn: AtomicU64,
     /// Sessions currently open (incremented on connect, decremented when a
-    /// [`Connection`] drops). The admission-control denominator.
+    /// [`Connection`] drops): the session-leak diagnostic.
     open_sessions: AtomicUsize,
-    /// Admission-control ceiling for [`Database::try_connect`]
-    /// (0 = unlimited). Plain [`Database::connect`] is exempt: in-process
-    /// fixtures and tests must never be refused.
-    max_sessions: AtomicUsize,
     /// Number of transactions currently active (diagnostics).
     active_txns: AtomicUsize,
     /// Lock-wait timeout in nanoseconds.
@@ -141,7 +137,6 @@ impl Database {
             next_session: AtomicU64::new(0),
             next_txn: AtomicU64::new(0),
             open_sessions: AtomicUsize::new(0),
-            max_sessions: AtomicUsize::new(0),
             active_txns: AtomicUsize::new(0),
             lock_wait_timeout_nanos: AtomicU64::new(DEFAULT_LOCK_WAIT_TIMEOUT.as_nanos() as u64),
             use_indexes: AtomicBool::new(true),
@@ -415,56 +410,11 @@ impl Database {
         self.wal.lock().clone()
     }
 
-    /// Open a new session. Never refused: in-process callers (fixtures,
-    /// tests, the harness scheduler) are exempt from admission control.
-    /// Front ends that must bound their session population use
-    /// [`Database::try_connect`] instead.
+    /// Open a new session. Never refused: the engine sets no session
+    /// ceiling. A front end that bounds its session population does so
+    /// itself, as the wire server does with its `max_sessions`.
     pub fn connect(self: &Arc<Self>) -> Connection {
         self.open_sessions.fetch_add(1, Ordering::AcqRel);
-        self.new_connection()
-    }
-
-    /// Open a new session subject to admission control: fails with
-    /// [`DbError::TooManySessions`] when [`Database::open_sessions`] has
-    /// reached the [`Database::set_max_sessions`] ceiling. The slot is
-    /// reserved atomically (compare-and-swap on the open-session counter),
-    /// so concurrent acceptors can never over-admit past the limit.
-    pub fn try_connect(self: &Arc<Self>) -> Result<Connection, DbError> {
-        let max = self.max_sessions.load(Ordering::Relaxed);
-        let mut open = self.open_sessions.load(Ordering::Acquire);
-        loop {
-            if max != 0 && open >= max {
-                return Err(DbError::TooManySessions);
-            }
-            match self.open_sessions.compare_exchange_weak(
-                open,
-                open + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Ok(self.new_connection()),
-                Err(actual) => open = actual,
-            }
-        }
-    }
-
-    /// Cap the number of simultaneously open sessions admitted through
-    /// [`Database::try_connect`] (0 = unlimited, the default).
-    pub fn set_max_sessions(&self, max: usize) {
-        self.max_sessions.store(max, Ordering::Relaxed);
-    }
-
-    /// The admission-control ceiling (0 = unlimited).
-    pub fn max_sessions(&self) -> usize {
-        self.max_sessions.load(Ordering::Relaxed)
-    }
-
-    /// Number of sessions currently open (connections not yet dropped).
-    pub fn open_sessions(&self) -> usize {
-        self.open_sessions.load(Ordering::Acquire)
-    }
-
-    fn new_connection(self: &Arc<Self>) -> Connection {
         let session = self.next_session.fetch_add(1, Ordering::Relaxed) + 1;
         Connection {
             db: Arc::clone(self),
@@ -475,6 +425,11 @@ impl Database {
             autocommit: true,
             api: None,
         }
+    }
+
+    /// Number of sessions currently open (connections not yet dropped).
+    pub fn open_sessions(&self) -> usize {
+        self.open_sessions.load(Ordering::Acquire)
     }
 
     /// Directly install committed rows, bypassing transactions and the

@@ -52,9 +52,10 @@ pub enum DbError {
     /// the current transaction. Statement-level and permanent, like MySQL's
     /// ER_SP_DOES_NOT_EXIST: the transaction stays open.
     UnknownSavepoint(String),
-    /// Admission control refused a new session: the database is already at
-    /// its configured [`max_sessions`](crate::Database::set_max_sessions)
-    /// limit (MySQL's ER_CON_COUNT_ERROR, "Too many connections").
+    /// Admission control refused a new session: a wire client's decoding
+    /// of `ERR SERVER_BUSY`, sent when the server is at its
+    /// `acidrain_net::ServerConfig::max_sessions` ceiling with its queue
+    /// full (MySQL's ER_CON_COUNT_ERROR, "Too many connections").
     /// Retryable: a slot opens as soon as any existing session closes.
     TooManySessions,
     /// Internal invariant violation — indicates a bug in the substrate.
@@ -154,5 +155,12 @@ mod tests {
             assert!(!e.is_retryable(), "{e} must not be retryable");
             assert!(!e.aborts_transaction(), "{e} must not claim abort-class");
         }
+    }
+
+    #[test]
+    fn a_refused_session_is_retryable_and_aborted_nothing() {
+        let e = DbError::TooManySessions;
+        assert!(e.is_retryable());
+        assert!(!e.aborts_transaction(), "no transaction existed to abort");
     }
 }

@@ -66,6 +66,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use acidrain_obs::Obs;
+use acidrain_sql::fnv1a;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::DbError;
@@ -187,15 +188,6 @@ pub struct WalRecordInfo {
 // ---------------------------------------------------------------------------
 // Codec
 // ---------------------------------------------------------------------------
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());

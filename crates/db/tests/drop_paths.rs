@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acidrain_db::{Database, DbError, IsolationLevel, StmtOutcome, Value};
+use acidrain_db::{Database, IsolationLevel, StmtOutcome, Value};
 use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
 
 fn accounts_db(isolation: IsolationLevel) -> Arc<Database> {
@@ -188,33 +188,18 @@ fn drop_releases_gc_snapshot_pin() {
     }
 }
 
-/// Session accounting: connects raise `open_sessions`, drops lower it,
-/// and `try_connect` refuses (retryably) past the ceiling.
+/// Session accounting: connects raise `open_sessions`, drops lower it.
 #[test]
-fn admission_control_enforces_max_sessions() {
+fn open_sessions_counts_connects_and_drops() {
     let db = accounts_db(IsolationLevel::ReadCommitted);
     assert_eq!(db.open_sessions(), 0);
-    db.set_max_sessions(2);
-
-    let a = db.try_connect().unwrap();
-    let b = db.try_connect().unwrap();
+    let a = db.connect();
+    let b = db.connect();
     assert_eq!(db.open_sessions(), 2);
-    let err = match db.try_connect() {
-        Err(e) => e,
-        Ok(_) => panic!("third session admitted past max_sessions=2"),
-    };
-    assert_eq!(err, DbError::TooManySessions);
-    assert!(err.is_retryable(), "admission refusal must be retryable");
-    assert!(!err.aborts_transaction());
-
     drop(a);
     assert_eq!(db.open_sessions(), 1);
-    let c = db.try_connect().expect("slot freed by drop");
+    let c = db.connect();
     assert_eq!(db.open_sessions(), 2);
-
-    // Plain connect() is exempt from the ceiling (in-process callers).
-    let d = db.connect();
-    assert_eq!(db.open_sessions(), 3);
-    drop((b, c, d));
+    drop((b, c));
     assert_eq!(db.open_sessions(), 0);
 }

@@ -11,6 +11,7 @@
 //! set. That property is what makes fault-injection campaigns debuggable:
 //! any surprising report can be replayed exactly.
 
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,11 +48,6 @@ pub struct ChaosConfig {
     pub requests_per_session: usize,
     /// Isolation level of the chaos store.
     pub isolation: IsolationLevel,
-    /// Record engine metrics during the run. Observational only: every
-    /// probe fires after the engine's deterministic decisions, so a seeded
-    /// run produces a bit-for-bit identical [`ChaosReport`] whether this
-    /// is on or off (the observability test suite pins this down).
-    pub metrics: bool,
     /// Route predicates through the store's ordered indexes (the engine
     /// default) rather than the reference full scan. Indexes are
     /// maintained either way; this gates only the read path, and index
@@ -78,7 +74,6 @@ impl Default for ChaosConfig {
             sessions: 4,
             requests_per_session: 6,
             isolation: IsolationLevel::ReadCommitted,
-            metrics: false,
             use_indexes: true,
             wal: None,
         }
@@ -182,29 +177,23 @@ pub(crate) fn session_script(session: usize, len: usize) -> Vec<Request> {
         .collect()
 }
 
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// FNV-1a digest of the committed contents of every table, in schema
 /// order — the engine-invariance fingerprint chaos reports carry and the
-/// recovery suite compares bit-for-bit against a recovered engine.
+/// recovery suite compares bit-for-bit against a recovered engine. The
+/// hashed text is each table's name followed by its rows, one line per
+/// row, each value followed by `|`.
 pub fn state_digest(db: &Arc<Database>, app: &dyn ShopApp) -> u64 {
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
+    let mut text = String::new();
     for table in app.schema().tables() {
-        fnv1a(&mut digest, table.name.as_bytes());
+        text.push_str(&table.name);
         for row in db.table_rows(&table.name).unwrap_or_default() {
             for value in row {
-                fnv1a(&mut digest, value.to_string().as_bytes());
-                fnv1a(&mut digest, b"|");
+                let _ = write!(text, "{value}|");
             }
-            fnv1a(&mut digest, b"\n");
+            text.push('\n');
         }
     }
-    digest
+    acidrain_sql::fnv1a(text.as_bytes())
 }
 
 /// Run the seeded chaos workload against `app` and report.
@@ -215,13 +204,16 @@ pub fn state_digest(db: &Arc<Database>, app: &dyn ShopApp) -> u64 {
 /// chaos run exercises is the *fault path*: injected aborts, retry
 /// convergence, and the audit trail they leave in the query log.
 pub fn run_chaos(app: &dyn ShopApp, config: &ChaosConfig) -> ChaosReport {
-    run_chaos_core(app, config, config.metrics).0
+    run_chaos_core(app, config, false).0
 }
 
-/// [`run_chaos`] with metrics forced on: returns the deterministic
+/// [`run_chaos`] with metrics recorded: returns the deterministic
 /// [`ChaosReport`] alongside the run's [`MetricsReport`] (latency
 /// histograms, fault/retry counters, contention gauges). Only the second
-/// element varies run-to-run — it carries wall-clock timings.
+/// element varies run-to-run — it carries wall-clock timings. Recording
+/// is observational: every probe fires after the engine's deterministic
+/// decisions, so the report equals [`run_chaos`]'s bit for bit (the
+/// observability test suite pins this down).
 pub fn run_chaos_instrumented(
     app: &dyn ShopApp,
     config: &ChaosConfig,

@@ -40,10 +40,10 @@ use crate::protocol::{encode_error, encode_result, escape, isolation_code, Reque
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Sessions the server will hold open at once (0 = unlimited). The
-    /// database's own [`Database::set_max_sessions`] ceiling applies on
-    /// top, since every admission goes through
-    /// [`Database::try_connect`].
+    /// Sessions the server will hold open at once (0 = unlimited): the
+    /// one admission ceiling, as MySQL's `max_connections` is. Only this
+    /// server's session threads release its slots, and each promotes the
+    /// oldest queued socket into the slot it frees.
     pub max_sessions: usize,
     /// Sockets parked waiting for a session slot before new arrivals are
     /// refused outright with `ERR SERVER_BUSY` (0 = refuse immediately).
@@ -77,12 +77,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// The acceptor's nap between polls while sockets are queued: the slot a
-/// queued socket waits for may be released by a session this server
-/// cannot see (the engine's ceiling is shared with in-process sessions),
-/// so no event of ours announces it. Queueing is an overload state and
-/// the nap is the acceptor's alone; no admitted session ever waits on it.
-const QUEUE_POLL: Duration = Duration::from_millis(1);
+/// The acceptor's pause after `accept` itself fails (out of file
+/// descriptors, say): only time cures that, and retrying at once would
+/// spin. No admitted session ever waits on it.
+const ACCEPT_RETRY: Duration = Duration::from_millis(1);
 
 /// Bytes asked of the socket per `read`.
 const READ_CHUNK: usize = 4096;
@@ -240,58 +238,38 @@ impl Shared {
     }
 
     /// Route one accepted socket through admission control: into a
-    /// session, the bounded wait queue, or an outright `SERVER_BUSY`
-    /// refusal. The server ceiling, the engine's own ceiling (inside
-    /// [`Shared::admit`]) and earlier arrivals still queued all overflow
-    /// into the same queue-or-reject path.
-    fn enroll(self: &Arc<Self>, stream: TcpStream) {
+    /// session, the bounded wait queue behind earlier arrivals, or an
+    /// outright `SERVER_BUSY` refusal.
+    fn enroll(self: &Arc<Self>, mut stream: TcpStream) {
         let mut state = self.lock();
-        let overflow = if state.pending.is_empty() && self.has_room(&state) {
-            self.admit(&mut state, stream).err()
+        if state.pending.is_empty() && self.has_room(&state) {
+            self.admit(&mut state, stream);
+        } else if state.pending.len() < self.config.queue_capacity {
+            state.pending.push_back(stream);
+            self.db.obs().net_queued(state.pending.len() as u64);
         } else {
-            Some(stream)
-        };
-        if let Some(mut stream) = overflow {
-            if state.pending.len() < self.config.queue_capacity {
-                state.pending.push_back(stream);
-                self.db.obs().net_queued(state.pending.len() as u64);
-            } else {
-                // Best effort: the client may already be gone. A fresh
-                // socket's send buffer takes one line without blocking.
-                let _ = stream.write_all(b"ERR SERVER_BUSY admission queue full\n");
-                self.db.obs().net_rejected();
-            }
+            // Best effort: the client may already be gone. A fresh
+            // socket's send buffer takes one line without blocking.
+            let _ = stream.write_all(b"ERR SERVER_BUSY admission queue full\n");
+            self.db.obs().net_rejected();
         }
     }
 
-    /// Move queued sockets into freed slots, oldest first. An engine-level
-    /// refusal ends it: the engine ceiling cannot clear until some session
-    /// (here or in another front end) releases its slot, and the refused
-    /// socket keeps its place at the head.
+    /// Move queued sockets into freed slots, oldest first.
     fn promote(self: &Arc<Self>, state: &mut State) {
         while !self.stop.load(Ordering::Acquire) && self.has_room(state) {
             let Some(stream) = state.pending.pop_front() else {
                 return;
             };
-            if let Err(stream) = self.admit(state, stream) {
-                state.pending.push_front(stream);
-                return;
-            }
+            self.admit(state, stream);
         }
     }
 
-    /// Admit one socket: reserve a database session, register the socket
+    /// Admit one socket: open its database session, register the socket
     /// for shutdown, and give both to a session thread — a waiting one if
-    /// any is not yet spoken for, else a new one. When the engine itself
-    /// is at its ceiling the socket is handed back, to be queued or
-    /// refused under the configured bounds.
-    fn admit(self: &Arc<Self>, state: &mut State, stream: TcpStream) -> Result<(), TcpStream> {
-        let Ok(conn) = self.db.try_connect() else {
-            return Err(stream);
-        };
-        // The listener is non-blocking while sockets are queued; where
-        // accepted sockets inherit that, undo it.
-        let _ = stream.set_nonblocking(false);
+    /// any is not yet spoken for, else a new one.
+    fn admit(self: &Arc<Self>, state: &mut State, stream: TcpStream) {
+        let conn = self.db.connect();
         let _ = stream.set_nodelay(true);
         let sid = conn.session_id();
         let stream = Arc::new(stream);
@@ -301,12 +279,11 @@ impl Shared {
             state.idle -= 1;
             self.work.notify_one();
         } else if self.spawn_thread(state, None).is_err() {
-            // Nobody to serve it: the engine slot is freed and the client
-            // sees a bare close.
+            // Nobody to serve it: the slot is freed and the client sees a
+            // bare close.
             state.handoff.pop_back();
             state.live.remove(&sid);
         }
-        Ok(())
     }
 
     /// Start a session thread; the acceptor joins it at shutdown.
@@ -335,17 +312,11 @@ fn run_acceptor(shared: Arc<Shared>, listener: TcpListener, ready: mpsc::Sender<
     }
     drop(ready);
 
-    let mut polling = false;
+    // The acceptor always blocks in `accept`: it only ever admits
+    // arrivals, since a queued socket is promoted by the session thread
+    // whose exit frees its slot.
     loop {
-        let (queued, sessions) = {
-            let mut state = shared.lock();
-            shared.promote(&mut state);
-            (!state.pending.is_empty(), state.live.len())
-        };
-        if queued != polling && listener.set_nonblocking(queued).is_ok() {
-            polling = queued;
-        }
-        if !polling && sessions == 0 {
+        if shared.lock().live.is_empty() {
             shared.db.obs().net_reactor_parked();
         }
         let accepted = listener.accept();
@@ -354,9 +325,7 @@ fn run_acceptor(shared: Arc<Shared>, listener: TcpListener, ready: mpsc::Sender<
         }
         match accepted {
             Ok((stream, _)) => shared.enroll(stream),
-            // Nothing arrived while polling — or `accept` itself failed
-            // (out of descriptors, say), which only time can cure.
-            Err(_) => std::thread::sleep(QUEUE_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
 

@@ -37,7 +37,6 @@ fn main() {
         sessions: 6,
         requests_per_session: 9,
         isolation: IsolationLevel::ReadCommitted,
-        metrics: false,
         use_indexes: true,
         wal: None,
     };

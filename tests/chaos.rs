@@ -24,7 +24,6 @@ fn chaotic_config(seed: u64) -> ChaosConfig {
         sessions: 6,
         requests_per_session: 9,
         isolation: IsolationLevel::ReadCommitted,
-        metrics: false,
         use_indexes: true,
         wal: None,
     }

@@ -237,3 +237,50 @@ fn json_to_stdout_is_the_json_document_alone() {
         assert_eq!(stdout, std::fs::read_to_string(&file).unwrap(), "{command}");
     }
 }
+
+/// `serve`'s admission flags reach the server: with one session slot and
+/// no queue, the first socket is greeted and the second refused.
+#[test]
+fn serve_flags_set_the_admission_ceiling() {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+    use std::process::{Child, Stdio};
+
+    /// Kills the server however the test ends.
+    struct Killed(Child);
+    impl Drop for Killed {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let mut server = Killed(
+        Command::new(env!("CARGO_BIN_EXE_acidrain"))
+            .args("serve 127.0.0.1:0 --max-sessions 1 --queue 0".split(' '))
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("acidrain serve starts"),
+    );
+    let mut banner = String::new();
+    BufReader::new(server.0.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .split_whitespace()
+        .nth(4)
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+
+    let first_line = |stream: &TcpStream| {
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        line
+    };
+    let first = TcpStream::connect(addr).unwrap();
+    let greeting = first_line(&first);
+    assert!(greeting.starts_with("OK acidrain "), "{greeting:?}");
+    let second = TcpStream::connect(addr).unwrap();
+    let refusal = first_line(&second);
+    assert!(refusal.starts_with("ERR SERVER_BUSY "), "{refusal:?}");
+    drop((first, second, server));
+}

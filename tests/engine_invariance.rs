@@ -181,7 +181,6 @@ fn chaos_config(seed: u64) -> ChaosConfig {
         sessions: 4,
         requests_per_session: 6,
         isolation: IsolationLevel::ReadCommitted,
-        metrics: false,
         use_indexes: true,
         wal: None,
     }

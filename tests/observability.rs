@@ -22,7 +22,7 @@ use acidrain_db::{Database, FaultConfig, IsolationLevel};
 use acidrain_harness::chaos::{run_chaos, run_chaos_instrumented, ChaosConfig};
 use acidrain_obs::{trace_chrome_json, trace_json, SpanKind};
 
-fn chaotic_config(seed: u64, metrics: bool) -> ChaosConfig {
+fn chaotic_config(seed: u64) -> ChaosConfig {
     ChaosConfig {
         seed,
         faults: FaultConfig::disabled()
@@ -34,7 +34,6 @@ fn chaotic_config(seed: u64, metrics: bool) -> ChaosConfig {
         sessions: 6,
         requests_per_session: 9,
         isolation: IsolationLevel::ReadCommitted,
-        metrics,
         use_indexes: true,
         wal: None,
     }
@@ -42,9 +41,8 @@ fn chaotic_config(seed: u64, metrics: bool) -> ChaosConfig {
 
 #[test]
 fn same_seed_chaos_run_is_identical_with_metrics_on_or_off() {
-    let baseline = run_chaos(&PrestaShop, &chaotic_config(0xAC1D, false));
-    let (instrumented, metrics) =
-        run_chaos_instrumented(&PrestaShop, &chaotic_config(0xAC1D, false));
+    let baseline = run_chaos(&PrestaShop, &chaotic_config(0xAC1D));
+    let (instrumented, metrics) = run_chaos_instrumented(&PrestaShop, &chaotic_config(0xAC1D));
 
     // The deterministic report — fault counts, retry totals, witness set,
     // committed-state digest — must not move by a single bit when the
@@ -67,7 +65,7 @@ fn same_seed_chaos_run_is_identical_with_metrics_on_or_off() {
 
 #[test]
 fn instrumented_chaos_metrics_are_coherent() {
-    let config = chaotic_config(7, false);
+    let config = chaotic_config(7);
     let (report, metrics) = run_chaos_instrumented(&PrestaShop, &config);
 
     // Latency data exists for every layer the run exercised.
