@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use acidrain_db::{Database, IsolationLevel};
-use acidrain_sql::parse_statement;
+use acidrain_sql::{may_be_transaction_control, parse_statement};
 
 use crate::framework::{
     AppResult, CheckoutRequest, FeatureStatus, Language, ShopApp, SqlConn, StockModel,
@@ -31,13 +31,15 @@ use crate::framework::{
 /// definition ([`acidrain_sql::Statement::is_transaction_control`]:
 /// `BEGIN` / `START TRANSACTION`, `COMMIT`, `ROLLBACK [TO ...]`,
 /// `SAVEPOINT`, `RELEASE`, `SET autocommit`). A string that does not parse
-/// is not transaction control.
+/// is not transaction control. Only text that
+/// [`may_be_transaction_control`] admits is parsed.
 ///
 /// This is [`can_repair`]'s "endpoint already uses transaction control"
 /// gate; the static repair adviser asks the same predicate of its parse
 /// memo.
 pub fn is_transaction_control_sql(sql: &str) -> bool {
-    parse_statement(sql).is_ok_and(|stmt| stmt.is_transaction_control())
+    may_be_transaction_control(sql)
+        && parse_statement(sql).is_ok_and(|stmt| stmt.is_transaction_control())
 }
 
 /// The repair strategy applied by [`Repaired`].

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use acidrain_db::{DbError, Obs, ResultSet};
 use acidrain_obs::RetryEvent;
-use acidrain_sql::{parse_statement, Statement};
+use acidrain_sql::{may_be_transaction_control, parse_statement, Statement};
 
 use crate::framework::SqlConn;
 
@@ -157,16 +157,21 @@ impl<C: SqlConn> RetryConn<C> {
     }
 
     /// Record a successfully executed statement in the transaction log.
+    /// Only text the gate admits is parsed: a data statement can never
+    /// parse as transaction control, so it is logged as it stands.
     fn track(&mut self, sql: &str) {
-        match parse_statement(sql) {
-            Ok(Statement::Begin) | Ok(Statement::SetAutocommit(false)) => {
+        let control = may_be_transaction_control(sql)
+            .then(|| parse_statement(sql).ok())
+            .flatten();
+        match control {
+            Some(Statement::Begin) | Some(Statement::SetAutocommit(false)) => {
                 self.in_txn = true;
                 self.txn_log.clear();
                 self.txn_log.push(sql.to_string());
             }
-            Ok(Statement::Commit)
-            | Ok(Statement::Rollback)
-            | Ok(Statement::SetAutocommit(true)) => {
+            Some(Statement::Commit)
+            | Some(Statement::Rollback)
+            | Some(Statement::SetAutocommit(true)) => {
                 self.reset_txn();
             }
             _ => {
@@ -320,6 +325,35 @@ mod tests {
         let db = Database::new(schema, IsolationLevel::ReadCommitted);
         db.seed("t", vec![vec![Value::Int(0)]]).unwrap();
         db
+    }
+
+    #[test]
+    fn track_follows_transaction_control() {
+        let db = counter_db();
+        let mut conn = RetryConn::new(db.connect(), RetryConfig::default());
+        let (off, upd, sp, to_sp) = (
+            "SET autocommit = 0",
+            "UPDATE t SET v = v + 1",
+            "SAVEPOINT a",
+            "ROLLBACK TO SAVEPOINT a",
+        );
+        let (begin, restock) = ("`begin`", "-- restock\nUPDATE t SET v = 3");
+        let steps: [(&str, bool, &[&str]); 9] = [
+            ("SELECT v FROM t", false, &[]),
+            (off, true, &[off]),
+            (upd, true, &[off, upd]),
+            (sp, true, &[off, upd, sp]),
+            (to_sp, true, &[off, upd, sp, to_sp]),
+            ("ROLLBACK", false, &[]),
+            (begin, true, &[begin]),
+            (restock, true, &[begin, restock]),
+            ("-- done\nCOMMIT;", false, &[]),
+        ];
+        for (sql, in_txn, txn_log) in steps {
+            conn.exec(sql).unwrap();
+            assert_eq!(conn.in_txn, in_txn, "after {sql:?}");
+            assert_eq!(conn.txn_log, txn_log, "after {sql:?}");
+        }
     }
 
     #[test]

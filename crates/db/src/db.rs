@@ -61,6 +61,9 @@ const DEFAULT_GC_INTERVAL: u64 = 128;
 pub struct Database {
     /// Immutable after construction; read freely without synchronization.
     pub(crate) schema: Schema,
+    /// Each table's column names in storage order, indexed like
+    /// `storage`: built once here so statements borrow them.
+    pub(crate) columns: Vec<Vec<String>>,
     pub(crate) storage: Storage,
     pub(crate) locks: LockTable,
     pub(crate) log: QueryLog,
@@ -120,6 +123,10 @@ impl Database {
             .tables()
             .map(|t| TableData::new(t.name.clone(), t.index_backed_columns()))
             .collect();
+        let columns = schema
+            .tables()
+            .map(|t| t.column_names().map(str::to_string).collect())
+            .collect();
         let obs = Obs::with_level_names(
             IsolationLevel::ALL
                 .iter()
@@ -128,6 +135,7 @@ impl Database {
         );
         Arc::new(Database {
             schema,
+            columns,
             storage: Storage::new(tables),
             locks: LockTable::with_obs(obs.clone()),
             log: QueryLog::with_obs(obs.clone()),

@@ -20,7 +20,7 @@
 //! never enter it.
 
 use acidrain_sql::ast::{Delete, Expr, Insert, Join, Select, SelectItem, Statement, Update};
-use acidrain_sql::rwset::{statement_accesses, AccessKind};
+use acidrain_sql::rwset::{select_access_kind, AccessKind};
 
 use crate::db::Database;
 use crate::error::DbError;
@@ -102,22 +102,20 @@ fn table_index(db: &Database, name: &str) -> Result<usize, DbError> {
 struct ScopeTable<'s> {
     effective: &'s str,
     table_idx: usize,
-    columns: Vec<String>,
+    /// Column names in storage order, borrowed from the database.
+    columns: &'s [String],
 }
 
 fn scope_table<'s>(
-    db: &Database,
+    db: &'s Database,
     effective: &'s str,
     real: &str,
 ) -> Result<ScopeTable<'s>, DbError> {
+    let table_idx = table_index(db, real)?;
     Ok(ScopeTable {
         effective,
-        table_idx: table_index(db, real)?,
-        columns: db
-            .schema
-            .table(real)
-            .map(|t| t.column_names().map(str::to_string).collect())
-            .unwrap_or_default(),
+        table_idx,
+        columns: &db.columns[table_idx],
     })
 }
 
@@ -180,7 +178,7 @@ impl<'a> Scan<'a> {
                     .iter()
                     .map(|t| PlanTable {
                         effective_name: t.effective,
-                        columns: &t.columns,
+                        columns: t.columns,
                     })
                     .collect();
                 let clauses: Vec<&Expr> = selection
@@ -250,7 +248,7 @@ impl<'a> Scan<'a> {
             at.push((slot, version));
             scope.tables.push(EvalTable {
                 effective_name: table.effective,
-                columns: &table.columns,
+                columns: table.columns,
                 values: &rows[slot].versions[version].values,
             });
             // Apply the join condition as soon as both sides are bound.
@@ -356,22 +354,19 @@ fn exec_select(db: &Database, txn: &mut TxnState, s: &Select) -> Result<ResultSe
     // S-locks the whole table before its view is drawn, which already
     // covers every row.
     let isolation = txn.isolation;
-    let accesses = statement_accesses(&Statement::Select(s.clone()), &db.schema);
     let mut tables = Vec::new();
     let mut table_locks = Vec::new();
     let mut row_locks = Vec::new();
     for t in std::iter::once(from).chain(s.joins.iter().map(|j| &j.table)) {
         let table = scope_table(db, t.effective_name(), &t.name)?;
-        let predicate = accesses
-            .iter()
-            .find(|a| a.table == t.name)
-            .is_none_or(|a| a.access == AccessKind::Predicate);
         let (table_lock, row_lock) = if s.for_update {
             (
                 Some(LockMode::IntentionExclusive),
                 Some(LockMode::Exclusive),
             )
-        } else if isolation.read_locks_predicates() && predicate {
+        } else if isolation.read_locks_predicates()
+            && select_access_kind(s, &t.name, &db.schema) == AccessKind::Predicate
+        {
             (Some(LockMode::Shared), None)
         } else if isolation.read_locks_items() {
             (Some(LockMode::IntentionShared), Some(LockMode::Shared))
@@ -432,7 +427,7 @@ fn match_scope<'a>(tables: &'a [ScopeTable], m: &'a Matched) -> EvalScope<'a> {
             .zip(m)
             .map(|(t, hit)| EvalTable {
                 effective_name: t.effective,
-                columns: &t.columns,
+                columns: t.columns,
                 values: &hit.values,
             })
             .collect(),
@@ -656,8 +651,7 @@ fn exec_insert(db: &Database, txn: &mut TxnState, i: &Insert) -> Result<ResultSe
     let table_schema = db
         .schema
         .table(&i.table)
-        .ok_or_else(|| DbError::UnknownTable(i.table.clone()))?
-        .clone();
+        .ok_or_else(|| DbError::UnknownTable(i.table.clone()))?;
 
     acquire(
         db,
@@ -896,7 +890,7 @@ fn end_target(table: &TableData, table_idx: usize, txn: &mut TxnState, target: &
 
 fn exec_update(db: &Database, txn: &mut TxnState, u: &Update) -> Result<ResultSet, DbError> {
     let (scope, mut table, targets) = lock_write_targets(db, txn, &u.table, u.selection.as_ref())?;
-    let columns = &scope.columns;
+    let columns = scope.columns;
 
     // Compute all new value vectors before mutating (statement atomicity).
     let mut assignment_indices = Vec::with_capacity(u.assignments.len());

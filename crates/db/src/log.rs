@@ -109,6 +109,18 @@ impl fmt::Display for LogEntry {
 /// mutex.
 const LOG_SHARDS: usize = 16;
 
+/// Entries per shard chunk (48 KiB of [`LogEntry`]).
+const LOG_CHUNK: usize = 1024;
+
+/// One shard's entries in append order, in chunks of [`LOG_CHUNK`]. A
+/// full chunk is never moved, so past its first chunk an append costs at
+/// most one fresh fixed-size allocation — never a copy of the shard under
+/// its mutex — and a long log holds no slack beyond its last chunk, where
+/// a doubling vector keeps up to half its capacity unused (and briefly
+/// both buffers while it grows). The first chunk grows by doubling, so a
+/// short log (a scenario's store, a test's) stays small.
+type Shard = Vec<Vec<LogEntry>>;
+
 /// The append-only query log.
 ///
 /// Sharded so that appending is not a global serialization point: a global
@@ -118,7 +130,7 @@ const LOG_SHARDS: usize = 16;
 #[derive(Debug)]
 pub struct QueryLog {
     next_seq: AtomicU64,
-    shards: Vec<Mutex<Vec<LogEntry>>>,
+    shards: Vec<Mutex<Shard>>,
     /// Observability handle; counts appends (the `log_appends` counter)
     /// without touching the entries themselves.
     obs: Obs,
@@ -165,22 +177,29 @@ impl QueryLog {
         let shard = session as usize % LOG_SHARDS;
         {
             let _order = latch_order::acquired(LatchRank::LogShard, Some(shard));
-            self.shards[shard].lock().push(entry);
+            let mut chunks = self.shards[shard].lock();
+            match chunks.last_mut() {
+                Some(chunk) if chunk.len() < LOG_CHUNK => chunk.push(entry),
+                Some(_) => {
+                    let mut chunk = Vec::with_capacity(LOG_CHUNK);
+                    chunk.push(entry);
+                    chunks.push(chunk);
+                }
+                None => chunks.push(vec![entry]),
+            }
         }
         self.obs.log_append(session);
     }
 
     /// All entries merged across shards in global sequence order.
     pub fn entries(&self) -> Vec<LogEntry> {
-        let mut all: Vec<LogEntry> = self
-            .shards
-            .iter()
-            .enumerate()
-            .flat_map(|(i, shard)| {
-                let _order = latch_order::acquired(LatchRank::LogShard, Some(i));
-                shard.lock().clone()
-            })
-            .collect();
+        let mut all = Vec::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let _order = latch_order::acquired(LatchRank::LogShard, Some(i));
+            for chunk in shard.lock().iter() {
+                all.extend_from_slice(chunk);
+            }
+        }
         all.sort_by_key(|e| e.seq);
         all
     }
@@ -192,7 +211,7 @@ impl QueryLog {
             .enumerate()
             .map(|(i, shard)| {
                 let _order = latch_order::acquired(LatchRank::LogShard, Some(i));
-                shard.lock().len()
+                shard.lock().iter().map(Vec::len).sum::<usize>()
             })
             .sum()
     }
@@ -223,10 +242,17 @@ impl QueryLog {
                 (order, shard.lock())
             })
             .collect();
-        let mut all: Vec<LogEntry> = guards
-            .iter_mut()
-            .flat_map(|(_, guard)| std::mem::take(&mut **guard))
-            .collect();
+        let total = guards
+            .iter()
+            .flat_map(|(_, chunks)| chunks.iter())
+            .map(Vec::len)
+            .sum();
+        let mut all = Vec::with_capacity(total);
+        for (_, chunks) in &mut guards {
+            for chunk in std::mem::take(&mut **chunks) {
+                all.extend(chunk);
+            }
+        }
         all.sort_by_key(|e| e.seq);
         all
     }
@@ -296,6 +322,42 @@ mod tests {
         // sort after fresher entries.
         log.append(1, None, "SELECT 1");
         assert_eq!(log.entries()[0].seq, 2);
+    }
+
+    #[test]
+    fn chunked_shards_merge_in_sequence_order() {
+        // Three sessions, three shards, each past two full chunks.
+        let per_session = 2 * LOG_CHUNK + LOG_CHUNK / 2;
+        let log = QueryLog::default();
+        let tags: Vec<_> = (0..3).map(|s| tag("checkout", s)).collect();
+        let expected = |seq: usize| {
+            let session = (seq % 3) as u64 + 1;
+            (seq as u64, session, format!("UPDATE t SET v = {seq}"))
+        };
+        let append_all = |range: std::ops::Range<usize>| {
+            for seq in range {
+                let (_, session, sql) = expected(seq);
+                log.append(session, tags[session as usize - 1].clone(), sql);
+            }
+        };
+        let check = |entries: &[LogEntry], first: usize| {
+            assert_eq!(entries.len(), 3 * per_session);
+            for (i, e) in entries.iter().enumerate() {
+                let (seq, session, sql) = expected(first + i);
+                assert_eq!((e.seq, e.session, &*e.sql), (seq, session, sql.as_str()));
+                assert_eq!(e.api, tags[session as usize - 1]);
+            }
+        };
+
+        append_all(0..3 * per_session);
+        assert_eq!(log.len(), 3 * per_session);
+        check(&log.entries(), 0);
+        check(&log.take(), 0);
+        assert!(log.is_empty());
+
+        append_all(3 * per_session..6 * per_session);
+        check(&log.entries(), 3 * per_session);
+        check(&log.take(), 3 * per_session);
     }
 
     #[test]

@@ -50,3 +50,4 @@ pub use parser::{parse_script, parse_statement};
 pub use rewrite::{promote_for_update, promote_parsed};
 pub use rwset::{statement_accesses, AccessKind, TableAccess, EXISTS_COLUMN};
 pub use schema::{ColumnDef, ColumnType, Schema, TableSchema};
+pub use token::may_be_transaction_control;

@@ -1,4 +1,11 @@
 //! Recursive-descent parser for the reproduction's SQL dialect.
+//!
+//! Every statement an application issues is parsed on the engine path, so
+//! the parser avoids allocating to look at tokens: keywords compare in
+//! place, and consumed identifier and string text moves into the AST
+//! instead of being copied (the parser never revisits a consumed token).
+
+use std::mem;
 
 use crate::ast::*;
 use crate::error::ParseError;
@@ -66,12 +73,18 @@ impl Parser {
         &self.tokens[self.pos].kind
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Step past the current token (never past the final `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Consume the current token, moving its kind out.
+    fn next_kind(&mut self) -> TokenKind {
+        let kind = mem::replace(&mut self.tokens[self.pos].kind, TokenKind::Eof);
+        self.bump();
+        kind
     }
 
     fn error(&self, msg: impl Into<String>) -> ParseError {
@@ -81,7 +94,7 @@ impl Parser {
     /// Consume the next token if it equals `kind`.
     fn eat_kind(&mut self, kind: &TokenKind) -> bool {
         if self.peek_kind() == kind {
-            self.advance();
+            self.bump();
             true
         } else {
             false
@@ -106,8 +119,8 @@ impl Parser {
 
     /// Consume the next token if it is the given keyword (case-insensitive).
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.peek_kind().keyword().as_deref() == Some(kw) {
-            self.advance();
+        if self.peek_keyword(kw) {
+            self.bump();
             true
         } else {
             false
@@ -123,49 +136,68 @@ impl Parser {
     }
 
     fn peek_keyword(&self, kw: &str) -> bool {
-        self.peek_kind().keyword().as_deref() == Some(kw)
+        self.peek_kind().is_keyword(kw)
     }
 
     /// Parse an identifier token (keywords are accepted as identifiers in
     /// identifier position, matching MySQL's lenient quoting-free style).
     fn parse_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                self.advance();
-                Ok(name)
-            }
-            other => Err(self.error(format!("expected identifier, found {other}"))),
+        if let TokenKind::Ident(name) = &mut self.tokens[self.pos].kind {
+            let name = mem::take(name);
+            self.bump();
+            return Ok(name);
         }
+        Err(self.error(format!("expected identifier, found {}", self.peek_kind())))
     }
 
     fn parse_statement(&mut self) -> Result<Statement, ParseError> {
-        let kw = self
-            .peek_kind()
-            .keyword()
-            .ok_or_else(|| self.error("expected a statement keyword"))?;
-        match kw.as_str() {
+        const STATEMENT_KEYWORDS: [&str; 12] = [
+            "SELECT",
+            "INSERT",
+            "UPDATE",
+            "DELETE",
+            "BEGIN",
+            "START",
+            "COMMIT",
+            "ROLLBACK",
+            "SAVEPOINT",
+            "RELEASE",
+            "CREATE",
+            "SET",
+        ];
+        let TokenKind::Ident(word) = self.peek_kind() else {
+            return Err(self.error("expected a statement keyword"));
+        };
+        let Some(kw) = STATEMENT_KEYWORDS
+            .into_iter()
+            .find(|kw| word.eq_ignore_ascii_case(kw))
+        else {
+            let word = word.to_ascii_uppercase();
+            return Err(self.error(format!("unsupported statement keyword {word}")));
+        };
+        match kw {
             "SELECT" => self.parse_select().map(Statement::Select),
             "INSERT" => self.parse_insert().map(Statement::Insert),
             "UPDATE" => self.parse_update().map(Statement::Update),
             "DELETE" => self.parse_delete().map(Statement::Delete),
             "BEGIN" => {
-                self.advance();
+                self.bump();
                 self.eat_keyword("TRANSACTION");
                 self.eat_keyword("WORK");
                 Ok(Statement::Begin)
             }
             "START" => {
-                self.advance();
+                self.bump();
                 self.expect_keyword("TRANSACTION")?;
                 Ok(Statement::Begin)
             }
             "COMMIT" => {
-                self.advance();
+                self.bump();
                 self.eat_keyword("WORK");
                 Ok(Statement::Commit)
             }
             "ROLLBACK" => {
-                self.advance();
+                self.bump();
                 self.eat_keyword("WORK");
                 if self.eat_keyword("TO") {
                     self.eat_keyword("SAVEPOINT");
@@ -176,31 +208,31 @@ impl Parser {
                 }
             }
             "SAVEPOINT" => {
-                self.advance();
+                self.bump();
                 let name = self.parse_ident()?;
                 Ok(Statement::Savepoint(name))
             }
             "RELEASE" => {
-                self.advance();
+                self.bump();
                 self.eat_keyword("SAVEPOINT");
                 let name = self.parse_ident()?;
                 Ok(Statement::ReleaseSavepoint(name))
             }
             "CREATE" => self.parse_create_table().map(Statement::CreateTable),
             "SET" => {
-                self.advance();
+                self.bump();
                 let name = self.parse_ident()?;
                 if !name.eq_ignore_ascii_case("autocommit") {
                     return Err(self.error(format!("unsupported SET target {name:?}")));
                 }
                 self.expect_kind(&TokenKind::Eq)?;
-                match self.advance().kind {
+                match self.next_kind() {
                     TokenKind::Int(0) => Ok(Statement::SetAutocommit(false)),
                     TokenKind::Int(1) => Ok(Statement::SetAutocommit(true)),
                     other => Err(self.error(format!("expected 0 or 1, found {other}"))),
                 }
             }
-            other => Err(self.error(format!("unsupported statement keyword {other}"))),
+            _ => unreachable!("every statement keyword has an arm"),
         }
     }
 
@@ -233,7 +265,7 @@ impl Parser {
             // Optional length like VARCHAR(255) or DECIMAL(10, 2).
             if self.eat_kind(&TokenKind::LParen) {
                 while self.peek_kind() != &TokenKind::RParen {
-                    self.advance();
+                    self.bump();
                 }
                 self.expect_kind(&TokenKind::RParen)?;
             }
@@ -321,7 +353,7 @@ impl Parser {
             }
         }
         let limit = if self.eat_keyword("LIMIT") {
-            match self.advance().kind {
+            match self.next_kind() {
                 TokenKind::Int(n) if n >= 0 => Some(n as u64),
                 other => return Err(self.error(format!("expected LIMIT count, found {other}"))),
             }
@@ -350,19 +382,18 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // Look ahead for `ident.*`.
-        if let TokenKind::Ident(name) = self.peek_kind().clone() {
-            if self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Dot)
-                && self.tokens.get(self.pos + 2).map(|t| &t.kind) == Some(&TokenKind::Star)
-            {
-                self.advance();
-                self.advance();
-                self.advance();
-                return Ok(SelectItem::QualifiedWildcard(name));
-            }
+        if matches!(self.peek_kind(), TokenKind::Ident(_))
+            && self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Dot)
+            && self.tokens.get(self.pos + 2).map(|t| &t.kind) == Some(&TokenKind::Star)
+        {
+            let name = self.parse_ident()?;
+            self.bump();
+            self.bump();
+            return Ok(SelectItem::QualifiedWildcard(name));
         }
         let expr = self.parse_expr()?;
         let alias = if self.eat_keyword("AS") {
-            Some(match self.advance().kind {
+            Some(match self.next_kind() {
                 TokenKind::Ident(name) => name,
                 // MySQL logs sometimes alias with a string: `SELECT (1) AS 'a'`.
                 TokenKind::Str(name) => name,
@@ -381,11 +412,10 @@ impl Parser {
         let alias = if self.eat_keyword("AS") {
             Some(self.parse_ident()?)
         } else if let TokenKind::Ident(_) = self.peek_kind() {
-            let kw = self.peek_kind().keyword().unwrap();
             const CLAUSE_KEYWORDS: &[&str] = &[
                 "WHERE", "INNER", "JOIN", "ON", "ORDER", "LIMIT", "FOR", "SET", "GROUP", "VALUES",
             ];
-            if CLAUSE_KEYWORDS.contains(&kw.as_str()) {
+            if CLAUSE_KEYWORDS.iter().any(|kw| self.peek_keyword(kw)) {
                 None
             } else {
                 Some(self.parse_ident()?)
@@ -524,13 +554,12 @@ impl Parser {
         // `[NOT] IN (list)` / `[NOT] BETWEEN lo AND hi`
         let negated_in = if self.peek_keyword("NOT") {
             // Only treat NOT as part of NOT IN / NOT BETWEEN here.
-            let next = self.tokens.get(self.pos + 1).and_then(|t| t.kind.keyword());
-            match next.as_deref() {
-                Some("IN") | Some("BETWEEN") => {
-                    self.advance();
-                    true
-                }
-                _ => return Ok(left),
+            let next = self.tokens.get(self.pos + 1).map(|t| &t.kind);
+            if next.is_some_and(|k| k.is_keyword("IN") || k.is_keyword("BETWEEN")) {
+                self.bump();
+                true
+            } else {
+                return Ok(left);
             }
         } else {
             false
@@ -585,7 +614,7 @@ impl Parser {
             TokenKind::GtEq => BinOp::GtEq,
             _ => return Ok(left),
         };
-        self.advance();
+        self.bump();
         let right = self.parse_additive()?;
         Ok(Expr::binary(left, op, right))
     }
@@ -598,7 +627,7 @@ impl Parser {
                 TokenKind::Minus => BinOp::Sub,
                 _ => break,
             };
-            self.advance();
+            self.bump();
             let right = self.parse_multiplicative()?;
             left = Expr::binary(left, op, right);
         }
@@ -613,7 +642,7 @@ impl Parser {
                 TokenKind::Slash => BinOp::Div,
                 _ => break,
             };
-            self.advance();
+            self.bump();
             let right = self.parse_unary()?;
             left = Expr::binary(left, op, right);
         }
@@ -638,93 +667,84 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek_kind().clone() {
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Int(v)))
-            }
-            TokenKind::Float(v) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Float(v)))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Str(s)))
-            }
+        let literal = match &mut self.tokens[self.pos].kind {
+            TokenKind::Int(v) => Literal::Int(*v),
+            TokenKind::Float(v) => Literal::Float(*v),
+            TokenKind::Str(s) => Literal::Str(mem::take(s)),
+            k if k.is_keyword("NULL") => Literal::Null,
+            k if k.is_keyword("TRUE") => Literal::Bool(true),
+            k if k.is_keyword("FALSE") => Literal::Bool(false),
             TokenKind::LParen => {
-                self.advance();
+                self.bump();
                 let inner = self.parse_expr()?;
                 self.expect_kind(&TokenKind::RParen)?;
-                Ok(inner)
+                return Ok(inner);
             }
-            TokenKind::Ident(name) => {
-                match name.to_ascii_uppercase().as_str() {
-                    "NULL" => {
-                        self.advance();
-                        return Ok(Expr::Literal(Literal::Null));
-                    }
-                    "TRUE" => {
-                        self.advance();
-                        return Ok(Expr::Literal(Literal::Bool(true)));
-                    }
-                    "FALSE" => {
-                        self.advance();
-                        return Ok(Expr::Literal(Literal::Bool(false)));
-                    }
-                    "CASE" => return self.parse_case(),
-                    // Reserved words may not appear as bare column
-                    // references; this catches malformed statements like
-                    // `SELECT FROM t`.
-                    "SELECT" | "FROM" | "WHERE" | "INSERT" | "UPDATE" | "DELETE" | "SET"
-                    | "VALUES" | "INTO" | "AND" | "OR" | "ORDER" | "BY" | "LIMIT" | "JOIN"
-                    | "INNER" | "ON" | "COMMIT" | "BEGIN" | "ROLLBACK" | "WHEN" | "THEN"
-                    | "ELSE" | "END" | "GROUP" => {
-                        return Err(self.error(format!(
-                            "reserved keyword {name} cannot start an expression"
-                        )));
-                    }
-                    _ => {}
-                }
-                self.advance();
-                // Function call?
-                if self.peek_kind() == &TokenKind::LParen {
-                    // Distinguish `f(...)` from a parenthesised expression
-                    // following an identifier (not valid in this dialect), so
-                    // always treat as a call.
-                    self.advance();
-                    if self.eat_kind(&TokenKind::Star) {
-                        self.expect_kind(&TokenKind::RParen)?;
-                        return Ok(Expr::Function {
-                            name,
-                            args: vec![],
-                            wildcard: true,
-                        });
-                    }
-                    let mut args = Vec::new();
-                    if self.peek_kind() != &TokenKind::RParen {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if !self.eat_kind(&TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect_kind(&TokenKind::RParen)?;
-                    return Ok(Expr::Function {
-                        name,
-                        args,
-                        wildcard: false,
-                    });
-                }
-                // Qualified column `table.column`?
-                if self.eat_kind(&TokenKind::Dot) {
-                    let column = self.parse_ident()?;
-                    return Ok(Expr::Column(ColumnRef::qualified(name, column)));
-                }
-                Ok(Expr::Column(ColumnRef::bare(name)))
+            TokenKind::Ident(_) => return self.parse_named(),
+            other => {
+                let msg = format!("unexpected token {other} in expression");
+                return Err(self.error(msg));
             }
-            other => Err(self.error(format!("unexpected token {other} in expression"))),
+        };
+        self.bump();
+        Ok(Expr::Literal(literal))
+    }
+
+    /// An expression opening with an identifier other than a keyword
+    /// constant: `CASE`, a function call or a (qualified) column.
+    fn parse_named(&mut self) -> Result<Expr, ParseError> {
+        // Reserved words may not appear as bare column references; this
+        // catches malformed statements like `SELECT FROM t`.
+        const RESERVED: &[&str] = &[
+            "SELECT", "FROM", "WHERE", "INSERT", "UPDATE", "DELETE", "SET", "VALUES", "INTO",
+            "AND", "OR", "ORDER", "BY", "LIMIT", "JOIN", "INNER", "ON", "COMMIT", "BEGIN",
+            "ROLLBACK", "WHEN", "THEN", "ELSE", "END", "GROUP",
+        ];
+        if self.peek_keyword("CASE") {
+            return self.parse_case();
         }
+        if RESERVED.iter().any(|kw| self.peek_keyword(kw)) {
+            return Err(self.error(format!(
+                "reserved keyword {} cannot start an expression",
+                self.peek_kind()
+            )));
+        }
+        let name = self.parse_ident()?;
+        // Function call?
+        if self.eat_kind(&TokenKind::LParen) {
+            // Distinguish `f(...)` from a parenthesised expression following
+            // an identifier (not valid in this dialect), so always treat as a
+            // call.
+            if self.eat_kind(&TokenKind::Star) {
+                self.expect_kind(&TokenKind::RParen)?;
+                return Ok(Expr::Function {
+                    name,
+                    args: vec![],
+                    wildcard: true,
+                });
+            }
+            let mut args = Vec::new();
+            if self.peek_kind() != &TokenKind::RParen {
+                loop {
+                    args.push(self.parse_expr()?);
+                    if !self.eat_kind(&TokenKind::Comma) {
+                        break;
+                    }
+                }
+            }
+            self.expect_kind(&TokenKind::RParen)?;
+            return Ok(Expr::Function {
+                name,
+                args,
+                wildcard: false,
+            });
+        }
+        // Qualified column `table.column`?
+        if self.eat_kind(&TokenKind::Dot) {
+            let column = self.parse_ident()?;
+            return Ok(Expr::Column(ColumnRef::qualified(name, column)));
+        }
+        Ok(Expr::Column(ColumnRef::bare(name)))
     }
 
     fn parse_case(&mut self) -> Result<Expr, ParseError> {

@@ -176,6 +176,23 @@ fn select_accesses(s: &Select, schema: &Schema) -> Vec<TableAccess> {
         .collect()
 }
 
+/// How a SELECT selects the rows of `table`: the
+/// [`TableAccess::access`] of the first entry [`statement_accesses`] gives
+/// for `table` (a self-join answers for its first occurrence in FROM/JOIN
+/// order), or [`AccessKind::Predicate`] when the statement does not read
+/// `table`. Builds no read sets.
+pub fn select_access_kind(s: &Select, table: &str, schema: &Schema) -> AccessKind {
+    let Some(from) = &s.from else {
+        return AccessKind::Predicate;
+    };
+    std::iter::once(from)
+        .chain(s.joins.iter().map(|j| &j.table))
+        .find(|t| t.name == table)
+        .map_or(AccessKind::Predicate, |t| {
+            selection_access_kind(s.selection.as_ref(), t.effective_name(), table, schema)
+        })
+}
+
 /// Expand a wildcard read: all declared columns plus row membership.
 fn expand_wildcard(reads: &mut BTreeSet<String>, table: &str, schema: &Schema) {
     if let Some(t) = schema.table(table) {

@@ -23,8 +23,8 @@ pub struct Token {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
     /// A bare or backquoted identifier. Keywords are resolved by the parser
-    /// via [`TokenKind::keyword`] so that identifiers like `count` can still
-    /// be used as column names.
+    /// via [`TokenKind::is_keyword`] so that identifiers like `count` can
+    /// still be used as column names.
     Ident(String),
     /// A single-quoted string literal (already unescaped).
     Str(String),
@@ -53,13 +53,10 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// If this token is an identifier, return its uppercased form for keyword
-    /// matching; otherwise `None`.
-    pub fn keyword(&self) -> Option<String> {
-        match self {
-            TokenKind::Ident(s) => Some(s.to_ascii_uppercase()),
-            _ => None,
-        }
+    /// Whether this token is an identifier spelling the keyword `kw`,
+    /// ignoring ASCII case. Compares in place.
+    pub fn is_keyword(&self, kw: &str) -> bool {
+        matches!(self, TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
 
@@ -94,17 +91,10 @@ impl fmt::Display for TokenKind {
 pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
-    let mut i = 0;
+    let mut i = skip_trivia(bytes, 0);
     while i < bytes.len() {
         let c = bytes[i] as char;
         match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                // Line comment: skip to end of line.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
             '(' => {
                 tokens.push(Token {
                     kind: TokenKind::LParen,
@@ -235,7 +225,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
             '`' | '"' => {
                 let (s, next) = lex_quoted_ident(input, i, c)?;
                 tokens.push(Token {
-                    kind: TokenKind::Ident(s),
+                    kind: TokenKind::Ident(s.to_string()),
                     offset: i,
                 });
                 i = next;
@@ -247,14 +237,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
-                while i < bytes.len() {
-                    let b = bytes[i] as char;
-                    if b.is_ascii_alphanumeric() || b == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
+                i = word_end(bytes, i);
                 tokens.push(Token {
                     kind: TokenKind::Ident(input[start..i].to_string()),
                     offset: start,
@@ -264,12 +247,78 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
                 return Err(ParseError::at(i, format!("unexpected character {other:?}")));
             }
         }
+        i = skip_trivia(bytes, i);
     }
     tokens.push(Token {
         kind: TokenKind::Eof,
         offset: bytes.len(),
     });
     Ok(tokens)
+}
+
+/// Skip whitespace and `--` line comments from `i`; returns the offset of
+/// the next token's first byte (or the input's length).
+fn skip_trivia(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() {
+        match bytes[i] {
+            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
+            b'-' if bytes.get(i + 1) == Some(&b'-') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
+                }
+            }
+            _ => break,
+        }
+    }
+    i
+}
+
+/// The end of the bare word (`[A-Za-z0-9_]*`) starting at `start`.
+fn word_end(bytes: &[u8], start: usize) -> usize {
+    start
+        + bytes[start..]
+            .iter()
+            .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+            .count()
+}
+
+/// The words that can open a transaction-control statement.
+const TRANSACTION_CONTROL_WORDS: [&str; 7] = [
+    "BEGIN",
+    "START",
+    "COMMIT",
+    "ROLLBACK",
+    "SET",
+    "SAVEPOINT",
+    "RELEASE",
+];
+
+/// Whether `sql` may be a transaction-control statement, read off its
+/// first token alone: true iff that token is an identifier (bare,
+/// backquoted or double-quoted, after whitespace and `--` comments, by the
+/// lexer's own rules) spelling `BEGIN`, `START`, `COMMIT`, `ROLLBACK`,
+/// `SET`, `SAVEPOINT` or `RELEASE` in any ASCII case.
+///
+/// Exact in one direction: [`crate::parse_statement`] dispatches on that
+/// same first token, so when this answers false the statement can never
+/// parse as [`crate::Statement::is_transaction_control`]. A true answer
+/// only says the parse is worth making. Allocates nothing, so callers that
+/// only need to tell control statements apart skip the parse of every data
+/// statement.
+pub fn may_be_transaction_control(sql: &str) -> bool {
+    let bytes = sql.as_bytes();
+    let i = skip_trivia(bytes, 0);
+    let word = match bytes.get(i) {
+        Some(&q @ (b'`' | b'"')) => match lex_quoted_ident(sql, i, q as char) {
+            Ok((word, _)) => word,
+            Err(_) => return false,
+        },
+        Some(b) if b.is_ascii_alphabetic() || *b == b'_' => &sql[i..word_end(bytes, i)],
+        _ => return false,
+    };
+    TRANSACTION_CONTROL_WORDS
+        .iter()
+        .any(|kw| word.eq_ignore_ascii_case(kw))
 }
 
 /// Lex a single-quoted string starting at `start` (which must point at the
@@ -298,14 +347,14 @@ fn lex_string(input: &str, start: usize) -> Result<(String, usize), ParseError> 
 }
 
 /// Lex a quoted identifier delimited by `quote` (`` ` `` or `"`).
-fn lex_quoted_ident(input: &str, start: usize, quote: char) -> Result<(String, usize), ParseError> {
+fn lex_quoted_ident(input: &str, start: usize, quote: char) -> Result<(&str, usize), ParseError> {
     let bytes = input.as_bytes();
     let q = quote as u8;
     let mut i = start + 1;
     let ident_start = i;
     while i < bytes.len() {
         if bytes[i] == q {
-            return Ok((input[ident_start..i].to_string(), i + 1));
+            return Ok((&input[ident_start..i], i + 1));
         }
         i += utf8_len(bytes[i]);
     }
