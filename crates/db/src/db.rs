@@ -564,8 +564,10 @@ impl Database {
         };
         self.unpin_snapshot(&state);
         // Read-only fast path: a transaction that never touched the lock
-        // manager has nothing to release and skips its global mutex — the
-        // last serialization point on the pure-read path.
+        // manager has nothing to release and skips its global mutex. The
+        // pin registry's mutex is the other one a read takes: at MySQL-RR
+        // and SI a transaction pins its snapshot there when it first takes
+        // one, and unpins it above.
         if state.locks_taken.get() {
             self.locks.release_all(state.id);
         }
@@ -919,9 +921,8 @@ impl Connection {
                     self.txn = Some(self.db.begin_txn(self.isolation, self.autocommit));
                     self.txn_implicit = self.autocommit;
                 }
-                let db = Arc::clone(&self.db);
                 let state = self.txn.as_mut().expect("transaction just ensured");
-                match exec::execute(&db, state, data_stmt, injected) {
+                match exec::execute(&self.db, state, data_stmt, injected) {
                     Ok(rs) => {
                         self.log(raw);
                         if self.txn_implicit {

@@ -19,7 +19,9 @@
 //! is sound. Snapshot and READ UNCOMMITTED reads take no row locks and
 //! never enter it.
 
-use acidrain_sql::ast::{Delete, Expr, Insert, Join, Select, SelectItem, Statement, Update};
+use acidrain_sql::ast::{
+    Delete, Expr, Insert, Join, OrderByItem, Select, SelectItem, Statement, Update,
+};
 use acidrain_sql::rwset::{select_access_kind, AccessKind};
 
 use crate::db::Database;
@@ -29,7 +31,7 @@ use crate::fault::InjectedFault;
 use crate::lock::{LockMode, LockOutcome, ResourceId};
 use crate::plan::{index_routes, PlanTable};
 use crate::result::ResultSet;
-use crate::storage::{ReadView, RowVersion, TableData, TableWriteGuard};
+use crate::storage::{ReadView, RowVersion, TableData, TableReadGuard, TableWriteGuard};
 use crate::txn::{TxnState, UndoRecord};
 use crate::value::Value;
 
@@ -98,37 +100,118 @@ fn table_index(db: &Database, name: &str) -> Result<usize, DbError> {
 // ---------------------------------------------------------------------------
 // Scans and the current-read protocol
 
-/// One table in a statement's scope.
+/// One table in a statement's scope, with its lock plan.
 struct ScopeTable<'s> {
     effective: &'s str,
     table_idx: usize,
     /// Column names in storage order, borrowed from the database.
     columns: &'s [String],
+    /// The table-level lock the statement takes before latching, if any.
+    table_lock: Option<LockMode>,
+    /// The lock a current read takes on every row it names in this table
+    /// (`None`: no row lock, or a coarser lock already covers the rows).
+    row_lock: Option<LockMode>,
 }
 
-fn scope_table<'s>(
-    db: &'s Database,
-    effective: &'s str,
-    real: &str,
-) -> Result<ScopeTable<'s>, DbError> {
-    let table_idx = table_index(db, real)?;
-    Ok(ScopeTable {
-        effective,
-        table_idx,
-        columns: &db.columns[table_idx],
-    })
+impl<'s> ScopeTable<'s> {
+    /// The table `real`, referred to as `effective`, locked by
+    /// `(table_lock, row_lock)`.
+    fn resolve(
+        db: &'s Database,
+        effective: &'s str,
+        real: &str,
+        (table_lock, row_lock): (Option<LockMode>, Option<LockMode>),
+    ) -> Result<Self, DbError> {
+        let table_idx = table_index(db, real)?;
+        Ok(ScopeTable {
+            effective,
+            table_idx,
+            columns: &db.columns[table_idx],
+            table_lock,
+            row_lock,
+        })
+    }
+
+    /// This table's binding in an evaluation scope, to a row's `values`.
+    fn bind<'a>(&self, values: &'a [Value]) -> EvalTable<'a>
+    where
+        's: 'a,
+    {
+        EvalTable {
+            effective_name: self.effective,
+            columns: self.columns,
+            values,
+        }
+    }
 }
 
-/// One row version a statement reads or acts on: its slot, its position
-/// in the slot's chain (stable while the table is latched) and its values.
+impl PlanTable for ScopeTable<'_> {
+    fn effective_name(&self) -> &str {
+        self.effective
+    }
+
+    fn columns(&self) -> &[String] {
+        self.columns
+    }
+}
+
+/// Take each scope table's table-level lock, in scope order.
+fn lock_tables(db: &Database, txn: &TxnState, tables: &[ScopeTable]) -> Result<(), DbError> {
+    for t in tables {
+        if let Some(mode) = t.table_lock {
+            acquire(db, txn, ResourceId::Table(t.table_idx), mode)?;
+        }
+    }
+    Ok(())
+}
+
+/// One row version a statement reads or acts on, named rather than
+/// copied: its slot and its position in the slot's chain. The statement's
+/// latch keeps both stable, and the version's values readable in place,
+/// until the statement returns (DESIGN.md §8.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Hit {
     slot: usize,
     version: usize,
-    values: Vec<Value>,
 }
 
-/// One joined match: a [`Hit`] per scope table, in join order.
-type Matched = Vec<Hit>;
+/// A statement's matched row combinations, flat: one [`Hit`] per scope
+/// table per match, in join order, so a joined row owns no allocation of
+/// its own. Values are read in place from the latched `data` (aligned
+/// with `tables`; self-joins alias one latched table).
+struct Matches<'a> {
+    tables: &'a [ScopeTable<'a>],
+    data: &'a [&'a TableData],
+    hits: Vec<Hit>,
+}
+
+impl<'a> Matches<'a> {
+    /// Each match's hits, in order.
+    fn rows(&self) -> std::slice::ChunksExact<'_, Hit> {
+        self.hits.chunks_exact(self.tables.len())
+    }
+
+    fn len(&self) -> usize {
+        self.hits.len() / self.tables.len()
+    }
+
+    /// The values `hit` names in scope table `table`.
+    fn values(&self, table: usize, hit: Hit) -> &'a [Value] {
+        &self.data[table].rows[hit.slot].versions[hit.version].values
+    }
+
+    /// Bind `scope` to the match `m`: one entry per scope table.
+    fn bind(&self, m: &[Hit], scope: &mut EvalScope<'a>) {
+        scope.tables.clear();
+        scope.tables.extend(
+            self.tables
+                .iter()
+                .zip(m)
+                .enumerate()
+                .map(|(i, (table, &hit))| table.bind(self.values(i, hit))),
+        );
+    }
+}
 
 /// The slots a walk visits, ascending: the index-supplied `candidates`, or
 /// every one of a table's `len` slots when there are none.
@@ -146,7 +229,7 @@ struct Scan<'a> {
     selection: Option<&'a Expr>,
     joins: &'a [Join],
     /// Per depth: `Some` holds ascending index-supplied candidate slots,
-    /// `None` demands a full slot walk.
+    /// `None` (or no entry at all) demands a full slot walk.
     candidates: Vec<Option<Vec<usize>>>,
 }
 
@@ -171,92 +254,76 @@ impl<'a> Scan<'a> {
         selection: Option<&'a Expr>,
         joins: &'a [Join],
     ) -> Self {
-        let mut candidates = vec![None; tables.len()];
-        if selection.is_some() || !joins.is_empty() {
-            if db.use_indexes() {
-                let plan_tables: Vec<PlanTable<'_>> = tables
-                    .iter()
-                    .map(|t| PlanTable {
-                        effective_name: t.effective,
-                        columns: t.columns,
-                    })
-                    .collect();
-                let clauses: Vec<&Expr> = selection
-                    .into_iter()
-                    .chain(joins.iter().map(|j| &j.on))
-                    .collect();
-                candidates = index_routes(&clauses, &plan_tables, data);
-            }
-            for cand in &candidates {
-                db.obs.index_probe(txn.id.0, cand.is_some());
-            }
-        }
-        Scan {
+        let mut scan = Scan {
             data,
             tables,
             selection,
             joins,
-            candidates,
+            candidates: Vec::new(),
+        };
+        if selection.is_some() || !joins.is_empty() {
+            if db.use_indexes() {
+                let clauses = selection.into_iter().chain(joins.iter().map(|j| &j.on));
+                scan.candidates = index_routes(clauses, tables, data);
+            }
+            for depth in 0..tables.len() {
+                db.obs.index_probe(txn.id.0, scan.route(depth).is_some());
+            }
         }
+        scan
     }
 
-    /// The row combinations matching the ON and WHERE clauses under `view`.
-    fn run(&self, view: ReadView) -> Result<Vec<Matched>, DbError> {
-        let mut matches = Vec::new();
-        let mut scope = EvalScope::default();
-        self.rec(view, &mut scope, &mut Vec::new(), &mut matches)?;
-        Ok(matches)
+    /// The candidate slots of depth `depth`, if an index routes it.
+    fn route(&self, depth: usize) -> Option<&[usize]> {
+        self.candidates.get(depth)?.as_deref()
     }
 
-    /// Extend the partial combination — `scope` binds the values and `at`
-    /// the (slot, version index) of each table bound so far — by the next
-    /// table. The two stacks are reused across rows, so a rejected row
-    /// costs no allocation.
+    /// The row combinations matching the ON and WHERE clauses under
+    /// `view`, flat (see [`Matches`]). `scope` is the statement's one
+    /// evaluation scope; the walk binds it depth by depth.
+    fn run(&self, view: ReadView, scope: &mut EvalScope<'a>) -> Result<Vec<Hit>, DbError> {
+        let mut hits = Vec::new();
+        scope.tables.clear();
+        self.rec(view, scope, &mut hits)?;
+        Ok(hits)
+    }
+
+    /// Extend the partial combination by the next table. The partial
+    /// combination is bound in `scope` and named by the last
+    /// `scope.tables.len()` hits; the hits before it are the accepted
+    /// matches. An accepted combination is copied onto the end, and the
+    /// walk unwinds the copy, so a rejected row costs no allocation.
     fn rec(
         &self,
         view: ReadView,
         scope: &mut EvalScope<'a>,
-        at: &mut Vec<(usize, usize)>,
-        matches: &mut Vec<Matched>,
+        hits: &mut Vec<Hit>,
     ) -> Result<(), DbError> {
-        let depth = at.len();
+        let depth = scope.tables.len();
         if depth == self.tables.len() {
             if let Some(sel) = self.selection {
                 if !eval(sel, scope)?.is_truthy() {
                     return Ok(());
                 }
             }
-            // Materialize values only now that the predicate has accepted
-            // the row combination; rejected rows are never cloned.
-            matches.push(
-                at.iter()
-                    .zip(&scope.tables)
-                    .map(|(&(slot, version), bound)| Hit {
-                        slot,
-                        version,
-                        values: bound.values.to_vec(),
-                    })
-                    .collect(),
-            );
+            hits.extend_from_within(hits.len() - depth..);
             return Ok(());
         }
         let (table, rows) = (&self.tables[depth], &self.data[depth].rows);
-        for slot in walk(self.candidates[depth].as_deref(), rows.len()) {
+        for slot in walk(self.route(depth), rows.len()) {
             let Some(version) = view.visible_index(&rows[slot]) else {
                 continue;
             };
-            at.push((slot, version));
-            scope.tables.push(EvalTable {
-                effective_name: table.effective,
-                columns: table.columns,
-                values: &rows[slot].versions[version].values,
-            });
+            hits.push(Hit { slot, version });
+            scope
+                .tables
+                .push(table.bind(&rows[slot].versions[version].values));
             // Apply the join condition as soon as both sides are bound.
             if depth == 0 || eval(&self.joins[depth - 1].on, scope)?.is_truthy() {
-                self.rec(view, scope, at, matches)?;
+                self.rec(view, scope, hits)?;
             }
             scope.tables.pop();
-            at.pop();
+            hits.pop();
         }
         Ok(())
     }
@@ -275,9 +342,10 @@ impl<'a> Scan<'a> {
 /// its stale values or clobbering its end stamp. So:
 ///
 /// 1. `identify` the versions under a view of the current clock;
-/// 2. request `row_locks[depth]` on every identified row (`None` skips a
-///    table a coarser lock already covers) — a `WouldBlock` or `Deadlock`
-///    exits here, before any effect, and the caller's guards drop;
+/// 2. request each scope table's `row_lock` on every row identified in it
+///    (`None` skips a table a coarser lock already covers) — a
+///    `WouldBlock` or `Deadlock` exits here, before any effect, and the
+///    caller's guards drop;
 /// 3. re-draw the clock after the last grant; if it has not moved, done;
 /// 4. otherwise re-`identify` under the fresh view, and finish when the
 ///    named `(table, slot, version)` set is the one just locked; else go
@@ -295,22 +363,17 @@ impl<'a> Scan<'a> {
 fn current_read(
     db: &Database,
     txn: &TxnState,
-    row_locks: &[(usize, Option<LockMode>)],
-    mut identify: impl FnMut(ReadView) -> Result<Vec<Matched>, DbError>,
-) -> Result<Vec<Matched>, DbError> {
-    fn names(found: &[Matched]) -> impl Iterator<Item = (usize, usize)> + '_ {
-        found.iter().flatten().map(|h| (h.slot, h.version))
-    }
+    tables: &[ScopeTable],
+    mut identify: impl FnMut(ReadView) -> Result<Vec<Hit>, DbError>,
+) -> Result<Vec<Hit>, DbError> {
     let mut view = db.current_read(txn.id);
     let mut found = identify(view)?;
     loop {
         let mut requested = false;
-        for m in &found {
-            for (hit, &(table_idx, mode)) in m.iter().zip(row_locks) {
-                if let Some(mode) = mode {
-                    acquire(db, txn, ResourceId::Row(table_idx, hit.slot), mode)?;
-                    requested = true;
-                }
+        for (hit, table) in found.iter().zip(tables.iter().cycle()) {
+            if let Some(mode) = table.row_lock {
+                acquire(db, txn, ResourceId::Row(table.table_idx, hit.slot), mode)?;
+                requested = true;
             }
         }
         let fresh = db.current_read(txn.id);
@@ -318,7 +381,7 @@ fn current_read(
             return Ok(found);
         }
         let refound = identify(fresh)?;
-        let stable = names(&refound).eq(names(&found));
+        let stable = refound == found;
         view = fresh;
         found = refound;
         if stable {
@@ -354,84 +417,72 @@ fn exec_select(db: &Database, txn: &mut TxnState, s: &Select) -> Result<ResultSe
     // S-locks the whole table before its view is drawn, which already
     // covers every row.
     let isolation = txn.isolation;
-    let mut tables = Vec::new();
-    let mut table_locks = Vec::new();
-    let mut row_locks = Vec::new();
-    for t in std::iter::once(from).chain(s.joins.iter().map(|j| &j.table)) {
-        let table = scope_table(db, t.effective_name(), &t.name)?;
-        let (table_lock, row_lock) = if s.for_update {
-            (
-                Some(LockMode::IntentionExclusive),
-                Some(LockMode::Exclusive),
-            )
-        } else if isolation.read_locks_predicates()
-            && select_access_kind(s, &t.name, &db.schema) == AccessKind::Predicate
-        {
-            (Some(LockMode::Shared), None)
-        } else if isolation.read_locks_items() {
-            (Some(LockMode::IntentionShared), Some(LockMode::Shared))
-        } else {
-            (None, None)
-        };
-        table_locks.push(table_lock);
-        row_locks.push((table.table_idx, row_lock));
-        tables.push(table);
-    }
-    for (&(table_idx, _), mode) in row_locks.iter().zip(table_locks) {
-        if let Some(mode) = mode {
-            acquire(db, txn, ResourceId::Table(table_idx), mode)?;
-        }
-    }
+    let tables = std::iter::once(from)
+        .chain(s.joins.iter().map(|j| &j.table))
+        .map(|t| {
+            let locks = if s.for_update {
+                (
+                    Some(LockMode::IntentionExclusive),
+                    Some(LockMode::Exclusive),
+                )
+            } else if isolation.read_locks_predicates()
+                && select_access_kind(s, &t.name, &db.schema) == AccessKind::Predicate
+            {
+                (Some(LockMode::Shared), None)
+            } else if isolation.read_locks_items() {
+                (Some(LockMode::IntentionShared), Some(LockMode::Shared))
+            } else {
+                (None, None)
+            };
+            ScopeTable::resolve(db, t.effective_name(), &t.name, locks)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    lock_tables(db, txn, &tables)?;
 
     // Pin the statement's read latches: distinct tables only (a self-join
     // needs one latch), in ascending index order (latch hierarchy).
-    let mut latch_order: Vec<usize> = tables.iter().map(|t| t.table_idx).collect();
-    latch_order.sort_unstable();
-    latch_order.dedup();
     let token = db.obs.latch_wait_start();
-    let guards: Vec<_> = latch_order
+    let mut guards: Vec<(usize, TableReadGuard)> = Vec::with_capacity(tables.len());
+    while let Some(next) = tables
         .iter()
-        .map(|&idx| db.storage.read(idx))
-        .collect();
+        .map(|t| t.table_idx)
+        .filter(|&idx| guards.last().is_none_or(|&(latched, _)| idx > latched))
+        .min()
+    {
+        guards.push((next, db.storage.read(next)));
+    }
     db.obs.latch_acquired(token, txn.id.0);
     let data: Vec<&TableData> = tables
         .iter()
         .map(|t| {
-            let pos = latch_order
-                .binary_search(&t.table_idx)
+            let pos = guards
+                .binary_search_by_key(&t.table_idx, |&(idx, _)| idx)
                 .expect("latched table");
-            &*guards[pos]
+            &*guards[pos].1
         })
         .collect();
 
     // Locking reads and lock-based levels use a current read; MVCC levels
     // scan once under their snapshot.
     let scan = Scan::plan(db, txn, &data, &tables, s.selection.as_ref(), &s.joins);
-    let matches = if s.for_update || isolation.read_locks_items() {
-        current_read(db, txn, &row_locks, |view| scan.run(view))?
+    let mut scope = EvalScope {
+        tables: Vec::with_capacity(tables.len()),
+    };
+    let hits = if s.for_update || isolation.read_locks_items() {
+        current_read(db, txn, &tables, |view| scan.run(view, &mut scope))?
     } else if isolation.reads_uncommitted() {
-        scan.run(ReadView::Latest)?
+        scan.run(ReadView::Latest, &mut scope)?
     } else {
         let as_of = db.read_snapshot_ts(txn);
-        scan.run(ReadView::Snapshot { as_of, txn: txn.id })?
+        scan.run(ReadView::Snapshot { as_of, txn: txn.id }, &mut scope)?
     };
 
-    project(&tables, s, matches)
-}
-
-/// The evaluation scope of one materialized match.
-fn match_scope<'a>(tables: &'a [ScopeTable], m: &'a Matched) -> EvalScope<'a> {
-    EvalScope {
-        tables: tables
-            .iter()
-            .zip(m)
-            .map(|(t, hit)| EvalTable {
-                effective_name: t.effective,
-                columns: t.columns,
-                values: &hit.values,
-            })
-            .collect(),
-    }
+    let matches = Matches {
+        tables: &tables,
+        data: &data,
+        hits,
+    };
+    project(s, matches, &mut scope)
 }
 
 fn projection_name(expr: &Expr, alias: &Option<String>) -> String {
@@ -444,11 +495,12 @@ fn projection_name(expr: &Expr, alias: &Option<String>) -> String {
     }
 }
 
-/// Apply projection, ORDER BY, and LIMIT to the matched rows.
-fn project(
-    tables: &[ScopeTable],
+/// Apply projection, ORDER BY, and LIMIT to the matched rows, evaluating
+/// through the statement's one `scope`.
+fn project<'a>(
     s: &Select,
-    mut matches: Vec<Matched>,
+    mut matches: Matches<'a>,
+    scope: &mut EvalScope<'a>,
 ) -> Result<ResultSet, DbError> {
     let aggregate_mode = s
         .projection
@@ -465,7 +517,7 @@ fn project(
                 ));
             };
             columns.push(projection_name(expr, alias));
-            row.push(eval_aggregate(expr, tables, &matches)?);
+            row.push(eval_aggregate(expr, &matches, scope)?);
         }
         return Ok(ResultSet {
             columns,
@@ -475,34 +527,18 @@ fn project(
 
     // ORDER BY before projection (sort keys may not be projected).
     if !s.order_by.is_empty() {
-        let mut keyed: Vec<(Vec<Value>, Matched)> = Vec::with_capacity(matches.len());
-        for m in matches {
-            let scope = match_scope(tables, &m);
-            let keys = s
-                .order_by
-                .iter()
-                .map(|ob| eval(&ob.expr, &scope))
-                .collect::<Result<_, _>>()?;
-            keyed.push((keys, m));
-        }
-        keyed.sort_by(|(ka, _), (kb, _)| {
-            for (i, ob) in s.order_by.iter().enumerate() {
-                let ord = ka[i].compare(&kb[i]).unwrap_or(std::cmp::Ordering::Equal);
-                let ord = if ob.asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        matches = keyed.into_iter().map(|(_, m)| m).collect();
+        sort_matches(&mut matches, &s.order_by, scope)?;
     }
 
     if let Some(limit) = s.limit {
-        matches.truncate(limit as usize);
+        let stride = matches.tables.len();
+        matches
+            .hits
+            .truncate((limit as usize).saturating_mul(stride));
     }
 
     // Column headers.
+    let tables = matches.tables;
     let mut columns = Vec::new();
     for item in &s.projection {
         match item {
@@ -523,21 +559,21 @@ fn project(
     }
 
     let mut rows = Vec::with_capacity(matches.len());
-    for m in &matches {
-        let scope = match_scope(tables, m);
+    for m in matches.rows() {
+        matches.bind(m, scope);
         let mut row = Vec::with_capacity(columns.len());
         for item in &s.projection {
             match item {
                 SelectItem::Wildcard => {
-                    for hit in m {
-                        row.extend(hit.values.iter().cloned());
+                    for (ti, &hit) in m.iter().enumerate() {
+                        row.extend_from_slice(matches.values(ti, hit));
                     }
                 }
                 SelectItem::QualifiedWildcard(q) => {
                     let ti = tables.iter().position(|t| t.effective == q).unwrap();
-                    row.extend(m[ti].values.iter().cloned());
+                    row.extend_from_slice(matches.values(ti, m[ti]));
                 }
-                SelectItem::Expr { expr, .. } => row.push(eval(expr, &scope)?),
+                SelectItem::Expr { expr, .. } => row.push(eval(expr, scope)?),
             }
         }
         rows.push(row);
@@ -545,11 +581,47 @@ fn project(
     Ok(ResultSet { columns, rows })
 }
 
+/// Sort the matches by their ORDER BY keys, stably. Each match's keys are
+/// evaluated once, into one flat buffer.
+fn sort_matches<'a>(
+    matches: &mut Matches<'a>,
+    order_by: &[OrderByItem],
+    scope: &mut EvalScope<'a>,
+) -> Result<(), DbError> {
+    let width = order_by.len();
+    let mut keys = Vec::with_capacity(matches.len() * width);
+    for m in matches.rows() {
+        matches.bind(m, scope);
+        for ob in order_by {
+            keys.push(eval(&ob.expr, scope)?);
+        }
+    }
+    let mut order: Vec<usize> = (0..matches.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (ka, kb) = (&keys[a * width..][..width], &keys[b * width..][..width]);
+        for ((x, y), ob) in ka.iter().zip(kb).zip(order_by) {
+            let ord = x.compare(y).unwrap_or(std::cmp::Ordering::Equal);
+            let ord = if ob.asc { ord } else { ord.reverse() };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    let stride = matches.tables.len();
+    matches.hits = order
+        .iter()
+        .flat_map(|&i| &matches.hits[i * stride..][..stride])
+        .copied()
+        .collect();
+    Ok(())
+}
+
 /// Evaluate an aggregate expression over the matched row set.
-fn eval_aggregate(
+fn eval_aggregate<'a>(
     expr: &Expr,
-    tables: &[ScopeTable],
-    matches: &[Matched],
+    matches: &Matches<'a>,
+    scope: &mut EvalScope<'a>,
 ) -> Result<Value, DbError> {
     match expr {
         Expr::Function {
@@ -557,14 +629,24 @@ fn eval_aggregate(
             args,
             wildcard,
         } => {
-            let upper = name.to_ascii_uppercase();
-            let per_row = |arg: &Expr| -> Result<Vec<Value>, DbError> {
+            const AGGREGATES: [&str; 5] = ["COUNT", "SUM", "AVG", "MIN", "MAX"];
+            let Some(func) = AGGREGATES
+                .into_iter()
+                .find(|f| name.eq_ignore_ascii_case(f))
+            else {
+                let upper = name.to_ascii_uppercase();
+                return Err(DbError::Unsupported(format!("function {upper}")));
+            };
+            let mut per_row = |arg: &Expr| -> Result<Vec<Value>, DbError> {
                 matches
-                    .iter()
-                    .map(|m| eval(arg, &match_scope(tables, m)))
+                    .rows()
+                    .map(|m| {
+                        matches.bind(m, scope);
+                        eval(arg, scope)
+                    })
                     .collect()
             };
-            match upper.as_str() {
+            match func {
                 "COUNT" if *wildcard => Ok(Value::Int(matches.len() as i64)),
                 "COUNT" => {
                     let arg = args.first().ok_or_else(|| {
@@ -575,16 +657,16 @@ fn eval_aggregate(
                         vals.iter().filter(|v| !v.is_null()).count() as i64
                     ))
                 }
-                "SUM" | "AVG" | "MIN" | "MAX" => {
+                _ => {
                     let arg = args.first().ok_or_else(|| {
-                        DbError::Unsupported(format!("{upper} requires an argument"))
+                        DbError::Unsupported(format!("{func} requires an argument"))
                     })?;
                     let vals: Vec<Value> =
                         per_row(arg)?.into_iter().filter(|v| !v.is_null()).collect();
                     if vals.is_empty() {
                         return Ok(Value::Null);
                     }
-                    match upper.as_str() {
+                    match func {
                         "SUM" => {
                             let mut acc = vals[0].clone();
                             for v in &vals[1..] {
@@ -604,13 +686,12 @@ fn eval_aggregate(
                         _ => unreachable!(),
                     }
                 }
-                other => Err(DbError::Unsupported(format!("function {other}"))),
             }
         }
         Expr::Literal(lit) => Ok(Value::from_literal(lit)),
         Expr::Binary { left, op, right } => {
-            let l = eval_aggregate(left, tables, matches)?;
-            let r = eval_aggregate(right, tables, matches)?;
+            let l = eval_aggregate(left, matches, scope)?;
+            let r = eval_aggregate(right, matches, scope)?;
             use acidrain_sql::ast::BinOp;
             match op {
                 BinOp::Add => l.add(&r),
@@ -625,7 +706,7 @@ fn eval_aggregate(
         Expr::Unary {
             op: acidrain_sql::ast::UnaryOp::Neg,
             expr,
-        } => eval_aggregate(expr, tables, matches)?.neg(),
+        } => eval_aggregate(expr, matches, scope)?.neg(),
         _ => Err(DbError::Unsupported(
             "non-aggregate expression in aggregate projection".into(),
         )),
@@ -647,43 +728,47 @@ fn fold_extreme(vals: Vec<Value>, keep: std::cmp::Ordering) -> Value {
 // INSERT
 
 fn exec_insert(db: &Database, txn: &mut TxnState, i: &Insert) -> Result<ResultSet, DbError> {
-    let table_idx = table_index(db, &i.table)?;
+    // The duplicate-key wait is a current read taking S row locks.
+    let scope = ScopeTable::resolve(
+        db,
+        &i.table,
+        &i.table,
+        (Some(LockMode::IntentionExclusive), Some(LockMode::Shared)),
+    )?;
+    let table_idx = scope.table_idx;
     let table_schema = db
         .schema
         .table(&i.table)
         .ok_or_else(|| DbError::UnknownTable(i.table.clone()))?;
-
-    acquire(
-        db,
-        txn,
-        ResourceId::Table(table_idx),
-        LockMode::IntentionExclusive,
-    )?;
+    let tables = std::slice::from_ref(&scope);
+    lock_tables(db, txn, tables)?;
 
     // Build every row before touching storage so the statement is atomic.
     let empty_scope = EvalScope::default();
+    // The columns VALUES supplies, in order: the listed ones, else every
+    // column in schema order.
+    let provided_len = if i.columns.is_empty() {
+        table_schema.columns.len()
+    } else {
+        i.columns.len()
+    };
+    let provided = |k: usize| match i.columns.get(k) {
+        Some(name) => name.as_str(),
+        None => table_schema.columns[k].name.as_str(),
+    };
     let mut new_rows: Vec<Vec<Value>> = Vec::with_capacity(i.rows.len());
     for row_exprs in &i.rows {
-        let provided: Vec<&str> = if i.columns.is_empty() {
-            table_schema
-                .columns
-                .iter()
-                .map(|c| c.name.as_str())
-                .collect()
-        } else {
-            i.columns.iter().map(String::as_str).collect()
-        };
-        if row_exprs.len() != provided.len() {
+        if row_exprs.len() != provided_len {
             return Err(DbError::Type(format!(
                 "INSERT into {} provides {} values for {} columns",
                 i.table,
                 row_exprs.len(),
-                provided.len()
+                provided_len
             )));
         }
         let mut values = Vec::with_capacity(table_schema.columns.len());
         for col in &table_schema.columns {
-            match provided.iter().position(|p| *p == col.name) {
+            match (0..provided_len).position(|k| provided(k) == col.name) {
                 Some(pos) => values.push(eval(&row_exprs[pos], &empty_scope)?),
                 None if col.auto_increment => values.push(Value::Null), // filled below
                 None => match &col.default {
@@ -693,7 +778,7 @@ fn exec_insert(db: &Database, txn: &mut TxnState, i: &Insert) -> Result<ResultSe
             }
         }
         // Unknown target columns are an error.
-        for p in &provided {
+        for p in (0..provided_len).map(provided) {
             if table_schema.column(p).is_none() {
                 return Err(DbError::UnknownColumn(format!("{}.{}", i.table, p)));
             }
@@ -751,7 +836,7 @@ fn exec_insert(db: &Database, txn: &mut TxnState, i: &Insert) -> Result<ResultSe
             // judged again under the post-grant view. Every conflicting
             // writer is named: waiting out only one would let another
             // commit its duplicate unobserved.
-            current_read(db, txn, &[(table_idx, Some(LockMode::Shared))], |view| {
+            current_read(db, txn, tables, |view| {
                 let mut in_flight = Vec::new();
                 for slot_idx in walk(dup_candidates.as_deref(), table.rows.len()) {
                     let slot = &table.rows[slot_idx];
@@ -766,11 +851,10 @@ fn exec_insert(db: &Database, txn: &mut TxnState, i: &Insert) -> Result<ResultSe
                         && !view.sees(last)
                         && equals_v(last)
                     {
-                        in_flight.push(vec![Hit {
+                        in_flight.push(Hit {
                             slot: slot_idx,
                             version: slot.versions.len() - 1,
-                            values: Vec::new(),
-                        }]);
+                        });
                     }
                 }
                 Ok(in_flight)
@@ -829,29 +913,32 @@ fn lock_write_targets<'a>(
     name: &'a str,
     selection: Option<&Expr>,
 ) -> Result<(ScopeTable<'a>, TableWriteGuard<'a>, Vec<Hit>), DbError> {
-    let scope = scope_table(db, name, name)?;
-    let table_idx = scope.table_idx;
-    acquire(
+    let scope = ScopeTable::resolve(
         db,
-        txn,
-        ResourceId::Table(table_idx),
-        LockMode::IntentionExclusive,
+        name,
+        name,
+        (
+            Some(LockMode::IntentionExclusive),
+            Some(LockMode::Exclusive),
+        ),
     )?;
+    let tables = std::slice::from_ref(&scope);
+    lock_tables(db, txn, tables)?;
     let token = db.obs.latch_wait_start();
-    let table = db.storage.write(table_idx);
+    let table = db.storage.write(scope.table_idx);
     db.obs.latch_acquired(token, txn.id.0);
     // Pin the SI snapshot before writing so validation has a baseline even
-    // when the transaction starts with a write.
+    // when the transaction starts with a write. Pinned even for an
+    // autocommit statement: a blocked attempt keeps its transaction, and
+    // the retry must validate against this first snapshot (DESIGN.md §8.8).
     let snapshot = db.read_snapshot_ts(txn);
 
     let data = [&*table];
-    let tables = std::slice::from_ref(&scope);
     let scan = Scan::plan(db, txn, &data, tables, selection, &[]);
-    let row_locks = [(table_idx, Some(LockMode::Exclusive))];
-    let targets: Vec<Hit> = current_read(db, txn, &row_locks, |view| scan.run(view))?
-        .into_iter()
-        .flatten()
-        .collect();
+    let mut eval_scope = EvalScope {
+        tables: Vec::with_capacity(1),
+    };
+    let targets = current_read(db, txn, tables, |view| scan.run(view, &mut eval_scope))?;
 
     // Snapshot Isolation's first-updater-wins rule.
     if txn.isolation.validates_write_snapshot() {
@@ -902,11 +989,13 @@ fn exec_update(db: &Database, txn: &mut TxnState, u: &Update) -> Result<ResultSe
         assignment_indices.push(idx);
     }
     let mut updated: Vec<Vec<Value>> = Vec::with_capacity(targets.len());
+    let mut eval_scope = EvalScope::single(scope.effective, columns, &[]);
     for t in &targets {
-        let scope = EvalScope::single(&u.table, columns, &t.values);
-        let mut new_values = t.values.clone();
+        let values = &table.rows[t.slot].versions[t.version].values;
+        eval_scope.tables[0].values = values;
+        let mut new_values = values.clone();
         for (a, &ci) in u.assignments.iter().zip(&assignment_indices) {
-            new_values[ci] = eval(&a.value, &scope)?;
+            new_values[ci] = eval(&a.value, &eval_scope)?;
         }
         updated.push(new_values);
     }

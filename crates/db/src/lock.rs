@@ -13,6 +13,7 @@
 //! requester is the victim.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 use acidrain_obs::Obs;
@@ -90,14 +91,62 @@ struct LockEntry {
     holders: Vec<(TxnId, LockMode)>,
 }
 
+/// A multiplicative hasher for the lock table's keys, which are small
+/// integers the engine assigns (table and slot indices, transaction ids),
+/// never text from a client: hashing one is a multiply per word instead
+/// of SipHash's rounds, and it runs under the manager's mutex.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+type IdSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
+
+/// How many emptied holder and held-resource vectors the manager keeps for
+/// reuse, and the largest capacity it keeps one at: a resource locked for
+/// the first time, or a transaction's first lock, then allocates nothing,
+/// and a transaction that locked many rows leaves no large buffer behind.
+const SPARE_VECS: usize = 64;
+const SPARE_CAPACITY: usize = 256;
+
 /// The lock table plus the waits-for graph.
 #[derive(Debug, Default)]
 pub struct LockManager {
-    locks: HashMap<ResourceId, LockEntry>,
+    locks: IdMap<ResourceId, LockEntry>,
     /// txn -> set of txns it is currently waiting on.
-    waits_for: HashMap<TxnId, HashSet<TxnId>>,
-    /// Resources held per transaction, for O(held) release.
-    held: HashMap<TxnId, HashSet<ResourceId>>,
+    waits_for: IdMap<TxnId, IdSet<TxnId>>,
+    /// Resources held per transaction, for O(held) release; each appears
+    /// once (a holder is pushed only when it first joins a resource).
+    held: IdMap<TxnId, Vec<ResourceId>>,
+    /// Emptied `LockEntry::holders` vectors, for reuse.
+    spare_holders: Vec<Vec<(TxnId, LockMode)>>,
+    /// Emptied `held` vectors, for reuse.
+    spare_held: Vec<Vec<ResourceId>>,
 }
 
 impl LockManager {
@@ -112,11 +161,14 @@ impl LockManager {
     /// caller must translate [`LockOutcome::Deadlock`] into a transaction
     /// abort (this module does not release anything by itself).
     pub fn acquire(&mut self, txn: TxnId, resource: ResourceId, mode: LockMode) -> LockOutcome {
-        let entry = self.locks.entry(resource).or_default();
+        let spare_holders = &mut self.spare_holders;
+        let entry = self.locks.entry(resource).or_insert_with(|| LockEntry {
+            holders: spare_holders.pop().unwrap_or_default(),
+        });
 
         if let Some((_, held_mode)) = entry.holders.iter().find(|(holder, _)| *holder == txn) {
             if held_mode.covers(mode) {
-                self.waits_for.remove(&txn);
+                self.stop_waiting(txn);
                 return LockOutcome::Granted;
             }
         }
@@ -131,10 +183,16 @@ impl LockManager {
         if conflicting.is_empty() {
             match entry.holders.iter_mut().find(|(holder, _)| *holder == txn) {
                 Some(slot) => slot.1 = upgrade(slot.1, mode),
-                None => entry.holders.push((txn, mode)),
+                None => {
+                    entry.holders.push((txn, mode));
+                    let spare_held = &mut self.spare_held;
+                    self.held
+                        .entry(txn)
+                        .or_insert_with(|| spare_held.pop().unwrap_or_default())
+                        .push(resource);
+                }
             }
-            self.held.entry(txn).or_default().insert(resource);
-            self.waits_for.remove(&txn);
+            self.stop_waiting(txn);
             return LockOutcome::Granted;
         }
 
@@ -150,15 +208,20 @@ impl LockManager {
 
     /// Release every lock held by `txn` and clear its waits.
     pub fn release_all(&mut self, txn: TxnId) {
-        if let Some(resources) = self.held.remove(&txn) {
-            for r in resources {
+        if let Some(mut resources) = self.held.remove(&txn) {
+            for r in resources.drain(..) {
                 if let Some(entry) = self.locks.get_mut(&r) {
                     entry.holders.retain(|(holder, _)| *holder != txn);
                     if entry.holders.is_empty() {
-                        self.locks.remove(&r);
+                        let emptied = self.locks.remove(&r).expect("entry just read");
+                        recycle(&mut self.spare_holders, emptied.holders);
                     }
                 }
             }
+            recycle(&mut self.spare_held, resources);
+        }
+        if self.waits_for.is_empty() {
+            return;
         }
         self.waits_for.remove(&txn);
         // Drop stale wait edges pointing at the finished transaction.
@@ -166,6 +229,13 @@ impl LockManager {
             waiting.remove(&txn);
         }
         self.waits_for.retain(|_, w| !w.is_empty());
+    }
+
+    /// Clear `txn`'s wait edges after a grant (most grants find none).
+    fn stop_waiting(&mut self, txn: TxnId) {
+        if !self.waits_for.is_empty() {
+            self.waits_for.remove(&txn);
+        }
     }
 
     /// Whether `txn` holds a lock on `resource` in a mode covering `mode`.
@@ -195,7 +265,7 @@ impl LockManager {
             .get(&start)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         while let Some(t) = stack.pop() {
             if t == start {
                 return true;
@@ -212,6 +282,15 @@ impl LockManager {
     /// Number of currently locked resources (diagnostics/tests).
     pub fn locked_resources(&self) -> usize {
         self.locks.len()
+    }
+}
+
+/// Keep an emptied vector for reuse unless the spares are full or it is
+/// large.
+fn recycle<T>(spares: &mut Vec<Vec<T>>, emptied: Vec<T>) {
+    debug_assert!(emptied.is_empty());
+    if spares.len() < SPARE_VECS && emptied.capacity() <= SPARE_CAPACITY {
+        spares.push(emptied);
     }
 }
 

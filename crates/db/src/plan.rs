@@ -57,27 +57,30 @@ impl Constraint {
     }
 }
 
-/// One table's name bindings during analysis, mirroring
-/// [`crate::expr::EvalTable`] without row values.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanTable<'a> {
+/// One table's name bindings as the analysis sees them: what
+/// [`crate::expr::EvalTable`] binds, without row values. The executor's
+/// scope tables implement it, so planning reads the statement's own scope
+/// instead of a copy of it.
+pub trait PlanTable {
     /// The name expressions refer to the table by (alias or real name).
-    pub effective_name: &'a str,
+    fn effective_name(&self) -> &str;
     /// Column names in storage order.
-    pub columns: &'a [String],
+    fn columns(&self) -> &[String];
 }
 
 /// Resolve a column reference against the scope, mirroring
 /// `EvalScope::lookup`: `Some((table position, column position))` or
 /// `None` when evaluation would raise `UnknownColumn`.
-fn resolve(tables: &[PlanTable<'_>], col: &ColumnRef) -> Option<(usize, usize)> {
+fn resolve(tables: &[impl PlanTable], col: &ColumnRef) -> Option<(usize, usize)> {
     if let Some(qualifier) = &col.table {
-        let ti = tables.iter().position(|t| t.effective_name == qualifier)?;
-        let ci = tables[ti].columns.iter().position(|c| c == &col.column)?;
+        let ti = tables
+            .iter()
+            .position(|t| t.effective_name() == qualifier)?;
+        let ci = tables[ti].columns().iter().position(|c| c == &col.column)?;
         return Some((ti, ci));
     }
     for (ti, t) in tables.iter().enumerate() {
-        if let Some(ci) = t.columns.iter().position(|c| c == &col.column) {
+        if let Some(ci) = t.columns().iter().position(|c| c == &col.column) {
             return Some((ti, ci));
         }
     }
@@ -87,7 +90,7 @@ fn resolve(tables: &[PlanTable<'_>], col: &ColumnRef) -> Option<(usize, usize)> 
 /// Whether every column reference in every clause resolves. When one does
 /// not, the statement must take the full scan so evaluation raises the
 /// same `UnknownColumn` error the index-free engine does.
-fn all_resolve(clauses: &[&Expr], tables: &[PlanTable<'_>]) -> bool {
+fn all_resolve<'e>(clauses: impl IntoIterator<Item = &'e Expr>, tables: &[impl PlanTable]) -> bool {
     let mut ok = true;
     for clause in clauses {
         clause.visit_columns(&mut |c| ok &= resolve(tables, c).is_some());
@@ -107,8 +110,11 @@ fn all_resolve(clauses: &[&Expr], tables: &[PlanTable<'_>]) -> bool {
 /// any other from then on). Returns `None` —
 /// demanding a full-scan fallback — when any column reference in any
 /// clause fails to resolve.
-pub fn constraints(clauses: &[&Expr], tables: &[PlanTable<'_>]) -> Option<Vec<Constraint>> {
-    all_resolve(clauses, tables).then(|| {
+pub fn constraints<'e>(
+    clauses: impl IntoIterator<Item = &'e Expr> + Clone,
+    tables: &[impl PlanTable],
+) -> Option<Vec<Constraint>> {
+    all_resolve(clauses.clone(), tables).then(|| {
         let mut out = Vec::new();
         for clause in clauses {
             collect_conjuncts(clause, tables, &mut out);
@@ -122,9 +128,9 @@ pub fn constraints(clauses: &[&Expr], tables: &[PlanTable<'_>]) -> Option<Vec<Co
 /// point conjunct an index can serve, else of the first range conjunct
 /// one can (`qty < k`, `BETWEEN`), else `None` — a full slot walk, which
 /// is also what every table gets when a column fails to resolve.
-pub fn index_routes(
-    clauses: &[&Expr],
-    tables: &[PlanTable<'_>],
+pub fn index_routes<'e>(
+    clauses: impl IntoIterator<Item = &'e Expr> + Clone,
+    tables: &[impl PlanTable],
     data: &[&TableData],
 ) -> Vec<Option<Vec<usize>>> {
     let mut routes = vec![None; tables.len()];
@@ -142,7 +148,7 @@ pub fn index_routes(
     routes
 }
 
-fn collect_conjuncts(expr: &Expr, tables: &[PlanTable<'_>], out: &mut Vec<Constraint>) {
+fn collect_conjuncts(expr: &Expr, tables: &[impl PlanTable], out: &mut Vec<Constraint>) {
     let Expr::Binary { left, op, right } = expr else {
         return;
     };
@@ -206,13 +212,32 @@ mod tests {
         cols.iter().map(|s| s.to_string()).collect()
     }
 
+    /// A table's name bindings, as the executor's scope tables carry them.
+    struct Names<'a> {
+        effective_name: &'a str,
+        columns: &'a [String],
+    }
+
+    impl PlanTable for Names<'_> {
+        fn effective_name(&self) -> &str {
+            self.effective_name
+        }
+
+        fn columns(&self) -> &[String] {
+            self.columns
+        }
+    }
+
+    fn names<'a>(effective_name: &'a str, columns: &'a [String]) -> Names<'a> {
+        Names {
+            effective_name,
+            columns,
+        }
+    }
+
     fn analyze(sql: &str, cols: &[&str]) -> Option<Vec<Constraint>> {
         let columns = single_scope(cols);
-        let tables = [PlanTable {
-            effective_name: "t",
-            columns: &columns,
-        }];
-        constraints(&[&where_expr(sql)], &tables)
+        constraints([&where_expr(sql)], &[names("t", &columns)])
     }
 
     /// `[lower, upper]` on `column` of the scope's first table.
@@ -302,10 +327,7 @@ mod tests {
     #[test]
     fn routes_the_point_before_the_range() {
         let columns = single_scope(&["id", "qty"]);
-        let tables = [PlanTable {
-            effective_name: "t",
-            columns: &columns,
-        }];
+        let tables = [names("t", &columns)];
         let mut data = TableData::new("t", vec![1]);
         for qty in [4, 5, 6, 5] {
             data.push_row(RowVersion::committed(
@@ -313,7 +335,7 @@ mod tests {
                 1,
             ));
         }
-        let route = |sql: &str| index_routes(&[&where_expr(sql)], &tables, &[&data]);
+        let route = |sql: &str| index_routes([&where_expr(sql)], &tables, &[&data]);
         // `qty > 3` alone would supply all four slots; the point wins
         // wherever it stands in the conjunction.
         assert_eq!(route("qty > 3"), vec![Some(vec![0, 1, 2, 3])]);
@@ -330,18 +352,9 @@ mod tests {
     fn qualified_and_join_scope_resolution() {
         let a = single_scope(&["x", "shared"]);
         let b = single_scope(&["y", "shared"]);
-        let tables = [
-            PlanTable {
-                effective_name: "a",
-                columns: &a,
-            },
-            PlanTable {
-                effective_name: "b",
-                columns: &b,
-            },
-        ];
+        let tables = [names("a", &a), names("b", &b)];
         let e = where_expr("b.y = 3 AND shared = 1");
-        let cs = constraints(&[&e], &tables).unwrap();
+        let cs = constraints([&e], &tables).unwrap();
         assert_eq!(
             cs[0],
             Constraint {

@@ -84,9 +84,9 @@ pub struct TxnState {
     pub savepoints: Vec<(String, usize)>,
     /// Set before the first lock-manager acquisition this transaction
     /// attempts. Read-only transactions that never touched the lock table
-    /// skip `release_all` at commit — the lock manager's global mutex is
-    /// otherwise the last serialization point on the read path. A `Cell`
-    /// so the read path (which only holds `&TxnState`) can set it.
+    /// skip `release_all` at commit and so the lock manager's global
+    /// mutex. A `Cell` so the read path (which only holds `&TxnState`) can
+    /// set it.
     pub locks_taken: Cell<bool>,
     /// The snapshot timestamp this transaction registered in the GC pin
     /// registry, if any (transaction-snapshot levels only); unpinned at

@@ -177,3 +177,107 @@ fn gc_skips_active_writers_until_they_finish() {
         5
     );
 }
+
+/// Autocommit snapshot reads (point and range) race writers that commit
+/// two-step updates (`a`, then `b`, to the same new value, in one explicit
+/// transaction) with a GC pass after every commit. Every read must see each
+/// row exactly once with `a == b` — a pass that pruned a version a reader
+/// could still see would make the row vanish or expose the half-done step
+/// — and nothing may stay pinned or open afterwards.
+#[test]
+fn autocommit_snapshot_reads_race_gc() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    const ROWS: i64 = 8;
+    const TXNS_PER_WRITER: i64 = 600;
+    const WRITERS: i64 = 2;
+    for level in [
+        IsolationLevel::SnapshotIsolation,
+        IsolationLevel::MySqlRepeatableRead,
+    ] {
+        let schema = Schema::new().with_table(TableSchema::new(
+            "pair",
+            vec![
+                ColumnDef::new("id", ColumnType::Int).unique(),
+                ColumnDef::new("a", ColumnType::Int),
+                ColumnDef::new("b", ColumnType::Int),
+            ],
+        ));
+        let db = Database::new(schema, level);
+        db.seed(
+            "pair",
+            (1..=ROWS)
+                .map(|id| vec![Value::Int(id), Value::Int(0), Value::Int(0)])
+                .collect(),
+        )
+        .unwrap();
+        db.set_gc_interval(1);
+        let done = Arc::new(AtomicBool::new(false));
+
+        // Each writer owns the rows `id % WRITERS == w`, so writers never
+        // conflict and every transaction commits.
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let db = Arc::clone(&db);
+                std::thread::spawn(move || {
+                    let mut c = db.connect();
+                    for k in 1..=TXNS_PER_WRITER {
+                        let id = (k * WRITERS + w) % ROWS + 1;
+                        c.execute("BEGIN").unwrap();
+                        c.execute(&format!("UPDATE pair SET a = {k} WHERE id = {id}"))
+                            .unwrap();
+                        c.execute(&format!("UPDATE pair SET b = {k} WHERE id = {id}"))
+                            .unwrap();
+                        c.execute("COMMIT").unwrap();
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2)
+            .map(|r| {
+                let (db, done) = (Arc::clone(&db), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let mut c = db.connect();
+                    let mut reads = 0u64;
+                    let check = |row: &[Value], what: &str| {
+                        assert_eq!(row[1], row[2], "{level}: {what} saw a half-done update");
+                    };
+                    while !done.load(Ordering::Acquire) || reads == 0 {
+                        let id = (reads as i64 + r) % ROWS + 1;
+                        let point = c
+                            .execute(&format!("SELECT id, a, b FROM pair WHERE id = {id}"))
+                            .unwrap();
+                        assert_eq!(point.len(), 1, "{level}: row {id} vanished");
+                        check(&point.rows[0], "a point read");
+                        let range = c
+                            .execute("SELECT id, a, b FROM pair WHERE id BETWEEN 1 AND 8")
+                            .unwrap();
+                        let ids: Vec<&Value> = range.rows.iter().map(|row| &row[0]).collect();
+                        let expected: Vec<Value> = (1..=ROWS).map(Value::Int).collect();
+                        assert!(
+                            ids.iter().copied().eq(&expected),
+                            "{level}: a range read saw rows {ids:?}"
+                        );
+                        for row in &range.rows {
+                            check(row, "a range read");
+                        }
+                        reads += 1;
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert_eq!(db.pinned_snapshots(), 0, "{level}");
+        assert_eq!(db.active_transactions(), 0, "{level}");
+        for row in db.table_rows("pair").unwrap() {
+            assert_eq!(row[1], row[2], "{level}: final row {row:?}");
+        }
+    }
+}

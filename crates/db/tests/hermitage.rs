@@ -368,3 +368,55 @@ fn mysql_rr_footnote6() {
     t1.execute("COMMIT").unwrap();
     assert_eq!(value(&d, 1), 100, "update applied over T2's committed 99");
 }
+
+/// An autocommit UPDATE that parks on a row lock keeps the snapshot it
+/// drew on its first attempt. At SI that first snapshot predates the
+/// holder's commit, so first-updater-wins aborts the retry; at MySQL-RR
+/// the retry's current read applies over the committed value. Pinning
+/// only explicit transactions' snapshots would let the retry draw a fresh
+/// one at SI and silently lose the conflict.
+#[test]
+fn blocked_autocommit_update_keeps_its_first_snapshot() {
+    for (level, outcome) in [
+        (IsolationLevel::SnapshotIsolation, None),
+        (IsolationLevel::MySqlRepeatableRead, Some(11)),
+    ] {
+        let d = db(level);
+        d.set_lock_wait_timeout(std::time::Duration::from_secs(30));
+        d.enable_metrics();
+        let mut a = d.connect();
+        a.execute("UPDATE test SET value = 0 WHERE id = 1").unwrap();
+        a.execute("BEGIN").unwrap();
+        a.execute("UPDATE test SET value = value + 1 WHERE id = 1")
+            .unwrap();
+
+        let blocked_before = d.obs().counters().blocked_attempts;
+        let b_db = Arc::clone(&d);
+        let b = std::thread::spawn(move || {
+            b_db.connect()
+                .execute("UPDATE test SET value = value + 10 WHERE id = 1")
+        });
+        // B's first attempt has drawn its snapshot and parked.
+        while d.obs().counters().blocked_attempts == blocked_before {
+            std::thread::yield_now();
+        }
+        a.execute("COMMIT").unwrap();
+
+        let result = b.join().unwrap();
+        match outcome {
+            None => {
+                assert!(
+                    matches!(result, Err(DbError::WriteConflict(_))),
+                    "{level}: {result:?}"
+                );
+                assert_eq!(value(&d, 1), 1, "{level}: A's write stands alone");
+            }
+            Some(v) => {
+                assert_eq!(result.unwrap().affected_rows(), 1, "{level}");
+                assert_eq!(value(&d, 1), v, "{level}: B applied over A");
+            }
+        }
+        assert_eq!(d.pinned_snapshots(), 0, "{level}");
+        assert_eq!(d.active_transactions(), 0, "{level}");
+    }
+}

@@ -1,9 +1,10 @@
 //! Recursive-descent parser for the reproduction's SQL dialect.
 //!
 //! Every statement an application issues is parsed on the engine path, so
-//! the parser avoids allocating to look at tokens: keywords compare in
-//! place, and consumed identifier and string text moves into the AST
-//! instead of being copied (the parser never revisits a consumed token).
+//! the parser avoids allocating to look at tokens: identifier tokens
+//! borrow the statement text and keywords compare in place, so only an
+//! identifier the AST keeps is copied out; consumed string literals move
+//! into the AST (the parser never revisits a consumed token).
 
 use std::mem;
 
@@ -59,17 +60,17 @@ pub fn parse_script(input: &str) -> Result<Vec<Statement>, ParseError> {
     Ok(stmts)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
+    fn peek_kind(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos].kind
     }
 
@@ -81,7 +82,7 @@ impl Parser {
     }
 
     /// Consume the current token, moving its kind out.
-    fn next_kind(&mut self) -> TokenKind {
+    fn next_kind(&mut self) -> TokenKind<'a> {
         let kind = mem::replace(&mut self.tokens[self.pos].kind, TokenKind::Eof);
         self.bump();
         kind
@@ -92,7 +93,7 @@ impl Parser {
     }
 
     /// Consume the next token if it equals `kind`.
-    fn eat_kind(&mut self, kind: &TokenKind) -> bool {
+    fn eat_kind(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.peek_kind() == kind {
             self.bump();
             true
@@ -101,7 +102,7 @@ impl Parser {
         }
     }
 
-    fn expect_kind(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
+    fn expect_kind(&mut self, kind: &TokenKind<'_>) -> Result<(), ParseError> {
         if self.eat_kind(kind) {
             Ok(())
         } else {
@@ -139,15 +140,20 @@ impl Parser {
         self.peek_kind().is_keyword(kw)
     }
 
-    /// Parse an identifier token (keywords are accepted as identifiers in
-    /// identifier position, matching MySQL's lenient quoting-free style).
-    fn parse_ident(&mut self) -> Result<String, ParseError> {
-        if let TokenKind::Ident(name) = &mut self.tokens[self.pos].kind {
-            let name = mem::take(name);
+    /// Consume an identifier token, borrowing its text (keywords are
+    /// accepted as identifiers in identifier position, matching MySQL's
+    /// lenient quoting-free style).
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
+        if let TokenKind::Ident(name) = *self.peek_kind() {
             self.bump();
             return Ok(name);
         }
         Err(self.error(format!("expected identifier, found {}", self.peek_kind())))
+    }
+
+    /// [`Parser::ident`], copied out for the AST to keep.
+    fn parse_ident(&mut self) -> Result<String, ParseError> {
+        self.ident().map(str::to_owned)
     }
 
     fn parse_statement(&mut self) -> Result<Statement, ParseError> {
@@ -221,7 +227,7 @@ impl Parser {
             "CREATE" => self.parse_create_table().map(Statement::CreateTable),
             "SET" => {
                 self.bump();
-                let name = self.parse_ident()?;
+                let name = self.ident()?;
                 if !name.eq_ignore_ascii_case("autocommit") {
                     return Err(self.error(format!("unsupported SET target {name:?}")));
                 }
@@ -250,7 +256,7 @@ impl Parser {
         let mut columns = Vec::new();
         loop {
             let col_name = self.parse_ident()?;
-            let ty_name = self.parse_ident()?.to_ascii_uppercase();
+            let ty_name = self.ident()?.to_ascii_uppercase();
             let ty = match ty_name.as_str() {
                 "INT" | "INTEGER" | "BIGINT" | "SMALLINT" | "TINYINT" => ColumnType::Int,
                 "FLOAT" | "DOUBLE" | "REAL" | "DECIMAL" | "NUMERIC" => ColumnType::Float,
@@ -394,7 +400,7 @@ impl Parser {
         let expr = self.parse_expr()?;
         let alias = if self.eat_keyword("AS") {
             Some(match self.next_kind() {
-                TokenKind::Ident(name) => name,
+                TokenKind::Ident(name) => name.to_owned(),
                 // MySQL logs sometimes alias with a string: `SELECT (1) AS 'a'`.
                 TokenKind::Str(name) => name,
                 other => return Err(self.error(format!("expected alias, found {other}"))),

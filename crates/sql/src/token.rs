@@ -12,20 +12,22 @@ use std::fmt;
 use crate::error::ParseError;
 
 /// A single lexical token, carrying its source offset for error reporting.
+/// Identifier tokens borrow their text from the input (`'a`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     /// Byte offset of the first character of the token in the input.
     pub offset: usize,
 }
 
 /// The kinds of token the lexer produces.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// A bare or backquoted identifier. Keywords are resolved by the parser
-    /// via [`TokenKind::is_keyword`] so that identifiers like `count` can
-    /// still be used as column names.
-    Ident(String),
+pub enum TokenKind<'a> {
+    /// A bare or backquoted identifier, borrowed from the input (quotes
+    /// stripped). Keywords are resolved by the parser via
+    /// [`TokenKind::is_keyword`] so that identifiers like `count` can still
+    /// be used as column names; lexing one allocates nothing.
+    Ident(&'a str),
     /// A single-quoted string literal (already unescaped).
     Str(String),
     /// An integer literal.
@@ -52,7 +54,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Whether this token is an identifier spelling the keyword `kw`,
     /// ignoring ASCII case. Compares in place.
     pub fn is_keyword(&self, kw: &str) -> bool {
@@ -60,7 +62,7 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "{s}"),
@@ -88,9 +90,12 @@ impl fmt::Display for TokenKind {
 }
 
 /// Tokenize `input` into a vector of tokens terminated by [`TokenKind::Eof`].
-pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
+/// The vector is sized once for one token per three bytes of input, which
+/// holds a typical statement's tokens (a name, a keyword or a literal and
+/// its separator); denser text grows it by doubling.
+pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
     let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
+    let mut tokens = Vec::with_capacity(input.len() / 3 + 2);
     let mut i = skip_trivia(bytes, 0);
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -225,7 +230,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
             '`' | '"' => {
                 let (s, next) = lex_quoted_ident(input, i, c)?;
                 tokens.push(Token {
-                    kind: TokenKind::Ident(s.to_string()),
+                    kind: TokenKind::Ident(s),
                     offset: i,
                 });
                 i = next;
@@ -239,7 +244,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
                 let start = i;
                 i = word_end(bytes, i);
                 tokens.push(Token {
-                    kind: TokenKind::Ident(input[start..i].to_string()),
+                    kind: TokenKind::Ident(&input[start..i]),
                     offset: start,
                 });
             }
@@ -362,7 +367,7 @@ fn lex_quoted_ident(input: &str, start: usize, quote: char) -> Result<(&str, usi
 }
 
 /// Lex an integer or float literal.
-fn lex_number(input: &str, start: usize) -> Result<(TokenKind, usize), ParseError> {
+fn lex_number(input: &str, start: usize) -> Result<(TokenKind<'static>, usize), ParseError> {
     let bytes = input.as_bytes();
     let mut i = start;
     while i < bytes.len() && bytes[i].is_ascii_digit() {
@@ -403,7 +408,7 @@ fn utf8_len(first_byte: u8) -> usize {
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         tokenize(input)
             .unwrap()
             .into_iter()
@@ -417,12 +422,12 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("SELECT".into()),
-                TokenKind::Ident("stock".into()),
-                TokenKind::Ident("FROM".into()),
-                TokenKind::Ident("product".into()),
-                TokenKind::Ident("WHERE".into()),
-                TokenKind::Ident("item_id".into()),
+                TokenKind::Ident("SELECT"),
+                TokenKind::Ident("stock"),
+                TokenKind::Ident("FROM"),
+                TokenKind::Ident("product"),
+                TokenKind::Ident("WHERE"),
+                TokenKind::Ident("item_id"),
                 TokenKind::Eq,
                 TokenKind::Int(2),
                 TokenKind::Semicolon,
@@ -434,8 +439,8 @@ mod tests {
     #[test]
     fn lexes_backquoted_identifiers() {
         let ks = kinds("SELECT `cart_cartitem`.`cart_id` FROM `cart_cartitem`");
-        assert!(ks.contains(&TokenKind::Ident("cart_cartitem".into())));
-        assert!(ks.contains(&TokenKind::Ident("cart_id".into())));
+        assert!(ks.contains(&TokenKind::Ident("cart_cartitem")));
+        assert!(ks.contains(&TokenKind::Ident("cart_id")));
         assert!(ks.contains(&TokenKind::Dot));
     }
 
@@ -452,11 +457,7 @@ mod tests {
         // A dot not followed by a digit is a separate token.
         assert_eq!(
             kinds("2.x")[..3],
-            [
-                TokenKind::Int(2),
-                TokenKind::Dot,
-                TokenKind::Ident("x".into())
-            ]
+            [TokenKind::Int(2), TokenKind::Dot, TokenKind::Ident("x")]
         );
     }
 
@@ -493,7 +494,7 @@ mod tests {
 
     #[test]
     fn lexes_double_quoted_ident() {
-        assert_eq!(kinds("\"order\"")[0], TokenKind::Ident("order".into()));
+        assert_eq!(kinds("\"order\"")[0], TokenKind::Ident("order"));
     }
 
     #[test]
