@@ -32,6 +32,7 @@ pub mod flexcoin;
 pub mod framework;
 pub mod invariants;
 pub mod java;
+pub mod mix;
 pub mod php;
 pub mod python;
 pub mod repair;

@@ -98,7 +98,9 @@ pub struct RetryStats {
     pub total_backoff: Duration,
 }
 
-fn splitmix64(mut z: u64) -> u64 {
+/// The splitmix64 step: add the golden gamma, then finalize. Also the
+/// storefront mix's generator ([`crate::mix::Mix`]).
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use acidrain_apps::mix::ADD_TENTHS;
 use acidrain_apps::prelude::*;
 use acidrain_db::{Database, IsolationLevel};
 use acidrain_sql::rwset::statement_accesses;
@@ -34,10 +35,10 @@ fn fresh_store() -> std::sync::Arc<Database> {
     db
 }
 
-/// The socket load generator's add/checkout ratio on one app: seven in ten
-/// calls put a pen or a laptop into one of five carts, the rest check a
-/// cart out plainly. One voucher checkout at the end reaches the voucher
-/// tables, which the load generator itself never does.
+/// The storefront mix's add/checkout ratio on one app: seven in ten calls
+/// put a pen or a laptop into one of five carts, the rest check a cart out
+/// plainly. One voucher checkout at the end reaches the voucher
+/// tables, which the mix itself never does.
 fn run_mix(app: &dyn ShopApp, conn: &mut dyn SqlConn) {
     let mut state = 0xac1d_u64;
     let mut next = || {
@@ -47,7 +48,7 @@ fn run_mix(app: &dyn ShopApp, conn: &mut dyn SqlConn) {
     for _ in 0..60 {
         let cart = 1 + (next() % 5) as i64;
         let product = if next() % 2 == 0 { PEN } else { LAPTOP };
-        let result = if next() % 10 < 7 {
+        let result = if next() % 10 < ADD_TENTHS {
             app.add_to_cart(conn, cart, product, 1)
         } else {
             app.checkout(conn, cart, &CheckoutRequest::plain())

@@ -3,12 +3,13 @@
 //! per-statement delay standing in for the 200 ms pass-through proxy the
 //! authors used to widen race windows (§4.2.4).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
 use acidrain_apps::SqlConn;
-use acidrain_db::{Connection, Database, DbError, Obs, ResultSet, Stopwatch};
+use acidrain_db::{Connection, Database, DbError, Obs, ResultSet};
+
+use crate::storefront::released_together;
 
 /// A [`Connection`] that sleeps before each statement, emulating
 /// application-server-to-database network latency.
@@ -91,14 +92,6 @@ impl<T> TaskOutcome<T> {
     pub fn is_timed_out(&self) -> bool {
         matches!(self, TaskOutcome::TimedOut { .. })
     }
-
-    /// The completed value, if any.
-    pub fn completed(self) -> Option<T> {
-        match self {
-            TaskOutcome::Completed(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// [`run_concurrent`] with a per-task watchdog: the database's
@@ -108,7 +101,9 @@ impl<T> TaskOutcome<T> {
 /// roughly `deadline` instead of hanging the harness. Task panics are
 /// caught; a panic after the deadline is classified as the timeout it
 /// almost certainly is (the task unwrapped the injected
-/// [`DbError::LockTimeout`]).
+/// [`DbError::LockTimeout`]). The threads are the storefront driver's:
+/// released together, each timed by the one clock that both the
+/// classification and the recorded task latency read.
 ///
 /// [`DbError::LockTimeout`]: acidrain_db::DbError::LockTimeout
 pub fn run_concurrent_watchdog<T, F>(
@@ -123,39 +118,27 @@ where
 {
     let prior = db.lock_wait_timeout();
     db.set_lock_wait_timeout(prior.min(deadline));
-    let barrier = std::sync::Barrier::new(tasks.len());
-    let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .map(|task| {
-                let mut conn = DelayConn::new(db.connect(), delay);
-                let session = conn.session();
-                let obs = db.obs().clone();
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    // One stopwatch serves both the watchdog's timeout
-                    // classification and the recorded task latency, so the
-                    // duration the report shows is the duration the
-                    // classification used (no separate clock reads to
-                    // drift apart).
-                    let sw = Stopwatch::start();
-                    let result = catch_unwind(AssertUnwindSafe(|| task(&mut conn)));
-                    let elapsed = sw.elapsed();
-                    obs.task_finished(session, elapsed);
-                    (result, elapsed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok((Ok(value), _)) => TaskOutcome::Completed(value),
-                Ok((Err(_), elapsed)) if elapsed >= deadline => TaskOutcome::TimedOut { elapsed },
-                _ => TaskOutcome::Panicked,
-            })
-            .collect()
-    });
+    let mut sessions = Vec::with_capacity(tasks.len());
+    let bodies: Vec<_> = tasks
+        .into_iter()
+        .map(|task| {
+            let mut conn = DelayConn::new(db.connect(), delay);
+            sessions.push(conn.session());
+            move || task(&mut conn)
+        })
+        .collect();
+    let outcomes = released_together(bodies)
+        .into_iter()
+        .zip(sessions)
+        .map(|((result, elapsed), session)| {
+            db.obs().task_finished(session, elapsed);
+            match result {
+                Ok(value) => TaskOutcome::Completed(value),
+                Err(_) if elapsed >= deadline => TaskOutcome::TimedOut { elapsed },
+                Err(_) => TaskOutcome::Panicked,
+            }
+        })
+        .collect();
     db.set_lock_wait_timeout(prior);
     outcomes
 }

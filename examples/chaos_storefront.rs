@@ -12,9 +12,9 @@
 //! reports are identical.
 
 use acidrain_apps::prelude::*;
-use acidrain_apps::RetryPolicy;
 use acidrain_db::{FaultConfig, IsolationLevel};
-use acidrain_harness::chaos::{run_chaos, ChaosConfig};
+use acidrain_harness::chaos::run_chaos;
+use acidrain_harness::storefront::Config;
 
 fn main() {
     let seed: u64 = match std::env::args().nth(1) {
@@ -26,29 +26,28 @@ fn main() {
         }),
     };
     let app = PrestaShop;
-    let config = ChaosConfig {
+    let config = Config {
         seed,
         faults: FaultConfig::disabled()
             .with_deadlock(0.10)
             .with_write_conflict(0.05)
             .with_lock_timeout(0.03),
-        policy: RetryPolicy::RetryTxn,
-        max_retries: 32,
+        retry: RetryConfig::no_sleep(RetryPolicy::RetryTxn, 32),
         sessions: 6,
         requests_per_session: 9,
-        isolation: IsolationLevel::ReadCommitted,
-        use_indexes: true,
-        wal: None,
+        ..Config::default()
     };
+    let store = || app.make_store(IsolationLevel::ReadCommitted);
 
     println!("chaos run against {} (seed {seed:#x})", app.name());
-    let report = run_chaos(&app, &config);
+    let report = run_chaos(&app, &store(), &config);
 
+    let outcome = &report.outcome;
     println!(
         "requests: {} committed, {} rejected by business logic, {} failed",
-        report.committed, report.rejected, report.failed
+        outcome.committed, outcome.rejected, outcome.failed
     );
-    let f = &report.fault_stats;
+    let f = &outcome.fault_stats;
     println!(
         "injected faults: {} deadlocks, {} write conflicts, {} lock timeouts over {} statements",
         f.injected_deadlocks,
@@ -56,7 +55,7 @@ fn main() {
         f.injected_lock_timeouts,
         f.statements_seen
     );
-    let r = &report.retry_stats;
+    let r = &outcome.retry_stats;
     println!(
         "retry layer: {} transaction replays, {} statement retries, {} give-ups",
         r.txn_replays, r.statement_retries, r.gave_up
@@ -73,7 +72,7 @@ fn main() {
     }
     println!("final state digest: {:#018x}", report.state_digest);
 
-    let replay = run_chaos(&app, &config);
+    let replay = run_chaos(&app, &store(), &config);
     assert_eq!(report, replay);
     println!("replay with the same seed: identical report, bit for bit");
 }

@@ -11,8 +11,8 @@
 use acidrain_apps::prelude::*;
 use acidrain_db::wal::scan_wal;
 use acidrain_db::{CrashPoint, CrashSpec, FaultConfig, IsolationLevel, WalConfig};
-use acidrain_harness::chaos::{recover_app_store, run_chaos, scratch_dir, state_digest};
-use acidrain_harness::ChaosConfig;
+use acidrain_harness::chaos::{recover_app_store, run_chaos, scratch_dir};
+use acidrain_harness::storefront::{state_digest, Config};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -25,25 +25,25 @@ fn main() {
 
     // Arm a mid-append crash: the engine dies while the fourth commit
     // record is half-written, leaving a torn tail on disk.
-    let config = ChaosConfig {
+    let config = Config {
         seed,
         faults: FaultConfig::disabled()
             .with_deadlock(0.08)
             .with_crash(CrashSpec::new(CrashPoint::WalAppend, 4)),
-        wal: Some(WalConfig::new(&dir)),
-        ..ChaosConfig::default()
+        ..Config::default()
     };
+    let store = app.make_store(IsolationLevel::ReadCommitted);
+    store
+        .attach_wal(WalConfig::new(&dir))
+        .expect("a fresh store accepts a WAL");
 
     println!("chaos run against {} (seed {seed:#x})...", app.name());
-    let report = run_chaos(&app, &config);
-    assert!(report.crashed, "the armed crash point fired");
+    let outcome = run_chaos(&app, &store, &config).outcome;
+    assert!(outcome.crashed, "the armed crash point fired");
     println!(
         "killed mid-append after {} committed requests ({} never ran)",
-        report.committed,
-        config.sessions * config.requests_per_session
-            - report.committed
-            - report.rejected
-            - report.failed,
+        outcome.committed,
+        config.sessions * config.requests_per_session - outcome.requests(),
     );
 
     // Restart: rebuild the store from schema + seed fixtures, then replay

@@ -1,45 +1,49 @@
 //! Acceptance tests for the deterministic fault-injection layer:
-//! fixed-seed chaos runs are bit-for-bit reproducible, and hung lock
+//! fixed-seed chaos runs are bit-for-bit reproducible, leave no
+//! transaction, lock or snapshot pin behind at any level, and hung lock
 //! waits degrade into reported timeouts inside the watchdog deadline.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acidrain_apps::prelude::*;
-use acidrain_apps::RetryPolicy;
 use acidrain_db::{Database, FaultConfig, IsolationLevel, Value};
-use acidrain_harness::chaos::{run_chaos, ChaosConfig};
+use acidrain_harness::chaos::{run_chaos, ChaosReport};
+use acidrain_harness::storefront::{leaks, Config, Leaks};
 use acidrain_harness::stress::run_concurrent_watchdog;
 use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
 
-fn chaotic_config(seed: u64) -> ChaosConfig {
-    ChaosConfig {
+fn chaotic_config(seed: u64) -> Config {
+    Config {
         seed,
         faults: FaultConfig::disabled()
             .with_deadlock(0.08)
             .with_write_conflict(0.05)
             .with_lock_timeout(0.03),
-        policy: RetryPolicy::RetryTxn,
-        max_retries: 32,
+        retry: RetryConfig::no_sleep(RetryPolicy::RetryTxn, 32),
         sessions: 6,
         requests_per_session: 9,
-        isolation: IsolationLevel::ReadCommitted,
-        use_indexes: true,
-        wal: None,
+        ..Config::default()
     }
+}
+
+/// A chaos run of PrestaShop on a fresh READ COMMITTED store.
+fn chaos(config: &Config) -> ChaosReport {
+    let db = PrestaShop.make_store(IsolationLevel::ReadCommitted);
+    run_chaos(&PrestaShop, &db, config)
 }
 
 #[test]
 fn fixed_seed_chaos_runs_are_bit_for_bit_reproducible() {
     let config = chaotic_config(0xAC1D);
-    let first = run_chaos(&PrestaShop, &config);
-    let second = run_chaos(&PrestaShop, &config);
+    let first = chaos(&config);
+    let second = chaos(&config);
 
     // Same abort counts, same final committed state, same witness set —
     // the whole report compares equal.
     assert_eq!(first, second);
     assert!(
-        first.fault_stats.total_injected() > 0,
+        first.outcome.fault_stats.total_injected() > 0,
         "the chaos must be real for the reproducibility claim to bite: {first:?}"
     );
     assert!(first.aborted_log_entries > 0);
@@ -47,10 +51,10 @@ fn fixed_seed_chaos_runs_are_bit_for_bit_reproducible() {
 
 #[test]
 fn different_seeds_produce_different_chaos() {
-    let first = run_chaos(&PrestaShop, &chaotic_config(1));
-    let second = run_chaos(&PrestaShop, &chaotic_config(2));
+    let first = chaos(&chaotic_config(1));
+    let second = chaos(&chaotic_config(2));
     assert_ne!(
-        first.fault_stats, second.fault_stats,
+        first.outcome.fault_stats, second.outcome.fault_stats,
         "independent seeds must not replay the same fault sequence"
     );
 }
@@ -60,14 +64,37 @@ fn chaos_reports_are_complete_even_when_requests_fail() {
     // No retries: injected aborts surface as failed requests, yet the
     // report still carries invariant verdicts and fault counts instead of
     // the harness panicking.
-    let config = ChaosConfig {
-        policy: RetryPolicy::NoRetry,
+    let config = Config {
+        retry: RetryConfig::no_sleep(RetryPolicy::NoRetry, 32),
         ..chaotic_config(0xBEEF)
     };
-    let report = run_chaos(&PrestaShop, &config);
-    assert!(report.failed > 0, "{report:?}");
+    let report = chaos(&config);
+    assert!(report.outcome.failed > 0, "{report:?}");
     assert!(!report.invariant_results.is_empty());
-    assert!(report.fault_stats.total_injected() > 0);
+    assert!(report.outcome.fault_stats.total_injected() > 0);
+}
+
+/// The leak checker the wire configurations use, on the in-process
+/// transport: one chaotic seed at each of the six levels leaves no open
+/// transaction, lock or snapshot pin, and a GC pass afterwards reaches the
+/// commit clock.
+#[test]
+fn chaos_runs_leak_nothing_at_any_level() {
+    for level in IsolationLevel::ALL {
+        let db = PrestaShop.make_store(level);
+        db.enable_metrics();
+        let report = run_chaos(&PrestaShop, &db, &chaotic_config(0xAC1D));
+        assert!(
+            report.outcome.fault_stats.total_injected() > 0,
+            "{level}: {report:?}"
+        );
+        assert_eq!(leaks(&db), Leaks::default(), "{level}: {report:?}");
+        let metrics = db.metrics_report();
+        assert_eq!(
+            metrics.gc_oldest_snapshot, metrics.commit_clock,
+            "{level}: GC bound stuck below the clock"
+        );
+    }
 }
 
 #[test]

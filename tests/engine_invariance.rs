@@ -21,10 +21,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use acidrain_apps::prelude::*;
-use acidrain_apps::{RetryPolicy, SqlConn};
+use acidrain_apps::SqlConn;
 use acidrain_core::{Analyzer, RefinementConfig};
 use acidrain_db::{Database, DbError, FaultConfig, IsolationLevel, Value};
-use acidrain_harness::chaos::{run_chaos, ChaosConfig};
+use acidrain_harness::chaos::{run_chaos, ChaosReport};
+use acidrain_harness::storefront::Config;
 use acidrain_harness::stress::run_concurrent;
 use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
 
@@ -169,21 +170,26 @@ fn serializable_phantom_block_fingerprint_is_stable() {
     assert_eq!(d.table_rows("test").unwrap().len(), 3);
 }
 
-fn chaos_config(seed: u64) -> ChaosConfig {
-    ChaosConfig {
+fn chaos_config(seed: u64) -> Config {
+    Config {
         seed,
         faults: FaultConfig::disabled()
             .with_deadlock(0.08)
             .with_write_conflict(0.05)
             .with_lock_timeout(0.03),
-        policy: RetryPolicy::RetryTxn,
-        max_retries: 12,
+        retry: RetryConfig::no_sleep(RetryPolicy::RetryTxn, 12),
         sessions: 4,
         requests_per_session: 6,
-        isolation: IsolationLevel::ReadCommitted,
-        use_indexes: true,
-        wal: None,
+        ..Config::default()
     }
+}
+
+/// A chaos run of PrestaShop on a fresh READ COMMITTED store, its read
+/// path routed through the indexes or not.
+fn chaos(config: &Config, use_indexes: bool) -> ChaosReport {
+    let db = PrestaShop.make_store(IsolationLevel::ReadCommitted);
+    db.set_use_indexes(use_indexes);
+    run_chaos(&PrestaShop, &db, config)
 }
 
 /// Seeded chaos storefront runs pin the whole report: request outcomes,
@@ -199,16 +205,16 @@ fn seeded_chaos_reports_match_pre_refactor_baseline() {
     ];
     let reports: Vec<_> = baselines
         .iter()
-        .map(|b| run_chaos(&PrestaShop, &chaos_config(b.0)))
+        .map(|b| chaos(&chaos_config(b.0), true))
         .collect();
     for (b, report) in baselines.iter().zip(&reports) {
         eprintln!(
             "chaos seed {}: committed={} rejected={} failed={} injected={} aborted={} witnesses={} digest={:#x}",
             b.0,
-            report.committed,
-            report.rejected,
-            report.failed,
-            report.fault_stats.total_injected(),
+            report.outcome.committed,
+            report.outcome.rejected,
+            report.outcome.failed,
+            report.outcome.fault_stats.total_injected(),
             report.aborted_log_entries,
             report.witnesses,
             report.state_digest
@@ -217,10 +223,14 @@ fn seeded_chaos_reports_match_pre_refactor_baseline() {
     for ((seed, committed, rejected, failed, injected, aborted, witnesses, digest), report) in
         baselines.into_iter().zip(reports)
     {
-        assert_eq!(report.committed, committed, "seed {seed}");
-        assert_eq!(report.rejected, rejected, "seed {seed}");
-        assert_eq!(report.failed, failed, "seed {seed}");
-        assert_eq!(report.fault_stats.total_injected(), injected, "seed {seed}");
+        assert_eq!(report.outcome.committed, committed, "seed {seed}");
+        assert_eq!(report.outcome.rejected, rejected, "seed {seed}");
+        assert_eq!(report.outcome.failed, failed, "seed {seed}");
+        assert_eq!(
+            report.outcome.fault_stats.total_injected(),
+            injected,
+            "seed {seed}"
+        );
         assert_eq!(report.aborted_log_entries, aborted, "seed {seed}");
         assert_eq!(report.witnesses, witnesses, "seed {seed}");
         assert_eq!(report.state_digest, digest, "seed {seed:#x}");
@@ -236,14 +246,8 @@ fn seeded_chaos_reports_match_pre_refactor_baseline() {
 #[test]
 fn chaos_reports_identical_with_index_path_on_or_off() {
     for seed in [7u64, 42, 0xAC1D] {
-        let on = run_chaos(&PrestaShop, &chaos_config(seed));
-        let off = run_chaos(
-            &PrestaShop,
-            &ChaosConfig {
-                use_indexes: false,
-                ..chaos_config(seed)
-            },
-        );
+        let on = chaos(&chaos_config(seed), true);
+        let off = chaos(&chaos_config(seed), false);
         assert_eq!(
             on, off,
             "seed {seed}: index routing changed the chaos report"

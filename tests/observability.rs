@@ -17,39 +17,45 @@
 use std::sync::Arc;
 
 use acidrain_apps::prelude::*;
-use acidrain_apps::RetryPolicy;
-use acidrain_db::{Database, FaultConfig, IsolationLevel};
-use acidrain_harness::chaos::{run_chaos, run_chaos_instrumented, ChaosConfig};
+use acidrain_db::{Database, FaultConfig, IsolationLevel, MetricsReport};
+use acidrain_harness::chaos::{run_chaos, ChaosReport};
+use acidrain_harness::storefront::Config;
 use acidrain_obs::{trace_chrome_json, trace_json, SpanKind};
 
-fn chaotic_config(seed: u64) -> ChaosConfig {
-    ChaosConfig {
+fn chaotic_config(seed: u64) -> Config {
+    Config {
         seed,
         faults: FaultConfig::disabled()
             .with_deadlock(0.08)
             .with_write_conflict(0.05)
             .with_lock_timeout(0.03),
-        policy: RetryPolicy::RetryTxn,
-        max_retries: 32,
+        retry: RetryConfig::no_sleep(RetryPolicy::RetryTxn, 32),
         sessions: 6,
         requests_per_session: 9,
-        isolation: IsolationLevel::ReadCommitted,
-        use_indexes: true,
-        wal: None,
+        ..Config::default()
     }
+}
+
+/// A chaos run of PrestaShop on a fresh READ COMMITTED store that records
+/// metrics, and the metrics it recorded.
+fn instrumented_chaos(config: &Config) -> (ChaosReport, MetricsReport) {
+    let db = PrestaShop.make_store(IsolationLevel::ReadCommitted);
+    db.enable_metrics();
+    (run_chaos(&PrestaShop, &db, config), db.metrics_report())
 }
 
 #[test]
 fn same_seed_chaos_run_is_identical_with_metrics_on_or_off() {
-    let baseline = run_chaos(&PrestaShop, &chaotic_config(0xAC1D));
-    let (instrumented, metrics) = run_chaos_instrumented(&PrestaShop, &chaotic_config(0xAC1D));
+    let db = PrestaShop.make_store(IsolationLevel::ReadCommitted);
+    let baseline = run_chaos(&PrestaShop, &db, &chaotic_config(0xAC1D));
+    let (instrumented, metrics) = instrumented_chaos(&chaotic_config(0xAC1D));
 
     // The deterministic report — fault counts, retry totals, witness set,
     // committed-state digest — must not move by a single bit when the
     // registry is recording.
     assert_eq!(baseline, instrumented);
     assert!(
-        baseline.fault_stats.total_injected() > 0,
+        baseline.outcome.fault_stats.total_injected() > 0,
         "the chaos must be real for the invariance claim to bite: {baseline:?}"
     );
 
@@ -58,7 +64,7 @@ fn same_seed_chaos_run_is_identical_with_metrics_on_or_off() {
     assert!(metrics.statements.count() > 0);
     assert_eq!(
         metrics.counters.injected_faults,
-        baseline.fault_stats.total_injected(),
+        baseline.outcome.fault_stats.total_injected(),
         "the injected-fault counter mirrors the injector's own ledger"
     );
 }
@@ -66,18 +72,22 @@ fn same_seed_chaos_run_is_identical_with_metrics_on_or_off() {
 #[test]
 fn instrumented_chaos_metrics_are_coherent() {
     let config = chaotic_config(7);
-    let (report, metrics) = run_chaos_instrumented(&PrestaShop, &config);
+    let (report, metrics) = instrumented_chaos(&config);
 
     // Latency data exists for every layer the run exercised.
     assert!(metrics.statements.count() > 0);
     assert!(metrics.transactions.count() > 0);
-    assert!(metrics.tasks.count() as usize >= report.committed + report.rejected);
+    let outcome = &report.outcome;
+    assert!(metrics.tasks.count() as usize >= outcome.committed + outcome.rejected);
 
     // Retry activity in the chaos report reappears in the obs counters.
-    assert_eq!(metrics.counters.txn_replays, report.retry_stats.txn_replays);
+    assert_eq!(
+        metrics.counters.txn_replays,
+        outcome.retry_stats.txn_replays
+    );
     assert_eq!(
         metrics.counters.statement_retries,
-        report.retry_stats.statement_retries
+        outcome.retry_stats.statement_retries
     );
 
     // Every statement landed in exactly one outcome bucket, and the

@@ -28,7 +28,8 @@ use acidrain_db::wal::{scan_wal, WAL_HEADER_LEN};
 use acidrain_db::{
     CrashPoint, CrashSpec, Database, DbError, FaultConfig, IsolationLevel, Value, WalConfig,
 };
-use acidrain_harness::{recover_app_store, run_chaos, scratch_dir, state_digest, ChaosConfig};
+use acidrain_harness::storefront::Config;
+use acidrain_harness::{recover_app_store, run_chaos, scratch_dir, state_digest, ChaosReport};
 use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
 
 fn cleanup(dirs: &[std::path::PathBuf]) {
@@ -37,19 +38,31 @@ fn cleanup(dirs: &[std::path::PathBuf]) {
     }
 }
 
-/// Chaos config with a WAL attached and a mix of organic faults, so the
-/// log records a workload that includes rollbacks, retries, and the slot
-/// gaps rolled-back inserts leave behind.
-fn walled_config(seed: u64, isolation: IsolationLevel, wal: WalConfig) -> ChaosConfig {
-    ChaosConfig {
+/// Chaos config with a mix of organic faults, so the log records a
+/// workload that includes rollbacks, retries, and the slot gaps
+/// rolled-back inserts leave behind.
+fn walled_config(seed: u64) -> Config {
+    Config {
         seed,
-        isolation,
         faults: FaultConfig::disabled()
             .with_deadlock(0.06)
             .with_write_conflict(0.04),
-        wal: Some(wal),
-        ..ChaosConfig::default()
+        ..Config::default()
     }
+}
+
+/// Run `config` for `app` on a fresh store at `isolation` with a WAL
+/// attached in `dir`.
+fn walled_run(
+    app: &(dyn ShopApp + Sync),
+    isolation: IsolationLevel,
+    dir: &std::path::Path,
+    config: &Config,
+) -> ChaosReport {
+    let db = app.make_store(isolation);
+    db.attach_wal(WalConfig::new(dir))
+        .expect("a fresh store accepts a WAL");
+    run_chaos(app, &db, config)
 }
 
 // ---------------------------------------------------------------------------
@@ -63,10 +76,12 @@ fn walled_config(seed: u64, isolation: IsolationLevel, wal: WalConfig) -> ChaosC
 fn replay_reproduces_digest_at_every_isolation_level() {
     for (i, isolation) in IsolationLevel::ALL.into_iter().enumerate() {
         let dir = scratch_dir("replay-level");
-        let config = walled_config(100 + i as u64, isolation, WalConfig::new(&dir));
-        let report = run_chaos(&PrestaShop, &config);
-        assert!(!report.crashed, "{isolation}: no crash was armed");
-        assert!(report.committed > 0, "{isolation}: workload must commit");
+        let report = walled_run(&PrestaShop, isolation, &dir, &walled_config(100 + i as u64));
+        assert!(!report.outcome.crashed, "{isolation}: no crash was armed");
+        assert!(
+            report.outcome.committed > 0,
+            "{isolation}: workload must commit"
+        );
 
         let (db, info) = recover_app_store(&PrestaShop, isolation, WalConfig::new(&dir))
             .unwrap_or_else(|e| panic!("{isolation}: recovery failed: {e}"));
@@ -88,15 +103,11 @@ fn replay_reproduces_digest_at_every_isolation_level() {
 #[test]
 fn replay_reproduces_digest_for_every_corpus_app() {
     for (i, app) in all_apps().into_iter().enumerate() {
-        let app: &dyn ShopApp = app.as_ref();
+        let app: &(dyn ShopApp + Sync) = app.as_ref();
         let dir = scratch_dir("replay-app");
-        let config = walled_config(
-            200 + i as u64,
-            IsolationLevel::ReadCommitted,
-            WalConfig::new(&dir),
-        );
-        let report = run_chaos(app, &config);
-        assert!(!report.crashed, "{}", app.name());
+        let config = walled_config(200 + i as u64);
+        let report = walled_run(app, IsolationLevel::ReadCommitted, &dir, &config);
+        assert!(!report.outcome.crashed, "{}", app.name());
 
         let (db, _info) =
             recover_app_store(app, IsolationLevel::ReadCommitted, WalConfig::new(&dir))
@@ -133,22 +144,19 @@ fn crash_at_each_point_recovers_a_committed_prefix() {
         let clean_dir = scratch_dir("crash-clean");
         let crash_dir = scratch_dir("crash-kill");
 
-        let clean = run_chaos(
-            &PrestaShop,
-            &walled_config(31, isolation, WalConfig::new(&clean_dir)),
-        );
-        assert!(!clean.crashed);
+        let clean = walled_run(&PrestaShop, isolation, &clean_dir, &walled_config(31));
+        assert!(!clean.outcome.crashed);
 
-        let mut crashed_config = walled_config(31, isolation, WalConfig::new(&crash_dir));
+        let mut crashed_config = walled_config(31);
         crashed_config.faults = crashed_config.faults.with_crash(CrashSpec::new(point, 4));
-        let crashed = run_chaos(&PrestaShop, &crashed_config);
+        let crashed = walled_run(&PrestaShop, isolation, &crash_dir, &crashed_config);
         assert!(
-            crashed.crashed,
+            crashed.outcome.crashed,
             "{}: the armed crash must fire",
             point.name()
         );
         assert!(
-            crashed.committed < clean.committed,
+            crashed.outcome.committed < clean.outcome.committed,
             "{}: the kill must cut the workload short",
             point.name()
         );
@@ -223,12 +231,12 @@ fn crash_at_each_point_recovers_a_committed_prefix() {
 #[test]
 fn post_fsync_kill_keeps_durable_unacked_commits() {
     let dir = scratch_dir("post-fsync");
-    let mut config = walled_config(77, IsolationLevel::ReadCommitted, WalConfig::new(&dir));
+    let mut config = walled_config(77);
     config.faults = config
         .faults
         .with_crash(CrashSpec::new(CrashPoint::PostFsync, 3));
-    let report = run_chaos(&PrestaShop, &config);
-    assert!(report.crashed);
+    let report = walled_run(&PrestaShop, IsolationLevel::ReadCommitted, &dir, &config);
+    assert!(report.outcome.crashed);
 
     let (_db, info) = recover_app_store(
         &PrestaShop,
@@ -260,15 +268,19 @@ fn post_fsync_kill_keeps_durable_unacked_commits() {
 #[test]
 fn torn_tail_at_every_byte_never_loses_a_committed_record() {
     let base_dir = scratch_dir("torn-base");
-    let config = ChaosConfig {
+    let config = Config {
         seed: 5,
         sessions: 2,
         requests_per_session: 2,
-        wal: Some(WalConfig::new(&base_dir)),
-        ..ChaosConfig::default()
+        ..Config::default()
     };
-    let report = run_chaos(&PrestaShop, &config);
-    assert!(!report.crashed);
+    let report = walled_run(
+        &PrestaShop,
+        IsolationLevel::ReadCommitted,
+        &base_dir,
+        &config,
+    );
+    assert!(!report.outcome.crashed);
 
     let bytes = fs::read(WalConfig::new(&base_dir).log_path()).unwrap();
     let (records, valid) = scan_wal(&WalConfig::new(&base_dir).log_path()).unwrap();
