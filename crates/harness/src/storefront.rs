@@ -174,6 +174,11 @@ pub struct Run {
 
 /// Drive `apps` against `db` as `config` says. Under a script, session
 /// `s` runs `apps[s % apps.len()]`; the mix draws from all of `apps`.
+///
+/// # Panics
+///
+/// With no session, when the wire server cannot start or a client cannot
+/// connect to it, and when a client thread panics.
 pub fn run(apps: &[&(dyn ShopApp + Sync)], db: &Arc<Database>, config: &Config) -> Run {
     assert!(config.sessions > 0, "a run needs a session");
     for app in apps {
